@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .blocking import Matching, stable_in_layer, strong_char_check, weak_char_check
+from .errors import BadParameters
 from .graphalg import SimpleGraph, maximum_matching
 from .model import MultilayerInstance, build_instance, is_symmetric
 from .oracle import (
@@ -625,6 +626,8 @@ def run_suite(
     name: str, trials: int | None = None, seed: int | None = None
 ) -> BenchReport:
     fn = SUITES[name]
+    if trials is not None and trials < 0:
+        raise BadParameters(f"negative trial count {trials}")
     kwargs = {}
     if trials is not None and name != "reductions":
         kwargs["trials"] = trials

@@ -3,22 +3,28 @@
 Approvals induce a two-level preference in each layer: an agent prefers any
 approved agent to any disapproved one and to being unmatched, and is
 indifferent within each level.  A pair already in the matching never blocks.
+
+The weak/strong/super blocking rule and the individual clause live in
+``block_mask`` and ``support_mask``, which take one bit per layer; a single
+layer is the one-bit case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotSymmetric, PairIsMatched
+from .errors import InvalidQuery, NotSymmetric, PairIsMatched
 from .model import MultilayerInstance, is_symmetric
 
 __all__ = [
     "Matching",
     "BASES",
-    "rank",
     "is_happy",
+    "block_mask",
+    "support_mask",
     "blocks",
-    "blocking_pairs",
+    "pair_masks",
+    "layer_set",
     "stable_in_layer",
     "stable_layers",
     "weak_char_check",
@@ -67,16 +73,48 @@ class Matching:
         return iter(self.pairs)
 
 
-def rank(inst: MultilayerInstance, a: int, x: int | None, layer: int) -> int:
-    """1 if ``x`` is approved by ``a`` in the layer, else 0 (unmatched ranks 0)."""
-    if x is None:
-        return 0
-    return 1 if x in inst.approvals[layer][a] else 0
-
-
 def is_happy(inst: MultilayerInstance, m: Matching, a: int, layer: int) -> bool:
     p = m.partner(a)
     return p is not None and p in inst.approvals[layer][a]
+
+
+def block_mask(base: str, sa: int, sb: int, ha: int, hb: int, full: int) -> int:
+    """Layers in which an unmatched pair {a, b} blocks, as a bit mask.
+
+    Bit i of ``sa`` says a approves b in layer i and bit i of ``ha`` that a
+    approves its own partner there (a is happy); ``sb``/``hb`` likewise for
+    b, and ``full`` has one bit per layer.  An agent strictly prefers the
+    other where it approves the other and is unhappy, and is at least
+    indifferent where it approves the other or is unhappy.  weak: both
+    strict; strong: one strict, the other at least indifferent; super: both
+    at least indifferent.
+    """
+    strict_a = sa & ~ha
+    strict_b = sb & ~hb
+    if base == "weak":
+        return strict_a & strict_b
+    geq_a = (sa | ~ha) & full
+    geq_b = (sb | ~hb) & full
+    if base == "strong":
+        return (strict_a & geq_b) | (strict_b & geq_a)
+    if base == "super":
+        return geq_a & geq_b
+    raise ValueError(f"unknown stability base {base!r}")
+
+
+def support_mask(base: str, s: int, h: int, full: int) -> int:
+    """Layers in which one agent of an unmatched pair satisfies the
+    individual clause, as a bit mask (arguments as in ``block_mask``).
+
+    weak: the agent does not strictly prefer the other (does not approve it,
+    or is happy); super: it is not at least indifferent to the other (does
+    not approve it, and is happy).  There is no strong individual clause.
+    """
+    if base == "weak":
+        return (~s | h) & full
+    if base == "super":
+        return ~s & h
+    raise InvalidQuery("there is no strong individual stability")
 
 
 def blocks(
@@ -86,64 +124,69 @@ def blocks(
     layer: int,
     base: str,
 ) -> bool:
-    """Does the unmatched pair block the matching in this layer?
-
-    weak: both sides strictly prefer each other; strong: one strict, the
-    other at least indifferent; super: both at least indifferent.
-    """
+    """Does the unmatched pair block the matching in this layer?"""
     a, b = pair
-    if m.partner(a) == b:
+    pa = m.partner(a)
+    if pa == b:
         raise PairIsMatched(f"pair ({a}, {b}) is in the matching")
     lay = inst.approvals[layer]
-    sa = b in lay[a]
-    sb = a in lay[b]
-    pa = m.partner(a)
     pb = m.partner(b)
-    ha = pa is not None and pa in lay[a]
-    hb = pb is not None and pb in lay[b]
-    if base == "weak":
-        return sa and not ha and sb and not hb
-    strict_a = sa and not ha
-    strict_b = sb and not hb
-    geq_a = sa or not ha
-    geq_b = sb or not hb
-    if base == "strong":
-        return (strict_a and geq_b) or (strict_b and geq_a)
-    if base == "super":
-        return geq_a and geq_b
-    raise ValueError(f"unknown stability base {base!r}")
+    return bool(
+        block_mask(base, b in lay[a], a in lay[b], pa in lay[a], pb in lay[b], 1)
+    )
 
 
-def blocking_pairs(
-    inst: MultilayerInstance, m: Matching, layer: int, base: str
-) -> list[tuple[int, int]]:
-    """All unmatched pairs blocking the matching in the layer, lexicographic."""
-    out = []
+def pair_masks(inst: MultilayerInstance, m: Matching):
+    """Yield ``(a, b, sa, sb, ha, hb)`` for every pair a < b not in the
+    matching, in lexicographic order, with ell-bit masks as in
+    ``block_mask``.  Happy masks are computed when first needed."""
+    masks = inst.approval_masks
+    partner = m._partner
+    happy: dict[int, int] = {}
     for a in range(inst.n):
+        ma = masks[a]
+        pa = partner.get(a)
+        ha = ma.get(pa, 0)
         for b in range(a + 1, inst.n):
-            if m.partner(a) == b:
+            if b == pa:
                 continue
-            if blocks(inst, m, (a, b), layer, base):
-                out.append((a, b))
-    return out
+            hb = happy.get(b)
+            if hb is None:
+                hb = happy[b] = masks[b].get(partner.get(b), 0)
+            yield a, b, ma.get(b, 0), masks[b].get(a, 0), ha, hb
+
+
+def layer_set(mask: int) -> frozenset[int]:
+    """The layer indices of the set bits of ``mask``."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def stable_in_layer(
     inst: MultilayerInstance, m: Matching, layer: int, base: str
 ) -> bool:
+    lay = inst.approvals[layer]
+    partner = m._partner
+    happy = [partner.get(a) in lay[a] for a in range(inst.n)]
     for a in range(inst.n):
+        la = lay[a]
+        pa = partner.get(a)
+        ha = happy[a]
         for b in range(a + 1, inst.n):
-            if m.partner(a) == b:
-                continue
-            if blocks(inst, m, (a, b), layer, base):
+            if b != pa and block_mask(base, b in la, a in lay[b], ha, happy[b], 1):
                 return False
     return True
 
 
 def stable_layers(inst: MultilayerInstance, m: Matching, base: str) -> frozenset[int]:
-    return frozenset(
-        i for i in range(inst.ell) if stable_in_layer(inst, m, i, base)
-    )
+    """Layers in which no unmatched pair blocks: one scan over all pairs,
+    stopping once every layer is blocked."""
+    full = (1 << inst.ell) - 1
+    blocked = 0
+    for _, _, sa, sb, ha, hb in pair_masks(inst, m):
+        blocked |= block_mask(base, sa, sb, ha, hb, full)
+        if blocked == full:
+            break
+    return layer_set(full & ~blocked)
 
 
 def weak_char_check(inst: MultilayerInstance, m: Matching, layer: int) -> bool:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bench import SUITES, run_suite
 from .blocking import Matching
-from .errors import BudgetExceeded, MlsmError
+from .errors import BudgetExceeded, MalformedDocument, MlsmError
 from .model import MultilayerInstance, build_instance
 from .oracle import OracleBudget, oracle_all, oracle_solve
 from .reductions import (
@@ -62,23 +62,40 @@ def instance_to_doc(inst: MultilayerInstance) -> dict:
     return {"agents": names, "layers": layers}
 
 
+_JSON_KIND = {dict: "object", list: "array", str: "string"}
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise MalformedDocument(f"{what} must be a JSON {_JSON_KIND[kind]}")
+    return value
+
+
 def instance_from_doc(doc: dict) -> MultilayerInstance:
-    names = list(doc["agents"])
+    _expect(doc, dict, "an instance document")
+    names = _expect(doc.get("agents"), list, '"agents"')
+    if not all(isinstance(name, str) for name in names):
+        raise MalformedDocument('"agents" must list agent names as strings')
     if len(set(names)) != len(names):
-        raise ValueError("agent names must be unique")
+        raise MalformedDocument("agent names must be unique")
     index = {name: a for a, name in enumerate(names)}
     layers = []
-    for i, layer in enumerate(doc["layers"]):
+    for i, layer in enumerate(_expect(doc.get("layers"), list, '"layers"')):
+        _expect(layer, dict, f"layer {i + 1}")
         sets: list[list[int]] = [[] for _ in names]
         for name, approved in layer.items():
-            if name not in index:
-                raise ValueError(f"unknown agent {name!r} in layer {i + 1}")
-            for other in approved:
-                if other not in index:
-                    raise ValueError(f"unknown agent {other!r} in layer {i + 1}")
-                sets[index[name]].append(index[other])
+            if not isinstance(approved, list):
+                raise MalformedDocument(f"approvals in layer {i + 1} must be arrays")
+            try:
+                row = sets[index[name]]
+                for other in approved:
+                    row.append(index[other])
+            except (KeyError, TypeError) as exc:  # TypeError: unhashable name
+                raise MalformedDocument(
+                    f"unknown agent in layer {i + 1}: {exc}"
+                ) from None
         layers.append(sets)
-    return build_instance(len(names), len(doc["layers"]), layers, names)
+    return build_instance(len(names), len(layers), layers, names)
 
 
 def matching_to_doc(inst: MultilayerInstance, m: Matching) -> dict:
@@ -88,15 +105,16 @@ def matching_to_doc(inst: MultilayerInstance, m: Matching) -> dict:
 
 
 def matching_from_doc(inst: MultilayerInstance, doc: dict) -> Matching:
+    _expect(doc, dict, "a matching document")
     index = {inst.name_of(a): a for a in range(inst.n)}
     pairs = []
-    for pair in doc["pairs"]:
-        if len(pair) != 2:
-            raise ValueError(f"matching pair {pair!r} must name two agents")
-        for name in pair:
-            if name not in index:
-                raise ValueError(f"unknown agent {name!r} in matching")
-        pairs.append((index[pair[0]], index[pair[1]]))
+    for pair in _expect(doc.get("pairs"), list, '"pairs"'):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise MalformedDocument(f"matching pair {pair!r} must name two agents")
+        try:
+            pairs.append((index[pair[0]], index[pair[1]]))
+        except (KeyError, TypeError) as exc:
+            raise MalformedDocument(f"unknown agent in matching: {exc}") from None
     return Matching.from_pairs(pairs)
 
 

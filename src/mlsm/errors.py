@@ -16,6 +16,10 @@ class IdOutOfRange(MlsmError):
     pass
 
 
+class MalformedDocument(MlsmError, ValueError):
+    """A JSON document whose shape or names do not fit its format."""
+
+
 class PairIsMatched(MlsmError):
     pass
 

@@ -45,9 +45,6 @@ class SimpleGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
 
 def _to_nx(g: SimpleGraph) -> nx.Graph:
     G = nx.Graph()

@@ -9,6 +9,7 @@ keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import IdOutOfRange, SelfApproval
@@ -57,6 +58,19 @@ class MultilayerInstance:
             if a < b and a in lay[b]
         ]
 
+    @cached_property
+    def approval_masks(self) -> tuple[dict[int, int], ...]:
+        """Per agent ``a``, ``{b: mask}`` over the agents ``a`` approves
+        somewhere, with bit ``i`` of ``mask`` set iff ``a`` approves ``b`` in
+        layer ``i``.  Built once per instance; callers must not mutate it."""
+        masks: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for i, lay in enumerate(self.approvals):
+            bit = 1 << i
+            for ma, approved in zip(masks, lay):
+                for b in approved:
+                    ma[b] = ma.get(b, 0) | bit
+        return tuple(masks)
+
     def name_of(self, a: int) -> str:
         if self.names is not None:
             return self.names[a]
@@ -103,7 +117,7 @@ def build_instance(
         for a in range(n):
             ids = frozenset(layer[a]) if a < len(layer) else frozenset()
             for b in ids:
-                if not isinstance(b, int) or b < 0 or b >= n:
+                if type(b) is not int or not 0 <= b < n:  # bool is no agent id
                     raise IdOutOfRange(f"approval {b!r} of agent {a} in layer {i}")
                 if b == a:
                     raise SelfApproval(a, i)

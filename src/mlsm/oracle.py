@@ -9,10 +9,11 @@ generators are validated against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
-from .blocking import BASES, Matching, stable_in_layer
-from .errors import BudgetExceeded
+from .blocking import BASES, Matching, block_mask, stable_in_layer, support_mask
+from .errors import BadParameters, BudgetExceeded
 from .model import MultilayerInstance
 from .verify import StabilityQuery, check
 
@@ -31,6 +32,10 @@ __all__ = [
 class OracleBudget:
     max_agents: int = 12
     max_matchings: int | None = None
+
+    def __post_init__(self):
+        if self.max_agents < 0 or (self.max_matchings or 0) < 0:
+            raise BadParameters(f"negative oracle budget {self}")
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -140,85 +145,55 @@ def existence_table(
     for "strong" is -1 (notion undefined).
 
     One pass over all matchings, with per-pair layer sets packed into ell-bit
-    integers; this is the batched form of oracle_solve used by the randomized
-    comparison suites (their agreement is itself under test).
+    integers for ``block_mask`` and ``support_mask``; this is the batched
+    form of oracle_solve used by the randomized comparison suites (their
+    agreement is itself under test).
     """
     _check_budget(inst.n, budget)
     n, ell = inst.n, inst.ell
-    approvals = inst.approvals
     full = (1 << ell) - 1
-    # per-agent approval bitmasks and per-pair approval layer sets are
-    # matching-independent
-    appr_bits = [
-        [sum(1 << i for i in range(ell) if b in approvals[i][a]) for b in range(n)]
-        for a in range(n)
-    ]
+    masks = inst.approval_masks
+    # per-pair approval layer sets are matching-independent
     pairs = [
-        (a, b, appr_bits[a][b], appr_bits[b][a])
+        (a, b, masks[a].get(b, 0), masks[b].get(a, 0))
         for a in range(n)
         for b in range(a + 1, n)
     ]
-    best = {base: [0, 0, 0] for base in BASES}
-    bw, bs, bp = best["weak"], best["strong"], best["super"]
+
+    @cache
+    def degrees(sa: int, sb: int, ha: int, hb: int) -> list[tuple[int, int, int]]:
+        """Per base: blocked mask, non-blocking layers, individual support."""
+        out = []
+        for base in BASES:
+            blocked = block_mask(base, sa, sb, ha, hb, full)
+            support = ell if base == "strong" else max(
+                support_mask(base, sa, ha, full).bit_count(),
+                support_mask(base, sb, hb, full).bit_count(),
+            )
+            out.append((blocked, ell - blocked.bit_count(), support))
+        return out
+
+    best = [[0, 0, 0] for _ in BASES]
     for partner in _iter_partner_arrays(n):
-        happy = [
-            0 if partner[a] == -1 else appr_bits[a][partner[a]] for a in range(n)
-        ]
-        blk_w = blk_s = blk_p = 0
-        min_w = min_s = min_p = ell
-        ind_w = ind_p = ell
+        happy = [masks[a].get(p, 0) for a, p in enumerate(partner)]  # single: p=-1
+        # per base: OR of blocked masks, least non-blocking count and support
+        worst = [[0, ell, ell] for _ in BASES]
         for a, b, sa, sb in pairs:
             if partner[a] == b:
                 continue
-            ha = happy[a]
-            hb = happy[b]
-            strict_a = sa & ~ha
-            strict_b = sb & ~hb
-            geq_a = (sa | ~ha) & full
-            geq_b = (sb | ~hb) & full
-            w = strict_a & strict_b
-            s = (strict_a & geq_b) | (strict_b & geq_a)
-            p = geq_a & geq_b
-            blk_w |= w
-            blk_s |= s
-            blk_p |= p
-            nb = ell - w.bit_count()
-            if nb < min_w:
-                min_w = nb
-            nb = ell - s.bit_count()
-            if nb < min_s:
-                min_s = nb
-            nb = ell - p.bit_count()
-            if nb < min_p:
-                min_p = nb
-            sup = max(
-                ((~sa | ha) & full).bit_count(), ((~sb | hb) & full).bit_count()
-            )
-            if sup < ind_w:
-                ind_w = sup
-            sup = max((~sa & ha).bit_count(), (~sb & hb).bit_count())
-            if sup < ind_p:
-                ind_p = sup
-        g = ell - blk_w.bit_count()
-        if g > bw[0]:
-            bw[0] = g
-        g = ell - blk_s.bit_count()
-        if g > bs[0]:
-            bs[0] = g
-        g = ell - blk_p.bit_count()
-        if g > bp[0]:
-            bp[0] = g
-        if min_w > bw[1]:
-            bw[1] = min_w
-        if min_s > bs[1]:
-            bs[1] = min_s
-        if min_p > bp[1]:
-            bp[1] = min_p
-        if ind_w > bw[2]:
-            bw[2] = ind_w
-        if ind_p > bp[2]:
-            bp[2] = ind_p
+            for w, (blocked, nonblocking, support) in zip(
+                worst, degrees(sa, sb, happy[a], happy[b])
+            ):
+                w[0] |= blocked
+                if nonblocking < w[1]:
+                    w[1] = nonblocking
+                if support < w[2]:
+                    w[2] = support
+        for rec, (blocked, pair_min, ind_min) in zip(best, worst):
+            rec[0] = max(rec[0], ell - blocked.bit_count())
+            rec[1] = max(rec[1], pair_min)
+            rec[2] = max(rec[2], ind_min)
     return {
         base: (rec[0], rec[1], rec[2] if base != "strong" else -1)
-        for base, rec in best.items()
+        for base, rec in zip(BASES, best)
     }

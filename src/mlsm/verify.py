@@ -9,19 +9,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocking import BASES, Matching, blocks, is_happy, stable_layers
-from .errors import AlphaOutOfRange, InvalidQuery, PairIsMatched
+from .blocking import (
+    BASES,
+    Matching,
+    block_mask,
+    layer_set,
+    pair_masks,
+    stable_layers,
+    support_mask,
+)
+from .errors import AlphaOutOfRange, IdOutOfRange, InvalidQuery
 from .model import MultilayerInstance
 
 __all__ = [
     "AGGREGATIONS",
     "StabilityQuery",
     "Verdict",
-    "StabilityCounts",
     "check",
-    "stability_counts",
-    "pair_nonblocking_count",
-    "individual_support_counts",
     "all_queries",
 ]
 
@@ -83,150 +87,36 @@ class Verdict:
     supports: tuple[int, int] | None = None
 
 
-def _unmatched_pairs(inst: MultilayerInstance, m: Matching):
-    for a in range(inst.n):
-        for b in range(a + 1, inst.n):
-            if m.partner(a) != b:
-                yield a, b
-
-
-def pair_nonblocking_count(
-    inst: MultilayerInstance, m: Matching, pair: tuple[int, int], base: str
-) -> int:
-    """Number of layers in which the unmatched pair does not block."""
-    a, b = pair
-    if m.partner(a) == b:
-        raise PairIsMatched(f"pair ({a}, {b}) is in the matching")
-    return sum(
-        1 for i in range(inst.ell) if not blocks(inst, m, pair, i, base)
-    )
-
-
-def individual_support_counts(
-    inst: MultilayerInstance, m: Matching, pair: tuple[int, int], base: str
-) -> tuple[int, int]:
-    """Per-agent counts of layers satisfying the individual clause.
-
-    Weak: the agent does not approve the other or is happy.  Super: the agent
-    does not approve the other and is happy.
-    """
-    if base == "strong":
-        raise InvalidQuery("there is no strong individual stability")
-    a, b = pair
-    if m.partner(a) == b:
-        raise PairIsMatched(f"pair ({a}, {b}) is in the matching")
-    count_a = count_b = 0
-    for i in range(inst.ell):
-        lay = inst.approvals[i]
-        sa = b in lay[a]
-        sb = a in lay[b]
-        ha = is_happy(inst, m, a, i)
-        hb = is_happy(inst, m, b, i)
-        if base == "weak":
-            count_a += int(not sa or ha)
-            count_b += int(not sb or hb)
-        else:
-            count_a += int(not sa and ha)
-            count_b += int(not sb and hb)
-    return count_a, count_b
-
-
 def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
     """Decide whether the matching satisfies the queried stability notion."""
     alpha = q.effective_alpha(inst.ell)
+    for pair in m.pairs:
+        for a in pair:
+            if not 0 <= a < inst.n:
+                raise IdOutOfRange(f"matched agent {a} outside [0, {inst.n})")
     if q.agg in ("all", "global"):
         layers = stable_layers(inst, m, q.base)
         return Verdict(len(layers) >= alpha, q, witness_layers=layers)
-    if q.agg == "pair":
-        for pair in _unmatched_pairs(inst, m):
-            blocked = frozenset(
-                i for i in range(inst.ell) if blocks(inst, m, pair, i, q.base)
-            )
-            if inst.ell - len(blocked) < alpha:
+    full = (1 << inst.ell) - 1
+    for a, b, sa, sb, ha, hb in pair_masks(inst, m):
+        if q.agg == "pair":
+            blocked = block_mask(q.base, sa, sb, ha, hb, full)
+            if inst.ell - blocked.bit_count() < alpha:
                 return Verdict(
-                    False, q, violating_pair=pair, blocking_layers=blocked
+                    False, q, violating_pair=(a, b), blocking_layers=layer_set(blocked)
                 )
-        return Verdict(True, q)
-    # individual
-    for pair in _unmatched_pairs(inst, m):
-        ca, cb = individual_support_counts(inst, m, pair, q.base)
+            continue
+        ca = support_mask(q.base, sa, ha, full).bit_count()
+        cb = support_mask(q.base, sb, hb, full).bit_count()
         if max(ca, cb) < alpha:
-            blocked = frozenset(
-                i for i in range(inst.ell) if blocks(inst, m, pair, i, q.base)
-            )
             return Verdict(
                 False,
                 q,
-                violating_pair=pair,
-                blocking_layers=blocked,
+                violating_pair=(a, b),
+                blocking_layers=layer_set(block_mask(q.base, sa, sb, ha, hb, full)),
                 supports=(ca, cb),
             )
     return Verdict(True, q)
-
-
-@dataclass(frozen=True)
-class StabilityCounts:
-    """Degrees to which one matching satisfies one base, over all aggregations.
-
-    ``global_count`` is the number of stable layers; ``pair_min`` the minimum
-    over unmatched pairs of non-blocking layer counts; ``individual_min`` the
-    minimum over unmatched pairs of the better agent's support count (None for
-    strong).  With no unmatched pair the minima default to ell.
-    """
-
-    global_count: int
-    pair_min: int
-    individual_min: int | None
-
-    def satisfies(self, agg: str, alpha: int) -> bool:
-        if agg in ("all", "global"):
-            return self.global_count >= alpha
-        if agg == "pair":
-            return self.pair_min >= alpha
-        if self.individual_min is None:
-            raise InvalidQuery("there is no strong individual stability")
-        return self.individual_min >= alpha
-
-
-def stability_counts(
-    inst: MultilayerInstance, m: Matching, base: str
-) -> StabilityCounts:
-    ell = inst.ell
-    layer_blocked = [False] * ell
-    pair_min = ell
-    ind_min: int | None = ell if base != "strong" else None
-    for pair in _unmatched_pairs(inst, m):
-        nonblocking = 0
-        ca = cb = 0
-        a, b = pair
-        for i in range(ell):
-            lay = inst.approvals[i]
-            sa = b in lay[a]
-            sb = a in lay[b]
-            pa = m.partner(a)
-            pb = m.partner(b)
-            ha = pa is not None and pa in lay[a]
-            hb = pb is not None and pb in lay[b]
-            if base == "weak":
-                blk = sa and not ha and sb and not hb
-                ca += int(not sa or ha)
-                cb += int(not sb or hb)
-            elif base == "super":
-                blk = (sa or not ha) and (sb or not hb)
-                ca += int(not sa and ha)
-                cb += int(not sb and hb)
-            else:
-                blk = (sa and not ha and (sb or not hb)) or (
-                    sb and not hb and (sa or not ha)
-                )
-            if blk:
-                layer_blocked[i] = True
-            else:
-                nonblocking += 1
-        pair_min = min(pair_min, nonblocking)
-        if ind_min is not None:
-            ind_min = min(ind_min, max(ca, cb))
-    return StabilityCounts(ell - sum(layer_blocked), pair_min, ind_min)
 
 
 def all_queries(ell: int) -> list[StabilityQuery]:

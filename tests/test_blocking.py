@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsm.blocking import (
+    BASES,
     Matching,
-    blocking_pairs,
     blocks,
     is_happy,
-    rank,
     stable_in_layer,
     stable_layers,
     strong_char_check,
@@ -34,10 +33,27 @@ def test_matching_rejects_reuse():
         Matching.from_pairs([(2, 2)])
 
 
-def test_rank(ex1):
-    assert rank(ex1, 0, 1, 0) == 1      # a approves b in layer one
-    assert rank(ex1, 0, None, 2) == 0   # unmatched ranks with disapproved
-    assert rank(ex1, 2, 0, 0) == 0      # no arc c->a
+def _blocking_pairs(inst, m, layer, base):
+    """All unmatched pairs blocking the matching in the layer, lexicographic."""
+    return [
+        (a, b)
+        for a in range(inst.n)
+        for b in range(a + 1, inst.n)
+        if not m.has_pair(a, b) and blocks(inst, m, (a, b), layer, base)
+    ]
+
+
+def test_approval_masks(ex1):
+    assert ex1.approval_masks[0][1] == 0b111  # a approves b in every layer
+    assert ex1.approval_masks[0][3] == 0b010  # a approves d in layer two only
+    assert 0 not in ex1.approval_masks[2]     # no arc c->a
+    # unmatched ranks with disapproved: a single and a matched to c (whom a
+    # disapproves in layer three) block alike
+    with_c = Matching.from_pairs([(0, 2)])
+    for base in BASES:
+        assert blocks(ex1, Matching(()), (0, 1), 2, base) == blocks(
+            ex1, with_c, (0, 1), 2, base
+        )
 
 
 def test_is_happy(ex1, m1):
@@ -61,12 +77,12 @@ def test_blocks_rejects_matched_pair(ex1, m1):
 
 
 def test_blocking_pairs_examples(ex1, m1):
-    assert blocking_pairs(ex1, m1, 2, "super") == [(1, 2)]
+    assert _blocking_pairs(ex1, m1, 2, "super") == [(1, 2)]
     empty = build_instance(4, 1, [[set()] * 4])
     anym = Matching.from_pairs([(0, 2)])
-    assert blocking_pairs(empty, anym, 0, "weak") == []
+    assert _blocking_pairs(empty, anym, 0, "weak") == []
     perfect = Matching.from_pairs([(0, 1), (2, 3)])
-    assert blocking_pairs(empty, perfect, 0, "super") == [
+    assert _blocking_pairs(empty, perfect, 0, "super") == [
         (0, 2),
         (0, 3),
         (1, 2),
@@ -152,5 +168,5 @@ def test_adding_pairs_never_creates_blocking(data):
     bigger = Matching.from_pairs(list(m.pairs) + [(free[0], free[1])])
     for base in ("weak", "strong", "super"):
         for i in range(inst.ell):
-            for pair in blocking_pairs(inst, bigger, i, base):
+            for pair in _blocking_pairs(inst, bigger, i, base):
                 assert blocks(inst, m, pair, i, base)

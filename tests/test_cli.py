@@ -9,6 +9,7 @@ from mlsm.cli import (
     matching_from_doc,
     matching_to_doc,
 )
+from mlsm.errors import MalformedDocument
 from mlsm.reductions import gen_random
 
 
@@ -231,3 +232,51 @@ def test_unknown_agent_in_matching_exit_two(ex1_file, tmp_path, capsys):
     bad = tmp_path / "m.json"
     bad.write_text(json.dumps({"pairs": [["a", "zz"]]}))
     assert main(["check", ex1_file, str(bad), "--base", "weak", "--agg", "all"]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        ["a", "b"],
+        {"agents": "bc", "layers": [{}]},
+        {"agents": ["a", "b"], "layers": {"a": ["b"]}},
+        {"agents": ["a", "b"], "layers": [["a", "b"]]},
+        {"agents": ["a", "b"], "layers": [{"a": "b"}]},
+        {"agents": ["a", "b"], "layers": [{"a": [["b"]]}]},
+        {"agents": [1, 2], "layers": [{}]},
+        {"layers": [{}]},
+    ],
+)
+def test_malformed_instance_shapes_exit_two(tmp_path, m1_file, doc, capsys):
+    with pytest.raises(MalformedDocument):
+        instance_from_doc(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), m1_file, "--base", "weak", "--agg", "all"]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[["a", "b"]], {"pairs": {"a": "b"}}, {"pairs": ["ab"]}, {"pairs": [["a", ["b"]]]}],
+)
+def test_malformed_matching_shapes_exit_two(ex1, ex1_file, tmp_path, doc, capsys):
+    with pytest.raises(MalformedDocument):
+        matching_from_doc(ex1, doc)
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", ex1_file, str(bad), "--base", "weak", "--agg", "all"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "lattice", "--trials", "-5"],
+        ["solve", "INST", "--base", "weak", "--agg", "all", "--budget", "-1"],
+        ["oracle", "INST", "--base", "weak", "--agg", "all", "--budget", "-1"],
+    ],
+)
+def test_negative_trials_or_budget_exit_two(ex1_file, argv, capsys):
+    argv = [ex1_file if arg == "INST" else arg for arg in argv]
+    assert main(argv) == 2
+    assert "negative" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from mlsm.bench import brute_force_max_matching
 from mlsm.graphalg import (
     SimpleGraph,
     has_perfect_matching,
@@ -8,17 +9,6 @@ from mlsm.graphalg import (
     maximum_matching,
     saturating_matching,
 )
-
-
-def _brute_max_size(g: SimpleGraph) -> int:
-    edges = g.sorted_edges()
-    best = 0
-    for r in range(len(edges), 0, -1):
-        for combo in itertools.combinations(edges, r):
-            seen = [v for e in combo for v in e]
-            if len(seen) == len(set(seen)):
-                return r
-    return best
 
 
 def _brute_saturates(g: SimpleGraph, cover: set[int]) -> bool:
@@ -73,7 +63,7 @@ def test_maximum_petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     g = SimpleGraph.from_edges(10, outer + inner + spokes)
-    assert len(maximum_matching(g)) == _brute_max_size(g) == 5
+    assert len(maximum_matching(g)) == brute_force_max_matching(g) == 5
 
 
 def test_maximum_empty():
@@ -86,7 +76,7 @@ def test_maximum_matches_brute_force_on_random_graphs():
         n = rng.randint(1, 9)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.45]
         g = SimpleGraph.from_edges(n, edges)
-        assert len(maximum_matching(g)) == _brute_max_size(g)
+        assert len(maximum_matching(g)) == brute_force_max_matching(g)
 
 
 def test_saturating_star_leaves_impossible():

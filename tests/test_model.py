@@ -37,6 +37,13 @@ def test_build_rejects_out_of_range():
         build_instance(2, 0, [])
 
 
+def test_build_rejects_bool_ids():
+    with pytest.raises(IdOutOfRange):
+        build_instance(2, 1, [[{True}, set()]])
+    with pytest.raises(IdOutOfRange):
+        build_instance(2, 1, [[set(), {False}]])
+
+
 def test_build_normalizes_duplicates():
     inst = build_instance(3, 1, [[[1, 1, 2], [], []]])
     assert inst.approvals[0][0] == frozenset({1, 2})

@@ -2,19 +2,20 @@ import random
 
 import pytest
 
-from mlsm.blocking import Matching, blocks, stable_layers
-from mlsm.errors import AlphaOutOfRange, InvalidQuery, PairIsMatched
+from mlsm.blocking import (
+    BASES,
+    Matching,
+    block_mask,
+    blocks,
+    layer_set,
+    stable_layers,
+    support_mask,
+)
+from mlsm.errors import AlphaOutOfRange, IdOutOfRange, InvalidQuery
 from mlsm.model import build_instance
 from mlsm.reductions import gen_random
-from mlsm.bench import random_matching
-from mlsm.verify import (
-    StabilityQuery,
-    all_queries,
-    check,
-    individual_support_counts,
-    pair_nonblocking_count,
-    stability_counts,
-)
+from mlsm.bench import random_instance, random_matching
+from mlsm.verify import StabilityQuery, all_queries, check
 
 
 def test_query_validation():
@@ -72,15 +73,22 @@ def test_footnote_separation(ex2, ex2_modified, m1):
 
 
 def test_pair_nonblocking_count(ex1, ex2, m1):
-    assert pair_nonblocking_count(ex1, m1, (0, 3), "super") == 2
-    assert individual_support_counts(ex2, m1, (0, 2), "super") == (1, 1)
+    assert sum(not blocks(ex1, m1, (0, 3), i, "super") for i in range(3)) == 2
+    verdict = check(ex2, m1, StabilityQuery("super", "individual", 2))
+    assert verdict.violating_pair == (0, 2) and verdict.supports == (1, 1)
     empty = build_instance(3, 4, [[set()] * 3] * 4)
     um = Matching(())
-    assert pair_nonblocking_count(empty, um, (0, 1), "weak") == 4
-    with pytest.raises(PairIsMatched):
-        pair_nonblocking_count(ex1, m1, (0, 1), "weak")
+    assert sum(not blocks(empty, um, (0, 1), i, "weak") for i in range(4)) == 4
+    assert check(empty, um, StabilityQuery("weak", "pair", 4)).stable
     with pytest.raises(InvalidQuery):
-        individual_support_counts(ex1, m1, (0, 2), "strong")
+        support_mask("strong", 0b1, 0b0, 0b1)
+
+
+def test_check_rejects_out_of_range_matching(triangle):
+    with pytest.raises(IdOutOfRange):
+        check(triangle, Matching.from_pairs([(0, 7)]), StabilityQuery("weak", "all"))
+    with pytest.raises(IdOutOfRange):
+        check(triangle, Matching.from_pairs([(-1, 2)]), StabilityQuery("weak", "pair", 1))
 
 
 def test_unstable_witnesses_reverify(ex1, m2):
@@ -99,24 +107,90 @@ def test_global_witness_is_exact_stable_layer_set(ex1, m1, m2):
             assert verdict.witness_layers == stable_layers(ex1, m, base)
 
 
-def test_stability_counts_agree_with_check():
+def test_check_matches_inline_definitions():
+    # the paper's per-layer definitions, written out: an agent strictly
+    # prefers the other where it approves the other and is unhappy, and is at
+    # least indifferent where it approves the other or is unhappy
     rng = random.Random(11)
-    for _ in range(40):
-        inst = gen_random(
-            rng.randint(2, 7),
-            rng.randint(1, 4),
-            0.5,
-            symmetric=rng.random() < 0.5,
-            seed=rng.getrandbits(30),
-        )
+    covered = set()  # (a matched, b matched) over the pairs compared
+    for _ in range(60):
+        inst = random_instance(rng, n_max=7)
         m = random_matching(rng, inst.n)
-        for base in ("weak", "strong", "super"):
-            counts = stability_counts(inst, m, base)
-            for q in all_queries(inst.ell):
+        n, ell = inst.n, inst.ell
+        full = (1 << ell) - 1
+
+        def happy(x, i):
+            return m.partner(x) in inst.approvals[i][x]
+
+        def strict(x, y, i):
+            return y in inst.approvals[i][x] and not happy(x, i)
+
+        def geq(x, y, i):
+            return y in inst.approvals[i][x] or not happy(x, i)
+
+        rules = {
+            "weak": lambda a, b, i: strict(a, b, i) and strict(b, a, i),
+            "strong": lambda a, b, i: (strict(a, b, i) and geq(b, a, i))
+            or (strict(b, a, i) and geq(a, b, i)),
+            "super": lambda a, b, i: geq(a, b, i) and geq(b, a, i),
+        }
+        clauses = {
+            "weak": lambda x, y, i: not strict(x, y, i),
+            "super": lambda x, y, i: not geq(x, y, i),
+        }
+
+        def bits(pred):
+            return sum(1 << i for i in range(ell) if pred(i))
+
+        for base in BASES:
+            stable = set(range(ell))
+            degree = {"pair": ell, "individual": ell}
+            least = {"pair": {}, "individual": {}}  # alpha -> first violation
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if m.has_pair(a, b):
+                        continue
+                    covered.add((m.covers(a), m.covers(b)))
+                    sa = bits(lambda i: b in inst.approvals[i][a])
+                    sb = bits(lambda i: a in inst.approvals[i][b])
+                    ha = bits(lambda i: happy(a, i))
+                    hb = bits(lambda i: happy(b, i))
+                    blocked = {i for i in range(ell) if rules[base](a, b, i)}
+                    assert layer_set(block_mask(base, sa, sb, ha, hb, full)) == blocked
+                    for i in range(ell):
+                        assert blocks(inst, m, (a, b), i, base) == (i in blocked)
+                    stable -= blocked
+                    pair_degree = ell - len(blocked)
+                    degree["pair"] = min(degree["pair"], pair_degree)
+                    for alpha in range(pair_degree + 1, ell + 1):
+                        least["pair"].setdefault(alpha, ((a, b), blocked, None))
+                    if base == "strong":
+                        continue
+                    sup = tuple(
+                        sum(clauses[base](x, y, i) for i in range(ell))
+                        for x, y in ((a, b), (b, a))
+                    )
+                    assert support_mask(base, sa, ha, full).bit_count() == sup[0]
+                    assert support_mask(base, sb, hb, full).bit_count() == sup[1]
+                    degree["individual"] = min(degree["individual"], max(sup))
+                    for alpha in range(max(sup) + 1, ell + 1):
+                        least["individual"].setdefault(alpha, ((a, b), blocked, sup))
+            for q in all_queries(ell):
                 if q.base != base:
                     continue
-                expected = check(inst, m, q).stable
-                assert counts.satisfies(q.agg, q.effective_alpha(inst.ell)) == expected
+                alpha = q.effective_alpha(ell)
+                verdict = check(inst, m, q)
+                if q.agg in ("all", "global"):
+                    assert verdict.witness_layers == stable
+                    assert verdict.stable == (len(stable) >= alpha)
+                    continue
+                assert verdict.stable == (degree[q.agg] >= alpha)
+                if not verdict.stable:
+                    pair, blocked, sup = least[q.agg][alpha]
+                    assert verdict.violating_pair == pair
+                    assert verdict.blocking_layers == blocked
+                    assert verdict.supports == sup
+    assert covered == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_base_monotonicity_lifts_to_every_aggregation():
