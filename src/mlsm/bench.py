@@ -36,16 +36,13 @@ from .reductions import (
     sat_brute_force,
 )
 from .solvers import (
+    SOLVERS,
+    InstanceFacts,
     dispatch,
     layer_superstable_set,
     solve_by_changing,
     solve_by_types,
-    solve_strong_alllayers_symmetric,
     solve_strong_global_symmetric,
-    solve_super_global,
-    solve_super_individual_highalpha,
-    solve_super_pair_fpt,
-    solve_super_pair_veryhighalpha,
     solve_weak_lowalpha,
 )
 from .verify import StabilityQuery, all_queries, check
@@ -158,6 +155,20 @@ def _exists_by_oracle(table, q: StabilityQuery, ell: int) -> bool:
     return ind_min >= alpha
 
 
+def _score(report: BenchReport, name: str, res, truth: bool, inst, q) -> None:
+    """Count a failure unless the solver's status is the oracle's answer and
+    its witness, if any, passes ``check``."""
+    if res.status != ("exists" if truth else "not-exists"):
+        report.failures += 1
+        report.note(
+            f"{name} said {res.status}, oracle {truth} on "
+            f"{q.describe()} n={inst.n} ell={inst.ell}"
+        )
+    elif truth and not check(inst, res.matching, q).stable:
+        report.failures += 1
+        report.note(f"{name} witness fails {q.describe()}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -215,81 +226,28 @@ def run_lattice(trials: int = 1000, seed: int = 2024) -> BenchReport:
     return report
 
 
-def _applicable_solvers(inst: MultilayerInstance, q: StabilityQuery, symmetric: bool):
-    """Name/thunk pairs for every complete solver whose preconditions hold."""
-    ell = inst.ell
-    alpha = q.effective_alpha(ell)
-    out = []
-    if q.base == "super" and q.agg in ("all", "global"):
-        out.append(("super-global", lambda: solve_super_global(inst, alpha).exists))
-    if symmetric and q.base == "strong" and q.agg in ("all", "global"):
-        if alpha == ell:
-            out.append(
-                (
-                    "strong-alllayers",
-                    lambda: solve_strong_alllayers_symmetric(inst) is not None,
-                )
-            )
-        out.append(
-            ("strong-global", lambda: solve_strong_global_symmetric(inst, alpha).exists)
-        )
-    if symmetric and q.base == "super" and q.agg == "individual" and 2 * alpha > ell:
-        out.append(
-            (
-                "super-individual-highalpha",
-                lambda: solve_super_individual_highalpha(inst, alpha).exists,
-            )
-        )
-    if symmetric and q.base == "super" and q.agg == "pair" and 3 * alpha > 2 * ell:
-        out.append(
-            (
-                "super-pair-veryhighalpha",
-                lambda: solve_super_pair_veryhighalpha(inst, alpha).exists,
-            )
-        )
-    if symmetric and q.base == "super" and q.agg == "pair" and 2 * alpha > ell:
-        out.append(("super-pair-fpt", lambda: solve_super_pair_fpt(inst, alpha).exists))
-    return out
-
-
 def run_solver_vs_oracle(trials: int = 500, seed: int = 77) -> BenchReport:
-    """Complete solvers agree with the oracle wherever their preconditions
-    hold; the dispatcher agrees on a per-instance query sample."""
+    """Every ``SOLVERS`` route agrees with the oracle on each query its gate
+    admits and every witness it returns passes ``check``; the dispatcher
+    agrees on a per-instance query sample."""
     rng = random.Random(seed)
     start = time.perf_counter()
     report = BenchReport("solver-vs-oracle", trials, 0, 0.0)
     for _ in range(trials):
         inst = random_instance(rng)
-        symmetric = is_symmetric(inst)
+        facts = InstanceFacts(inst)
         table = existence_table(inst)
         queries = all_queries(inst.ell)
         for q in queries:
             truth = _exists_by_oracle(table, q, inst.ell)
-            verdicts = list(_applicable_solvers(inst, q, symmetric))
-            if q.base == "weak" and q.agg in ("pair", "individual"):
-                alpha = q.effective_alpha(inst.ell)
-                if alpha <= (inst.ell + 1) // 2:
-                    m = solve_weak_lowalpha(inst, alpha)
-                    verdicts.append(("weak-lowalpha", lambda: check(inst, m, q).stable))
-            for name, fn in verdicts:
-                if fn() != truth:
-                    report.failures += 1
-                    report.note(
-                        f"{name} disagrees with oracle ({truth}) on "
-                        f"{q.describe()} n={inst.n} ell={inst.ell}"
-                    )
+            alpha = q.effective_alpha(inst.ell)
+            for solver in SOLVERS:
+                if solver.applies(facts, q, alpha):
+                    _score(report, solver.name, solver.run(inst, q, alpha), truth, inst, q)
         for q in rng.sample(queries, min(6, len(queries))):
             truth = _exists_by_oracle(table, q, inst.ell)
             res = dispatch(inst, q)
-            if res.status == "unknown" or res.exists != truth:
-                report.failures += 1
-                report.note(
-                    f"dispatch[{res.algorithm}] said {res.status}, oracle "
-                    f"{truth} on {q.describe()} n={inst.n} ell={inst.ell}"
-                )
-            elif res.exists and not check(inst, res.matching, q).stable:
-                report.failures += 1
-                report.note(f"dispatch witness fails {q.describe()}")
+            _score(report, f"dispatch[{res.algorithm}]", res, truth, inst, q)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -378,15 +336,7 @@ def run_fpt(trials: int = 400, seed: int = 555) -> BenchReport:
             if symmetric:
                 results.append(("changing", solve_by_changing(inst, q)))
             for name, res in results:
-                if res.exists != truth:
-                    report.failures += 1
-                    report.note(
-                        f"{name} said {res.exists}, oracle {truth} on "
-                        f"{q.describe()} n={inst.n} ell={inst.ell}"
-                    )
-                elif res.exists and not check(inst, res.matching, q).stable:
-                    report.failures += 1
-                    report.note(f"{name} witness fails {q.describe()}")
+                _score(report, name, res, truth, inst, q)
     report.elapsed = time.perf_counter() - start
     return report
 

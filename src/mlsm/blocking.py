@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidQuery, NotSymmetric, PairIsMatched
+from .errors import IdOutOfRange, InvalidMatching, InvalidQuery, NotSymmetric, PairIsMatched
 from .model import MultilayerInstance, is_symmetric
 
 __all__ = [
     "Matching",
     "BASES",
+    "require_ids",
     "is_happy",
     "block_mask",
     "support_mask",
@@ -45,9 +46,9 @@ class Matching:
         partner: dict[int, int] = {}
         for a, b in self.pairs:
             if a == b:
-                raise ValueError(f"pair ({a}, {b}) has identical endpoints")
+                raise InvalidMatching(f"pair ({a}, {b}) has identical endpoints")
             if a in partner or b in partner:
-                raise ValueError(f"agent reused by pair ({a}, {b})")
+                raise InvalidMatching(f"agent reused by pair ({a}, {b})")
             partner[a] = b
             partner[b] = a
         object.__setattr__(self, "_partner", partner)
@@ -71,6 +72,16 @@ class Matching:
 
     def __iter__(self):
         return iter(self.pairs)
+
+
+def require_ids(inst: MultilayerInstance, agents, layer: int | None = None) -> None:
+    """Raise ``IdOutOfRange`` unless every agent lies in [0, n) and the
+    layer, if given, in [0, ell)."""
+    if layer is not None and not 0 <= layer < inst.ell:
+        raise IdOutOfRange(f"layer {layer} outside [0, {inst.ell})")
+    for a in agents:
+        if not 0 <= a < inst.n:
+            raise IdOutOfRange(f"agent {a} outside [0, {inst.n})")
 
 
 def is_happy(inst: MultilayerInstance, m: Matching, a: int, layer: int) -> bool:
@@ -125,6 +136,7 @@ def blocks(
     base: str,
 ) -> bool:
     """Does the unmatched pair block the matching in this layer?"""
+    require_ids(inst, pair, layer)
     a, b = pair
     pa = m.partner(a)
     if pa == b:
@@ -164,8 +176,9 @@ def layer_set(mask: int) -> frozenset[int]:
 def stable_in_layer(
     inst: MultilayerInstance, m: Matching, layer: int, base: str
 ) -> bool:
-    lay = inst.approvals[layer]
     partner = m._partner
+    require_ids(inst, partner, layer)
+    lay = inst.approvals[layer]
     happy = [partner.get(a) in lay[a] for a in range(inst.n)]
     for a in range(inst.n):
         la = lay[a]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bench import SUITES, run_suite
 from .blocking import Matching
-from .errors import BudgetExceeded, MalformedDocument, MlsmError
+from .errors import MalformedDocument, MlsmError
 from .model import MultilayerInstance, build_instance
 from .oracle import OracleBudget, oracle_all, oracle_solve
 from .reductions import (
@@ -365,9 +365,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except BudgetExceeded as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
     except (MlsmError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

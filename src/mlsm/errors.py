@@ -6,8 +6,12 @@ class MlsmError(Exception):
 
 
 class SelfApproval(MlsmError):
-    def __init__(self, agent: int, layer: int):
-        super().__init__(f"agent {agent} approves itself in layer {layer}")
+    """``agent`` and ``layer`` are 0-based; the message names the agent by
+    its display name, if it has one, and numbers layers from 1."""
+
+    def __init__(self, agent: int, layer: int, name: str | None = None):
+        who = agent if name is None else repr(name)
+        super().__init__(f"agent {who} approves itself in layer {layer + 1}")
         self.agent = agent
         self.layer = layer
 
@@ -18,6 +22,10 @@ class IdOutOfRange(MlsmError):
 
 class MalformedDocument(MlsmError, ValueError):
     """A JSON document whose shape or names do not fit its format."""
+
+
+class InvalidMatching(MlsmError, ValueError):
+    """A pair with identical endpoints, or an agent in two pairs."""
 
 
 class PairIsMatched(MlsmError):

@@ -41,9 +41,6 @@ class MultilayerInstance:
     approvals: tuple[tuple[frozenset[int], ...], ...]
     names: tuple[str, ...] | None = None
 
-    def approves(self, a: int, b: int, layer: int) -> bool:
-        return b in self.approvals[layer][a]
-
     def mutual(self, a: int, b: int, layer: int) -> bool:
         lay = self.approvals[layer]
         return b in lay[a] and a in lay[b]
@@ -109,6 +106,11 @@ def build_instance(
         raise IdOutOfRange(
             f"expected {ell} layers of approvals, got {len(approvals)}"
         )
+    frozen_names = None
+    if names is not None:
+        if len(names) != n:
+            raise IdOutOfRange(f"expected {n} names, got {len(names)}")
+        frozen_names = tuple(names)
     layers = []
     for i, layer in enumerate(approvals):
         if len(layer) > n:
@@ -120,14 +122,9 @@ def build_instance(
                 if type(b) is not int or not 0 <= b < n:  # bool is no agent id
                     raise IdOutOfRange(f"approval {b!r} of agent {a} in layer {i}")
                 if b == a:
-                    raise SelfApproval(a, i)
+                    raise SelfApproval(a, i, None if names is None else names[a])
             row.append(ids)
         layers.append(tuple(row))
-    frozen_names = None
-    if names is not None:
-        if len(names) != n:
-            raise IdOutOfRange(f"expected {n} names, got {len(names)}")
-        frozen_names = tuple(names)
     return MultilayerInstance(n, ell, tuple(layers), frozen_names)
 
 

@@ -1,19 +1,21 @@
 """Every positive algorithm for the eleven stability notions, plus a dispatcher.
 
-Complete solvers return a definitive exists / not-exists; the dispatcher
-routes each query to the best applicable algorithm and falls back to the
-exhaustive oracle at small scale, reporting unknown rather than guessing.
+Complete solvers return a definitive exists / not-exists.  ``SOLVERS`` is the
+one table of routes and their gates: the dispatcher sends each query to the
+first route that applies and falls back to the exhaustive oracle at small
+scale, reporting unknown rather than guessing.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
+from typing import Callable
 
 from .blocking import Matching, stable_in_layer
-from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, NotSymmetric
+from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, NotSymmetric
 from .graphalg import SimpleGraph, has_perfect_matching, maximal_matching, maximum_matching, saturating_matching
 from .model import MultilayerInstance, agent_types, changing_agents, is_symmetric
 from .oracle import DEFAULT_BUDGET, OracleBudget, _iter_partner_arrays, oracle_solve
@@ -32,6 +34,9 @@ __all__ = [
     "solve_super_pair_fpt",
     "solve_by_types",
     "solve_by_changing",
+    "InstanceFacts",
+    "Solver",
+    "SOLVERS",
     "dispatch",
 ]
 
@@ -78,25 +83,22 @@ def _check_alpha(alpha: int, ell: int) -> None:
         raise AlphaOutOfRange(f"alpha={alpha} outside [1, {ell}]")
 
 
-def threshold_graph(inst: MultilayerInstance, k: int, mutual: bool = True) -> SimpleGraph:
-    """Graph with an edge where approval persists across at least ``k`` layers.
+def threshold_graph(inst: MultilayerInstance, k: int) -> SimpleGraph:
+    """Graph with an edge {a, b} where a approves b in at least ``k`` layers
+    and b approves a in at least ``k`` layers.
 
-    ``mutual=True`` counts layers in which both directions are present at
-    once; ``mutual=False`` counts each direction separately and requires both
-    counts to reach ``k``.  The two coincide on symmetric instances.
+    On symmetric instances this is the graph of pairs that approve each
+    other in at least ``k`` layers.
     """
-    edges = []
-    for a in range(inst.n):
-        for b in range(a + 1, inst.n):
-            if mutual:
-                hit = sum(1 for i in range(inst.ell) if inst.mutual(a, b, i))
-                if hit >= k:
-                    edges.append((a, b))
-            else:
-                ab = sum(1 for i in range(inst.ell) if inst.approves(a, b, i))
-                ba = sum(1 for i in range(inst.ell) if inst.approves(b, a, i))
-                if ab >= k and ba >= k:
-                    edges.append((a, b))
+    if k < 1:
+        raise BadParameters(f"threshold k={k} must be at least 1")
+    masks = inst.approval_masks
+    edges = [
+        (a, b)
+        for a, ma in enumerate(masks)
+        for b, ab in ma.items()
+        if a < b and ab.bit_count() >= k and masks[b].get(a, 0).bit_count() >= k
+    ]
     return SimpleGraph.from_edges(inst.n, edges)
 
 
@@ -116,7 +118,7 @@ def solve_weak_lowalpha(inst: MultilayerInstance, alpha: int) -> Matching:
         raise AlphaTooHigh(
             f"alpha={alpha} exceeds ceil(ell/2)={(inst.ell + 1) // 2}"
         )
-    g = threshold_graph(inst, inst.ell - alpha + 1, mutual=False)
+    g = threshold_graph(inst, inst.ell - alpha + 1)
     return maximal_matching(g)
 
 
@@ -252,50 +254,41 @@ def solve_super_global(inst: MultilayerInstance, alpha: int) -> SolveResult:
 
 
 def _super_threshold_skeleton(inst: MultilayerInstance, alpha: int):
-    """Forced edges of the (ell - alpha + 1)-mutual threshold graph.
+    """Forced edges of the (ell - alpha + 1) threshold graph.
 
     Returns (forced pairs, isolated vertices) or None when some vertex has
     threshold degree two or more (no stable matching can contain both forced
     pairs).
     """
-    g = threshold_graph(inst, inst.ell - alpha + 1, mutual=True)
-    degree = [0] * inst.n
-    for u, v in g.edges:
-        degree[u] += 1
-        degree[v] += 1
-    if any(d >= 2 for d in degree):
+    forced = threshold_graph(inst, inst.ell - alpha + 1).sorted_edges()
+    covered = {v for pair in forced for v in pair}
+    if len(covered) < 2 * len(forced):
         return None
-    forced = g.sorted_edges()
-    isolated = [v for v in range(inst.n) if degree[v] == 0]
-    return forced, isolated
+    return forced, [v for v in range(inst.n) if v not in covered]
+
+
+def _solve_super_forced(inst: MultilayerInstance, q: StabilityQuery, tag: str) -> SolveResult:
+    """The threshold-graph edges are forced, at most two isolated agents can
+    survive (matched together when exactly two); the single candidate is
+    verified against the checker."""
+    skeleton = _super_threshold_skeleton(inst, q.alpha)
+    if skeleton is None or len(skeleton[1]) >= 3:
+        return SolveResult.none(tag)
+    forced, isolated = skeleton
+    m = Matching.from_pairs(forced + [tuple(isolated)] if len(isolated) == 2 else forced)
+    if check(inst, m, q).stable:
+        return SolveResult.found(tag, m)
+    return SolveResult.none(tag)
 
 
 def solve_super_individual_highalpha(inst: MultilayerInstance, alpha: int) -> SolveResult:
-    """alpha-individual super stability for symmetric approvals, alpha > ell/2.
-
-    The threshold-graph edges are forced, at most two isolated agents can
-    survive (matched together when exactly two); the single candidate is
-    verified against the checker.
-    """
+    """alpha-individual super stability for symmetric approvals, alpha > ell/2."""
     _require_symmetric(inst, "solve_super_individual_highalpha")
     _check_alpha(alpha, inst.ell)
     if 2 * alpha <= inst.ell:
         raise AlphaTooLow(f"alpha={alpha} is not above ell/2={inst.ell / 2}")
-    tag = "super-individual-highalpha"
-    skeleton = _super_threshold_skeleton(inst, alpha)
-    if skeleton is None:
-        return SolveResult.none(tag)
-    forced, isolated = skeleton
-    if len(isolated) >= 3:
-        return SolveResult.none(tag)
-    pairs = list(forced)
-    if len(isolated) == 2:
-        pairs.append((isolated[0], isolated[1]))
-    m = Matching.from_pairs(pairs)
-    verdict = check(inst, m, StabilityQuery("super", "individual", alpha))
-    if verdict.stable:
-        return SolveResult.found(tag, m)
-    return SolveResult.none(tag)
+    q = StabilityQuery("super", "individual", alpha)
+    return _solve_super_forced(inst, q, "super-individual-highalpha")
 
 
 def solve_super_pair_veryhighalpha(inst: MultilayerInstance, alpha: int) -> SolveResult:
@@ -304,21 +297,8 @@ def solve_super_pair_veryhighalpha(inst: MultilayerInstance, alpha: int) -> Solv
     _check_alpha(alpha, inst.ell)
     if 3 * alpha <= 2 * inst.ell:
         raise AlphaTooLow(f"alpha={alpha} is not above 2*ell/3={2 * inst.ell / 3}")
-    tag = "super-pair-veryhighalpha"
-    skeleton = _super_threshold_skeleton(inst, alpha)
-    if skeleton is None:
-        return SolveResult.none(tag)
-    forced, isolated = skeleton
-    if len(isolated) >= 3:
-        return SolveResult.none(tag)
-    pairs = list(forced)
-    if len(isolated) == 2:
-        pairs.append((isolated[0], isolated[1]))
-    m = Matching.from_pairs(pairs)
-    verdict = check(inst, m, StabilityQuery("super", "pair", alpha))
-    if verdict.stable:
-        return SolveResult.found(tag, m)
-    return SolveResult.none(tag)
+    q = StabilityQuery("super", "pair", alpha)
+    return _solve_super_forced(inst, q, "super-pair-veryhighalpha")
 
 
 def solve_super_pair_fpt(inst: MultilayerInstance, alpha: int) -> SolveResult:
@@ -621,58 +601,105 @@ def solve_by_changing(inst: MultilayerInstance, q: StabilityQuery) -> SolveResul
 # dispatcher
 
 
+class InstanceFacts:
+    """The structural analysis the dispatcher gates read, each part computed
+    on first use and at most once per instance."""
+
+    def __init__(self, inst: MultilayerInstance):
+        self.inst = inst
+        self.ell = inst.ell
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return is_symmetric(self.inst)
+
+    @cached_property
+    def tau(self) -> int:
+        return agent_types(self.inst).tau
+
+    @cached_property
+    def beta(self) -> int:
+        return changing_agents(self.inst).beta
+
+
+@dataclass(frozen=True)
+class Solver:
+    """One dispatcher route, named by the ``SolveResult.algorithm`` it emits.
+
+    ``applies(facts, q, alpha)`` is the route's query shape, structural
+    precondition and cost gate; it tests the query, then alpha, and only then
+    ``facts``.  ``run(inst, q, alpha)`` decides the query.
+    """
+
+    name: str
+    applies: Callable[[InstanceFacts, StabilityQuery, int], bool]
+    run: Callable[[MultilayerInstance, StabilityQuery, int], SolveResult]
+
+
+def _run_strong_alllayers(inst: MultilayerInstance, q, alpha) -> SolveResult:
+    m = solve_strong_alllayers_symmetric(inst)
+    if m is None:
+        return SolveResult.none("strong-alllayers-symmetric")
+    return SolveResult.found("strong-alllayers-symmetric", m, frozenset(range(inst.ell)))
+
+
+# Every route, in order of precedence.  Each ``run`` looks its solver up by
+# module-level name at call time, so rebinding a solver reaches dispatch too.
+SOLVERS = (
+    Solver("weak-lowalpha",
+           lambda f, q, a: q.base == "weak" and q.agg in ("pair", "individual") and 2 * a <= f.ell + 1,
+           lambda inst, q, a: SolveResult.found("weak-lowalpha", solve_weak_lowalpha(inst, a))),
+    Solver("super-global",
+           lambda f, q, a: q.base == "super" and q.agg in ("all", "global"),
+           lambda inst, q, a: solve_super_global(inst, a)),
+    Solver("strong-alllayers-symmetric",
+           lambda f, q, a: q.base == "strong" and q.agg in ("all", "global") and a == f.ell and f.symmetric,
+           _run_strong_alllayers),
+    Solver("strong-global-symmetric",
+           lambda f, q, a: q.base == "strong" and q.agg in ("all", "global")
+           and comb(f.ell, a) <= STRONG_GLOBAL_SUBSETS_MAX and f.symmetric,
+           lambda inst, q, a: solve_strong_global_symmetric(inst, a)),
+    Solver("super-individual-highalpha",
+           lambda f, q, a: q.base == "super" and q.agg == "individual" and 2 * a > f.ell and f.symmetric,
+           lambda inst, q, a: solve_super_individual_highalpha(inst, a)),
+    Solver("super-pair-veryhighalpha",
+           lambda f, q, a: q.base == "super" and q.agg == "pair" and 3 * a > 2 * f.ell and f.symmetric,
+           lambda inst, q, a: solve_super_pair_veryhighalpha(inst, a)),
+    Solver("super-pair-fpt",
+           lambda f, q, a: q.base == "super" and q.agg == "pair" and 2 * a > f.ell and f.symmetric,
+           lambda inst, q, a: solve_super_pair_fpt(inst, a)),
+    Solver("agent-types",
+           lambda f, q, a: f.tau <= TAU_DISPATCH_MAX,
+           lambda inst, q, a: solve_by_types(inst, q)),
+    Solver("changing-agents",
+           lambda f, q, a: f.symmetric and f.beta <= BETA_DISPATCH_MAX,
+           lambda inst, q, a: solve_by_changing(inst, q)),
+)
+
+
 def dispatch(
     inst: MultilayerInstance,
     q: StabilityQuery,
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> SolveResult:
-    """Route a query to the strongest applicable complete algorithm.
-
-    Precedence: the guaranteed weak low-alpha construction, then the
-    polynomial super/strong algorithms, then the threshold-graph super
-    algorithms, then the parameterized searches (few types, few changing
-    agents), then the oracle within budget.  Anything else is unknown, never
-    a guessed not-exists.
+    """Route a query to the first ``SOLVERS`` entry that applies, else to the
+    oracle within budget.  Anything else is unknown, never a guessed
+    not-exists, and its detail names the gates that blocked it.
     """
-    ell = inst.ell
-    alpha = q.effective_alpha(ell)
-    symmetric = is_symmetric(inst)
-    if (
-        q.base == "weak"
-        and q.agg in ("pair", "individual")
-        and alpha <= (ell + 1) // 2
-    ):
-        m = solve_weak_lowalpha(inst, alpha)
-        return SolveResult.found("weak-lowalpha", m)
-    if q.base == "super" and q.agg in ("all", "global"):
-        return solve_super_global(inst, alpha)
-    if q.base == "strong" and q.agg in ("all", "global") and symmetric:
-        if q.agg == "all" or alpha == ell:
-            m = solve_strong_alllayers_symmetric(inst)
-            if m is None:
-                return SolveResult.none("strong-alllayers-symmetric")
-            return SolveResult.found(
-                "strong-alllayers-symmetric", m, frozenset(range(ell))
-            )
-        if comb(ell, alpha) <= STRONG_GLOBAL_SUBSETS_MAX:
-            return solve_strong_global_symmetric(inst, alpha)
-    if q.base == "super" and symmetric:
-        if q.agg == "individual" and 2 * alpha > ell:
-            return solve_super_individual_highalpha(inst, alpha)
-        if q.agg == "pair" and 3 * alpha > 2 * ell:
-            return solve_super_pair_veryhighalpha(inst, alpha)
-        if q.agg == "pair" and 2 * alpha > ell:
-            return solve_super_pair_fpt(inst, alpha)
-    if agent_types(inst).tau <= TAU_DISPATCH_MAX:
-        return solve_by_types(inst, q)
-    if symmetric and changing_agents(inst).beta <= BETA_DISPATCH_MAX:
-        return solve_by_changing(inst, q)
+    alpha = q.effective_alpha(inst.ell)
+    facts = InstanceFacts(inst)
+    for solver in SOLVERS:
+        if solver.applies(facts, q, alpha):
+            return solver.run(inst, q, alpha)
     if inst.n <= budget.max_agents:
         m = oracle_solve(inst, q, budget)
         if m is None:
             return SolveResult.none("oracle")
         verdict = check(inst, m, q)
         return SolveResult.found("oracle", m, verdict.witness_layers)
+    changing = f"beta={facts.beta} > {BETA_DISPATCH_MAX}" if facts.symmetric else "asymmetric"
     return SolveResult.undecided(
-        "none", f"no complete algorithm applies and n={inst.n} exceeds the oracle budget"
+        "none",
+        f"no complete algorithm applies: tau={facts.tau} > {TAU_DISPATCH_MAX}, "
+        f"{changing}, n={inst.n} > oracle budget {budget.max_agents}",
     )

@@ -15,10 +15,11 @@ from .blocking import (
     block_mask,
     layer_set,
     pair_masks,
+    require_ids,
     stable_layers,
     support_mask,
 )
-from .errors import AlphaOutOfRange, IdOutOfRange, InvalidQuery
+from .errors import AlphaOutOfRange, InvalidQuery
 from .model import MultilayerInstance
 
 __all__ = [
@@ -90,10 +91,7 @@ class Verdict:
 def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
     """Decide whether the matching satisfies the queried stability notion."""
     alpha = q.effective_alpha(inst.ell)
-    for pair in m.pairs:
-        for a in pair:
-            if not 0 <= a < inst.n:
-                raise IdOutOfRange(f"matched agent {a} outside [0, {inst.n})")
+    require_ids(inst, m._partner)
     if q.agg in ("all", "global"):
         layers = stable_layers(inst, m, q.base)
         return Verdict(len(layers) >= alpha, q, witness_layers=layers)

@@ -14,7 +14,7 @@ from mlsm.blocking import (
     strong_char_check,
     weak_char_check,
 )
-from mlsm.errors import NotSymmetric, PairIsMatched
+from mlsm.errors import IdOutOfRange, InvalidMatching, MlsmError, NotSymmetric, PairIsMatched
 from mlsm.model import build_instance
 from mlsm.oracle import enumerate_matchings
 from mlsm.reductions import gen_random
@@ -27,10 +27,28 @@ def test_matching_partner_lookup(m1):
 
 
 def test_matching_rejects_reuse():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as reused:
         Matching.from_pairs([(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as loop:
         Matching.from_pairs([(2, 2)])
+    for exc in (reused.value, loop.value):
+        assert isinstance(exc, InvalidMatching) and isinstance(exc, MlsmError)
+
+
+@pytest.mark.parametrize(
+    "pair, layer", [((0, 7), 0), ((-1, 1), 0), ((0, 1), -1), ((0, 1), 3)]
+)
+def test_blocks_rejects_out_of_range_ids(ex1, pair, layer):
+    with pytest.raises(IdOutOfRange):
+        blocks(ex1, Matching(()), pair, layer, "weak")
+
+
+def test_stable_in_layer_rejects_out_of_range_ids(ex1, m1):
+    for layer in (-1, 3):
+        with pytest.raises(IdOutOfRange):
+            stable_in_layer(ex1, m1, layer, "weak")
+    with pytest.raises(IdOutOfRange):
+        stable_in_layer(ex1, Matching.from_pairs([(0, 7)]), 0, "weak")
 
 
 def _blocking_pairs(inst, m, layer, base):

@@ -256,6 +256,14 @@ def test_malformed_instance_shapes_exit_two(tmp_path, m1_file, doc, capsys):
     assert main(["check", str(bad), m1_file, "--base", "weak", "--agg", "all"]) == 2
 
 
+def test_self_approval_message_uses_cli_numbering(tmp_path, capsys):
+    bad = tmp_path / "self.json"
+    bad.write_text(json.dumps({"agents": ["a", "b"], "layers": [{}, {"a": ["a"]}]}))
+    assert main(["solve", str(bad), "--base", "weak", "--agg", "all"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "agent 'a' approves itself in layer 2"
+
+
 @pytest.mark.parametrize(
     "doc",
     [[["a", "b"]], {"pairs": {"a": "b"}}, {"pairs": ["ab"]}, {"pairs": [["a", ["b"]]]}],

@@ -26,8 +26,14 @@ def test_build_empty_instance():
 
 
 def test_build_rejects_self_approval():
-    with pytest.raises(SelfApproval):
-        build_instance(2, 1, [[{0}, set()]])
+    with pytest.raises(SelfApproval) as plain:
+        build_instance(2, 2, [[set(), set()], [{0}, set()]])
+    assert (plain.value.agent, plain.value.layer) == (0, 1)
+    assert str(plain.value) == "agent 0 approves itself in layer 2"
+    with pytest.raises(SelfApproval) as named:
+        build_instance(2, 1, [[set(), {1}]], names=["x", "y"])
+    assert (named.value.agent, named.value.layer) == (1, 0)
+    assert str(named.value) == "agent 'y' approves itself in layer 1"
 
 
 def test_build_rejects_out_of_range():

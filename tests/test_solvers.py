@@ -1,14 +1,19 @@
+import ast
+import importlib
+import inspect
 import random
+from pathlib import Path
 
 import pytest
 
-from mlsm.errors import AlphaTooHigh, AlphaTooLow, NotSymmetric
-from mlsm.model import build_instance
+from mlsm.errors import AlphaTooHigh, AlphaTooLow, BadParameters, NotSymmetric
+from mlsm.model import agent_types, build_instance, changing_agents
 from mlsm.oracle import OracleBudget, existence_table, oracle_layer_superstable
 from mlsm.reductions import gen_random, reduce_is_to_global_strong
 from mlsm.bench import _exists_by_oracle, symmetric_lowbeta_instance
 from mlsm.graphalg import SimpleGraph
 from mlsm.solvers import (
+    SOLVERS,
     dispatch,
     layer_superstable_set,
     solve_by_changing,
@@ -30,11 +35,42 @@ from mlsm.verify import StabilityQuery, all_queries, check
 
 
 def test_weak_lowalpha_threshold_graph(ex1):
-    g = threshold_graph(ex1, 2, mutual=False)
+    g = threshold_graph(ex1, 2)
     assert g.edges == frozenset({(0, 1)})
     m = solve_weak_lowalpha(ex1, 2)
     assert m.pairs == ((0, 1),)
     assert check(ex1, m, StabilityQuery("weak", "individual", 2)).stable
+
+
+def test_threshold_graph_matches_definition():
+    rng = random.Random(71)
+    for trial in range(60):
+        inst = gen_random(
+            rng.randint(2, 9),
+            rng.randint(1, 5),
+            rng.choice([0.2, 0.5, 0.8]),
+            symmetric=trial % 2 == 0,
+            seed=rng.getrandbits(30),
+        )
+        lay = inst.approvals
+        for k in range(1, inst.ell + 1):
+            want = {
+                (a, b)
+                for a in range(inst.n)
+                for b in range(a + 1, inst.n)
+                if sum(b in lay[i][a] for i in range(inst.ell)) >= k
+                and sum(a in lay[i][b] for i in range(inst.ell)) >= k
+            }
+            assert threshold_graph(inst, k).edges == want
+            if trial % 2 == 0:  # symmetric: layers with both directions at once
+                assert want == {
+                    (a, b)
+                    for a in range(inst.n)
+                    for b in range(a + 1, inst.n)
+                    if sum(b in lay[i][a] and a in lay[i][b] for i in range(inst.ell)) >= k
+                }
+    with pytest.raises(BadParameters):
+        threshold_graph(inst, 0)
 
 
 def test_weak_lowalpha_no_approvals():
@@ -309,11 +345,68 @@ def test_dispatch_routes_strong_symmetric(ex2):
     assert r.algorithm == "strong-alllayers-symmetric" and r.exists
 
 
+_PATH6 = [{1}, {0, 2}, {1, 3}, {2, 4}, {3, 5}, {4}]  # six types, no changing agent
+ROUTE_CASES = [
+    ("weak-lowalpha", "ex1", StabilityQuery("weak", "pair", 2)),
+    ("super-global", "ex1", StabilityQuery("super", "global", 1)),
+    ("strong-alllayers-symmetric", "ex2", StabilityQuery("strong", "all")),
+    ("strong-global-symmetric", "ex2", StabilityQuery("strong", "global", 1)),
+    ("super-individual-highalpha", "ex2", StabilityQuery("super", "individual", 2)),
+    ("super-pair-veryhighalpha", "ex2", StabilityQuery("super", "pair", 2)),
+    ("super-pair-fpt", build_instance(4, 5, [[{1}, {0}, {3}, {2}]] * 5),
+     StabilityQuery("super", "pair", 3)),
+    ("agent-types", "ex2", StabilityQuery("weak", "all")),
+    ("changing-agents", build_instance(6, 2, [_PATH6] * 2), StabilityQuery("weak", "all")),
+    ("oracle", "ex1", StabilityQuery("weak", "all")),
+    ("none", gen_random(30, 2, 0.3, seed=13), StabilityQuery("weak", "all")),
+]
+
+
+def test_route_cases_cover_the_table():
+    names = [name for name, _, _ in ROUTE_CASES]
+    assert names == [s.name for s in SOLVERS] + ["oracle", "none"]
+
+
+@pytest.mark.parametrize("name, inst, q", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
+def test_dispatch_route(name, inst, q, request):
+    if isinstance(inst, str):
+        inst = request.getfixturevalue(inst)
+    r = dispatch(inst, q, OracleBudget(max_agents=8))
+    assert r.algorithm == name
+    assert (r.status == "unknown") == (name == "none")
+    if r.exists:
+        assert check(inst, r.matching, q).stable
+
+
 def test_dispatch_unknown_when_out_of_reach():
-    # large, asymmetric, many types, many changing agents, tiny oracle budget
+    # large, many types, many changing agents, tiny oracle budget
+    q = StabilityQuery("weak", "all")
     inst = gen_random(30, 2, 0.3, seed=13)
-    r = dispatch(inst, StabilityQuery("weak", "all"), OracleBudget(max_agents=8))
+    tau = agent_types(inst).tau
+    r = dispatch(inst, q, OracleBudget(max_agents=8))
     assert r.status == "unknown"
+    assert f"tau={tau} > 3, asymmetric, n=30 > oracle budget 8" in r.detail
+    sym = gen_random(30, 2, 0.3, symmetric=True, seed=13)
+    tau, beta = agent_types(sym).tau, changing_agents(sym).beta
+    r = dispatch(sym, q, OracleBudget(max_agents=8))
+    assert r.status == "unknown"
+    assert f"tau={tau} > 3, beta={beta} > 5, n=30 > oracle budget 8" in r.detail
+
+
+def test_traced_names_are_module_functions():
+    # the traced benchmark run wraps these names; a rename must fail here
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED"
+    )
+    for module, names in traced.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            fn = getattr(mod, name, None)
+            assert inspect.isfunction(fn) and fn.__module__ == module, f"{module}.{name}"
 
 
 def test_parameterized_solvers_at_high_layer_counts():
