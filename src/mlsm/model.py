@@ -8,6 +8,7 @@ keys.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -41,10 +42,6 @@ class MultilayerInstance:
     approvals: tuple[tuple[frozenset[int], ...], ...]
     names: tuple[str, ...] | None = None
 
-    def mutual(self, a: int, b: int, layer: int) -> bool:
-        lay = self.approvals[layer]
-        return b in lay[a] and a in lay[b]
-
     def mutual_edges(self, layer: int) -> list[tuple[int, int]]:
         """Unordered mutually-approving pairs of one layer, lexicographic."""
         lay = self.approvals[layer]
@@ -67,6 +64,15 @@ class MultilayerInstance:
                 for b in approved:
                     ma[b] = ma.get(b, 0) | bit
         return tuple(masks)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """True iff every approval is mutual in its layer: each pair's
+        approval masks agree in both directions."""
+        masks = self.approval_masks
+        return all(
+            masks[b].get(a, 0) == ab for a, ma in enumerate(masks) for b, ab in ma.items()
+        )
 
     def name_of(self, a: int) -> str:
         if self.names is not None:
@@ -129,13 +135,9 @@ def build_instance(
 
 
 def is_symmetric(inst: MultilayerInstance) -> bool:
-    """True iff every approval is mutual in its layer."""
-    for lay in inst.approvals:
-        for a in range(inst.n):
-            for b in lay[a]:
-                if a not in lay[b]:
-                    return False
-    return True
+    """True iff every approval is mutual in its layer (computed once per
+    instance, see ``MultilayerInstance.symmetric``)."""
+    return inst.symmetric
 
 
 def bipartition(inst: MultilayerInstance) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -175,7 +177,9 @@ def same_type(inst: MultilayerInstance, a: int, b: int) -> bool:
 
     The condition, per layer: the approval sets agree outside {a, b}, the
     relation between a and b is mutual-or-absent, and every third agent
-    approves either both or neither.
+    approves either both or neither.  This is the readable one-pair
+    definition; ``agent_types`` computes the same relation for all pairs at
+    once.
     """
     if a == b:
         return True
@@ -193,17 +197,43 @@ def same_type(inst: MultilayerInstance, a: int, b: int) -> bool:
     return True
 
 
+def _twin_labels(n: int, lay: Sequence[frozenset[int]]) -> list[int]:
+    """Per agent, the least member of its same-type class in one layer.
+
+    Same-type agents of a layer are twins: either non-adjacent with equal
+    (approves, approved-by) sets, or mutually approving with equal sets once
+    each agent is added to its own.  No agent has twins of both kinds, so an
+    agent with a non-adjacent twin takes that class, any other its
+    mutual-twin class (often just itself).
+    """
+    into: list[list[int]] = [[] for _ in range(n)]
+    for a, approved in enumerate(lay):
+        for b in approved:
+            into[b].append(a)
+    approved_by = [frozenset(x) for x in into]
+    first: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    label = [first.setdefault((lay[a], approved_by[a]), a) for a in range(n)]
+    size = Counter(label)
+    closed_first: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    for a in range(n):
+        if size[label[a]] == 1:
+            own = frozenset((a,))
+            label[a] = closed_first.setdefault((lay[a] | own, approved_by[a] | own), a)
+    return label
+
+
 def agent_types(inst: MultilayerInstance) -> AgentTypePartition:
-    """Partition the agents into maximal blocks of same-type agents."""
-    blocks: list[list[int]] = []
-    for a in range(inst.n):
-        for block in blocks:
-            if same_type(inst, a, block[0]):
-                block.append(a)
-                break
-        else:
-            blocks.append([a])
-    return AgentTypePartition(tuple(tuple(b) for b in blocks), len(blocks))
+    """Partition the agents into maximal blocks of same-type agents.
+
+    Agents are grouped by their per-layer twin labels; blocks come in order
+    of their least member, members ascending.  Runs in
+    O(ell * (n + sum of approvals)).
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    labels = zip(*(_twin_labels(inst.n, lay) for lay in inst.approvals))
+    for a, key in enumerate(labels):
+        groups.setdefault(key, []).append(a)
+    return AgentTypePartition(tuple(tuple(b) for b in groups.values()), len(groups))
 
 
 def changing_agents(inst: MultilayerInstance) -> ChangingSet:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import comb
+from operator import or_
 from typing import Callable
 
 from .blocking import Matching, stable_in_layer
@@ -126,11 +127,6 @@ def solve_weak_lowalpha(inst: MultilayerInstance, alpha: int) -> Matching:
 # strong stability, symmetric approvals
 
 
-def _layers_subset(inst: MultilayerInstance, layers) -> MultilayerInstance:
-    rows = tuple(inst.approvals[i] for i in layers)
-    return MultilayerInstance(inst.n, len(rows), rows, inst.names)
-
-
 def _delete_agent(inst: MultilayerInstance, victim: int) -> MultilayerInstance:
     remap = {a: (a if a < victim else a - 1) for a in range(inst.n) if a != victim}
     rows = tuple(
@@ -144,42 +140,46 @@ def _delete_agent(inst: MultilayerInstance, victim: int) -> MultilayerInstance:
     return MultilayerInstance(inst.n - 1, inst.ell, rows)
 
 
-def solve_strong_alllayers_symmetric(inst: MultilayerInstance) -> Matching | None:
-    """Decide all-layers strong stability for symmetric approvals.
+def _strong_matching(inst: MultilayerInstance, sel: int) -> Matching | None:
+    """A matching strongly stable in every layer of the bit mask ``sel``, or
+    None; approvals must be symmetric.
 
-    Even n: stable matchings are exactly the perfect matchings of the graph
-    keeping, per layer, the mutual edges plus all pairs of agents that
-    approve nobody in that layer.  Odd n: some agent must approve nobody in
-    any layer; delete one and recurse onto the even case.
+    Even n: such matchings are exactly the perfect matchings of the graph
+    whose edges are the pairs that, in each selected layer, approve each
+    other or both approve nobody.  Odd n: some agent must approve nobody in
+    any selected layer; delete the first and solve the even case.
     """
-    _require_symmetric(inst, "solve_strong_alllayers_symmetric")
+    masks = inst.approval_masks
+    full = (1 << inst.ell) - 1
+    # per agent, the layers where it approves nobody
+    lone = [full & ~reduce(or_, ma.values(), 0) for ma in masks]
+    silent = [a for a in range(inst.n) if lone[a] & sel == sel]
     if inst.n % 2 == 1:
-        silent = [
-            a
-            for a in range(inst.n)
-            if all(not inst.approvals[i][a] for i in range(inst.ell))
-        ]
         if not silent:
             return None
         victim = silent[0]
-        sub = solve_strong_alllayers_symmetric(_delete_agent(inst, victim))
+        sub = _strong_matching(_delete_agent(inst, victim), sel)
         if sub is None:
             return None
         lift = lambda a: a if a < victim else a + 1
         return Matching.from_pairs((lift(a), lift(b)) for a, b in sub.pairs)
-    loner = [
-        [not inst.approvals[i][a] for a in range(inst.n)]
-        for i in range(inst.ell)
-    ]
-    edges = []
-    for a in range(inst.n):
-        for b in range(a + 1, inst.n):
-            if all(
-                inst.mutual(a, b, i) or (loner[i][a] and loner[i][b])
-                for i in range(inst.ell)
-            ):
+    # approvals are symmetric, so a's mask towards b is the pair's mutual
+    # mask; pairs of silent agents are all edges and are added once, below
+    edges = list(itertools.combinations(silent, 2))
+    for a, ma in enumerate(masks):
+        for b, ab in ma.items():
+            both_lone = lone[a] & lone[b] & sel
+            if a < b and both_lone != sel and (ab | both_lone) & sel == sel:
                 edges.append((a, b))
     return has_perfect_matching(SimpleGraph.from_edges(inst.n, edges))
+
+
+def solve_strong_alllayers_symmetric(inst: MultilayerInstance) -> Matching | None:
+    """Decide all-layers strong stability for symmetric approvals: a
+    perfect matching of the mutual-or-both-silent graph over every layer
+    (see ``_strong_matching``), or None."""
+    _require_symmetric(inst, "solve_strong_alllayers_symmetric")
+    return _strong_matching(inst, (1 << inst.ell) - 1)
 
 
 def solve_strong_global_symmetric(inst: MultilayerInstance, alpha: int) -> SolveResult:
@@ -188,7 +188,7 @@ def solve_strong_global_symmetric(inst: MultilayerInstance, alpha: int) -> Solve
     _check_alpha(alpha, inst.ell)
     tag = "strong-global-symmetric"
     for subset in itertools.combinations(range(inst.ell), alpha):
-        m = solve_strong_alllayers_symmetric(_layers_subset(inst, subset))
+        m = _strong_matching(inst, sum(1 << i for i in subset))
         if m is not None:
             return SolveResult.found(tag, m, frozenset(subset))
     return SolveResult.none(tag)

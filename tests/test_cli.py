@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mlsm import Matching, build_instance
 from mlsm.cli import (
     instance_from_doc,
     instance_to_doc,
@@ -9,7 +12,7 @@ from mlsm.cli import (
     matching_from_doc,
     matching_to_doc,
 )
-from mlsm.errors import MalformedDocument
+from mlsm.errors import MalformedDocument, MlsmError
 from mlsm.reductions import gen_random
 
 
@@ -288,3 +291,95 @@ def test_negative_trials_or_budget_exit_two(ex1_file, argv, capsys):
     argv = [ex1_file if arg == "INST" else arg for arg in argv]
     assert main(argv) == 2
     assert "negative" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# document properties
+
+_NAMES = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def _named_instances(draw):
+    n = draw(st.integers(0, 6))
+    ell = draw(st.integers(1, 3))
+    names = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True))
+    layers = [
+        [draw(st.sets(st.sampled_from([b for b in range(n) if b != a]))) if n > 1 else set() for a in range(n)]
+        for _ in range(ell)
+    ]
+    return build_instance(n, ell, layers, names)
+
+
+@st.composite
+def _instances_with_matchings(draw):
+    inst = draw(_named_instances())
+    order = draw(st.permutations(range(inst.n)))
+    k = draw(st.integers(0, inst.n // 2))
+    return inst, Matching.from_pairs(zip(order[0 : 2 * k : 2], order[1 : 2 * k : 2]))
+
+
+_JUNK = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.floats(allow_nan=False)
+    | st.sampled_from(_NAMES)
+    | st.lists(st.sampled_from(_NAMES), max_size=3)
+    | st.dictionaries(st.sampled_from(_NAMES), st.sampled_from(_NAMES), max_size=2)
+)
+
+
+def _or_junk(shaped):
+    """``shaped`` two times in three, else junk of any JSON kind (a plain
+    ``|`` would weigh each of junk's seven kinds as much as ``shaped``)."""
+    return st.sampled_from([shaped, shaped, _JUNK]).flatmap(lambda s: s)
+
+
+_NAME = _or_junk(st.sampled_from(_NAMES))
+_INSTANCE_DOCS = _or_junk(
+    st.fixed_dictionaries(
+        {
+            "agents": _or_junk(st.lists(st.sampled_from(_NAMES), max_size=5, unique=True) | st.lists(_NAME, max_size=5)),
+            "layers": _or_junk(
+                st.lists(_or_junk(st.dictionaries(st.sampled_from(_NAMES + [""]), _or_junk(st.lists(_NAME, max_size=3)), max_size=4)), max_size=3)
+            ),
+        }
+    )
+)
+_MATCHING_DOCS = _or_junk(st.fixed_dictionaries({"pairs": _or_junk(st.lists(_or_junk(st.lists(_NAME, max_size=3)), max_size=4))}))
+
+
+@given(_named_instances())
+@settings(max_examples=150, deadline=None)
+def test_instance_doc_roundtrip_property(inst):
+    assert instance_from_doc(instance_to_doc(inst)) == inst
+    assert instance_from_doc(json.loads(json.dumps(instance_to_doc(inst)))) == inst
+
+
+@given(_instances_with_matchings())
+@settings(max_examples=150, deadline=None)
+def test_matching_doc_roundtrip_property(case):
+    inst, m = case
+    assert matching_from_doc(inst, matching_to_doc(inst, m)) == m
+
+
+@given(_INSTANCE_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_malformed_instance_docs_raise_only_package_errors(doc):
+    try:
+        inst = instance_from_doc(doc)
+    except MlsmError:
+        return
+    assert instance_from_doc(instance_to_doc(inst)) == inst
+
+
+@given(_MATCHING_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_malformed_matching_docs_raise_only_package_errors(doc):
+    inst = instance_from_doc({"agents": _NAMES[:4], "layers": [{"a": ["b"], "b": ["a"]}]})
+    try:
+        m = matching_from_doc(inst, doc)
+    except MlsmError:
+        return
+    assert matching_from_doc(inst, matching_to_doc(inst, m)) == m

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +120,66 @@ def test_agent_types_matches_pairwise_brute_force():
         for a in range(inst.n):
             for b in range(a + 1, inst.n):
                 assert (blocks[a] == blocks[b]) == same_type(inst, a, b)
+
+
+def _greedy_types(inst):
+    """The partition by its definition: each agent joins the first block
+    whose least member is same-type with it."""
+    blocks = []
+    for a in range(inst.n):
+        for block in blocks:
+            if same_type(inst, a, block[0]):
+                block.append(a)
+                break
+        else:
+            blocks.append([a])
+    return tuple(tuple(b) for b in blocks)
+
+
+def _twin_rich(rng):
+    """A few prototype types with a random type-level relation per layer, so
+    that many agents are twins: true twins where a type approves itself,
+    false twins where it does not, silent types, and a few approvals
+    toggled afterwards to split some classes."""
+    n = rng.randint(0, 10)
+    ell = rng.randint(1, 3)
+    k = rng.randint(1, 4)
+    symmetric = rng.random() < 0.5
+    proto = [rng.randrange(k) for _ in range(n)]
+    layers = []
+    for _ in range(ell):
+        silent = {t for t in range(k) if rng.random() < 0.25}
+        rel = [[t not in silent and u not in silent and rng.random() < 0.5 for u in range(k)] for t in range(k)]
+        if symmetric:
+            rel = [[rel[min(t, u)][max(t, u)] for u in range(k)] for t in range(k)]
+        layer = [{b for b in range(n) if b != a and rel[proto[a]][proto[b]]} for a in range(n)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            if n >= 2:
+                a, b = rng.sample(range(n), 2)
+                layer[a] ^= {b}
+                if symmetric:
+                    layer[b] ^= {a}
+        layers.append(layer)
+    return build_instance(n, ell, layers)
+
+
+def test_agent_types_matches_greedy_definition():
+    rng = random.Random(4)
+    instances = [_twin_rich(rng) for _ in range(3000)]
+    instances += [
+        gen_random(seed % 11, 1 + seed % 3, (0.2, 0.5, 0.8)[seed // 3 % 3], symmetric=seed % 2 == 0, seed=seed)
+        for seed in range(90)
+    ]
+    sizes = []
+    for inst in instances:
+        partition = agent_types(inst)
+        assert partition.blocks == _greedy_types(inst)
+        assert partition.tau == len(partition.blocks)
+        sizes.append((inst.n, partition.tau))
+    # the corpus has twin-rich instances of every size, and all-distinct ones
+    assert {n for n, _ in sizes} == set(range(11))
+    assert any(tau <= n // 3 for n, tau in sizes if n >= 6)
+    assert any(tau == n for n, tau in sizes if n >= 6)
 
 
 def _same_type_two_conditions(inst, a, b):

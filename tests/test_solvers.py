@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import itertools
 import random
 from pathlib import Path
 
@@ -11,9 +12,11 @@ from mlsm.model import agent_types, build_instance, changing_agents
 from mlsm.oracle import OracleBudget, existence_table, oracle_layer_superstable
 from mlsm.reductions import gen_random, reduce_is_to_global_strong
 from mlsm.bench import _exists_by_oracle, symmetric_lowbeta_instance
-from mlsm.graphalg import SimpleGraph
+from mlsm.blocking import Matching
+from mlsm.graphalg import SimpleGraph, has_perfect_matching
 from mlsm.solvers import (
     SOLVERS,
+    _strong_matching,
     dispatch,
     layer_superstable_set,
     solve_by_changing,
@@ -142,6 +145,72 @@ def test_strong_global_triangle_reduction():
     gen = reduce_is_to_global_strong(triangle_graph, 1)
     assert solve_strong_global_symmetric(gen.instance, 1).exists
     assert not solve_strong_global_symmetric(gen.instance, 2).exists
+
+
+def _symmetric_with_silent_agents(rng):
+    """Symmetric, sparse instance in which some agents approve nobody in
+    some layers and a few approve nobody at all."""
+    n = rng.randint(1, 9)
+    ell = rng.randint(1, 3)
+    quiet = {a for a in range(n) if rng.random() < 0.3}
+    layers = []
+    for _ in range(ell):
+        talk = [a for a in range(n) if a not in quiet and rng.random() < 0.7]
+        layer = [set() for _ in range(n)]
+        for i, a in enumerate(talk):
+            for b in talk[i + 1:]:
+                if rng.random() < 0.4:
+                    layer[a].add(b)
+                    layer[b].add(a)
+        layers.append(layer)
+    return build_instance(n, ell, layers)
+
+
+def _strong_by_definition(inst, layers):
+    """All-layers strong stability over ``layers`` by its n^2*ell graph: an
+    edge wherever, in every selected layer, the pair approves each other or
+    both approve nobody; odd n drops the first agent silent in all of them
+    and numbers the rest consecutively."""
+    silent = lambda a, i: not inst.approvals[i][a]
+    agents = list(range(inst.n))
+    if inst.n % 2 == 1:
+        victims = [a for a in agents if all(silent(a, i) for i in layers)]
+        if not victims:
+            return None
+        agents.remove(victims[0])
+    edges = [
+        (x, y)
+        for x, a in enumerate(agents)
+        for y, b in enumerate(agents)
+        if x < y
+        and all(b in inst.approvals[i][a] or (silent(a, i) and silent(b, i)) for i in layers)
+    ]
+    m = has_perfect_matching(SimpleGraph.from_edges(len(agents), edges))
+    return None if m is None else Matching.from_pairs((agents[x], agents[y]) for x, y in m.pairs)
+
+
+def test_strong_solvers_match_definition():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(300):
+        inst = _symmetric_with_silent_agents(rng)
+        expected = _strong_by_definition(inst, range(inst.ell))
+        assert solve_strong_alllayers_symmetric(inst) == expected
+        outcomes.add((inst.n % 2, expected is not None))
+        for alpha in range(1, inst.ell + 1):
+            for sub in itertools.combinations(range(inst.ell), alpha):
+                sel = sum(1 << i for i in sub)
+                assert _strong_matching(inst, sel) == _strong_by_definition(inst, sub)
+            subsets = itertools.combinations(range(inst.ell), alpha)
+            found = [(m, set(sub)) for sub in subsets if (m := _strong_by_definition(inst, sub)) is not None]
+            result = solve_strong_global_symmetric(inst, alpha)
+            if not found:
+                assert result.status == "not-exists"
+                continue
+            m, layers = found[0]
+            assert result.exists and result.matching == m and result.witness_layers == layers
+            assert check(inst, m, StabilityQuery("strong", "global", alpha)).stable
+    assert outcomes == {(0, False), (0, True), (1, False), (1, True)}
 
 
 # ---------------------------------------------------------------------------
