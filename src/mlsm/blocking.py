@@ -7,11 +7,20 @@ indifferent within each level.  A pair already in the matching never blocks.
 The weak/strong/super blocking rule and the individual clause live in
 ``block_mask`` and ``support_mask``, which take one bit per layer; a single
 layer is the one-bit case.
+
+``stable_layers``, ``stable_in_layer`` and ``check`` scan only the pairs that
+approve somewhere (``MultilayerInstance.approving_pairs``).  Silent pairs,
+which approve nowhere, never weakly or strongly block; under super they are
+counted per layer, or searched for by grouping agents by happy mask, and
+never visited one by one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import IdOutOfRange, InvalidMatching, InvalidQuery, NotSymmetric, PairIsMatched
 from .model import MultilayerInstance, is_symmetric
@@ -24,7 +33,6 @@ __all__ = [
     "block_mask",
     "support_mask",
     "blocks",
-    "pair_masks",
     "layer_set",
     "stable_in_layer",
     "stable_layers",
@@ -84,6 +92,11 @@ def require_ids(inst: MultilayerInstance, agents, layer: int | None = None) -> N
             raise IdOutOfRange(f"agent {a} outside [0, {inst.n})")
 
 
+def _require_base(base: str) -> None:
+    if base not in BASES:
+        raise InvalidQuery(f"unknown stability base {base!r}")
+
+
 def is_happy(inst: MultilayerInstance, m: Matching, a: int, layer: int) -> bool:
     p = m.partner(a)
     return p is not None and p in inst.approvals[layer][a]
@@ -136,6 +149,7 @@ def blocks(
     base: str,
 ) -> bool:
     """Does the unmatched pair block the matching in this layer?"""
+    _require_base(base)
     require_ids(inst, pair, layer)
     a, b = pair
     pa = m.partner(a)
@@ -148,26 +162,137 @@ def blocks(
     )
 
 
-def pair_masks(inst: MultilayerInstance, m: Matching):
-    """Yield ``(a, b, sa, sb, ha, hb)`` for every pair a < b not in the
-    matching, in lexicographic order, with ell-bit masks as in
+def _happy_masks(inst: MultilayerInstance, m: Matching) -> list[int]:
+    """Per agent, the layers in which it approves its partner."""
+    masks = inst.approval_masks
+    happy = [0] * inst.n
+    for a, p in m._partner.items():
+        happy[a] = masks[a].get(p, 0)
+    return happy
+
+
+def _approving(inst: MultilayerInstance, m: Matching):
+    """Yield ``(a, b, sa, sb, ha, hb)`` for every unmatched pair a < b that
+    approves in some layer, in lexicographic order, with ell-bit masks as in
     ``block_mask``.  Happy masks are computed when first needed."""
     masks = inst.approval_masks
     partner = m._partner
-    happy: dict[int, int] = {}
-    for a in range(inst.n):
-        ma = masks[a]
+    happy: list[int | None] = [None] * inst.n
+    for a, row in enumerate(inst.approving_pairs):
         pa = partner.get(a)
-        ha = ma.get(pa, 0)
-        for b in range(a + 1, inst.n):
-            if b == pa:
-                continue
-            hb = happy.get(b)
-            if hb is None:
-                hb = happy[b] = masks[b].get(partner.get(b), 0)
-            yield a, b, ma.get(b, 0), masks[b].get(a, 0), ha, hb
+        ha = masks[a].get(pa, 0)
+        for b, (sa, sb) in row.items():
+            if b != pa:
+                hb = happy[b]
+                if hb is None:
+                    hb = happy[b] = masks[b].get(partner.get(b), 0)
+                yield a, b, sa, sb, ha, hb
 
 
+def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int:
+    """The layers of ``want`` in which some unmatched pair blocks (other bits
+    may be set too).  The scan stops once all of ``want`` is blocked."""
+    full = (1 << inst.ell) - 1
+    blocked = 0
+    for _, _, sa, sb, ha, hb in _approving(inst, m):
+        blocked |= block_mask(base, sa, sb, ha, hb, full)
+        if blocked & want == want:
+            return blocked
+    open_layers = want & ~blocked
+    if base != "super" or not open_layers:
+        return blocked
+    # A silent pair (no approval either way) blocks only under super, and
+    # there exactly in the layers where both agents are unhappy.  An
+    # unmatched approving pair with both agents unhappy in a layer blocks it,
+    # so in an open layer every pair of agents unhappy there is silent and
+    # unmatched unless it is matched: count instead of visiting.
+    happy = _happy_masks(inst, m)
+    agents = Counter(happy)
+    matched = Counter(happy[a] | happy[b] for a, b in m.pairs)
+    for i in range(inst.ell):
+        bit = 1 << i
+        if open_layers & bit:
+            k = sum(c for h, c in agents.items() if not h & bit)
+            if k * (k - 1) // 2 > sum(c for h, c in matched.items() if not h & bit):
+                blocked |= bit
+    return blocked
+
+
+def _least_silent(inst: MultilayerInstance, m: Matching, violates, stop):
+    """The lexicographically least unmatched silent pair before the pair
+    ``stop`` (``(a, b, ...)``, or None for no bound) for which
+    ``violates(0, 0, ha, hb)``, as ``(a, b, 0, 0, ha, hb)``, or None.
+
+    Agents are grouped by happy mask; a row keeps the groups that violate
+    with it and takes the least member of each above it that is neither its
+    partner nor in its approving row.
+    """
+    n = inst.n
+    last, bound = (stop[0], stop[1]) if stop is not None else (n - 1, n)
+    rows = inst.approving_pairs
+    partner = m._partner
+    happy = groups = None  # built on first need
+    fits: dict[int, list[list[int]]] = {}  # happy mask of a -> violating groups
+    for a in range(last + 1):
+        limit = bound if a == last else n
+        row = rows[a]
+        pa = partner.get(a)
+        # is some b in (a, limit) silent?  Each step that says no passes a
+        # key of the row or the partner, so this costs O(len(row)).
+        for b in range(a + 1, limit):
+            if b != pa and b not in row:
+                break
+        else:
+            continue
+        ha = inst.approval_masks[a].get(pa, 0)
+        lists = fits.get(ha)
+        if lists is None:
+            if groups is None:
+                happy = _happy_masks(inst, m)
+                groups = {}
+                for x, h in enumerate(happy):
+                    groups.setdefault(h, []).append(x)
+            lists = fits[ha] = [g for h, g in groups.items() if violates(0, 0, ha, h)]
+        best = limit
+        for g in lists:
+            for i in range(bisect_right(g, a), len(g)):
+                b = g[i]
+                if b >= best:
+                    break
+                if b != pa and b not in row:
+                    best = b
+                    break
+        if best < limit:
+            return a, best, 0, 0, ha, happy[best]
+    return None
+
+
+def _least_violation(inst: MultilayerInstance, m: Matching, base: str, violates):
+    """The lexicographically least unmatched pair, as
+    ``(a, b, sa, sb, ha, hb)``, for which ``violates(sa, sb, ha, hb)``, or
+    None.
+
+    Only pairs that approve somewhere are visited.  Silent pairs
+    (``sa == sb == 0``) never weakly or strongly block and have weak support
+    ell, so they are searched for only under super, and only before the
+    least approving violation.
+    """
+    first = None
+    complying = set()  # mask tuples already seen not to violate
+    for a, b, sa, sb, ha, hb in _approving(inst, m):
+        key = sa, sb, ha, hb
+        if key in complying:
+            continue
+        if violates(sa, sb, ha, hb):
+            first = a, b, sa, sb, ha, hb
+            break
+        complying.add(key)
+    if base != "super" or (first is not None and first[:2] == (0, 1)):
+        return first  # no pair precedes (0, 1)
+    return _least_silent(inst, m, violates, first) or first
+
+
+@lru_cache(maxsize=4096)
 def layer_set(mask: int) -> frozenset[int]:
     """The layer indices of the set bits of ``mask``."""
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -176,30 +301,17 @@ def layer_set(mask: int) -> frozenset[int]:
 def stable_in_layer(
     inst: MultilayerInstance, m: Matching, layer: int, base: str
 ) -> bool:
-    partner = m._partner
-    require_ids(inst, partner, layer)
-    lay = inst.approvals[layer]
-    happy = [partner.get(a) in lay[a] for a in range(inst.n)]
-    for a in range(inst.n):
-        la = lay[a]
-        pa = partner.get(a)
-        ha = happy[a]
-        for b in range(a + 1, inst.n):
-            if b != pa and block_mask(base, b in la, a in lay[b], ha, happy[b], 1):
-                return False
-    return True
+    """Does no unmatched pair block the matching in this layer?"""
+    _require_base(base)
+    require_ids(inst, m._partner, layer)
+    return not _blocked(inst, m, base, 1 << layer) >> layer & 1
 
 
 def stable_layers(inst: MultilayerInstance, m: Matching, base: str) -> frozenset[int]:
-    """Layers in which no unmatched pair blocks: one scan over all pairs,
-    stopping once every layer is blocked."""
+    """Layers in which no unmatched pair blocks."""
+    _require_base(base)
     full = (1 << inst.ell) - 1
-    blocked = 0
-    for _, _, sa, sb, ha, hb in pair_masks(inst, m):
-        blocked |= block_mask(base, sa, sb, ha, hb, full)
-        if blocked == full:
-            break
-    return layer_set(full & ~blocked)
+    return layer_set(full & ~_blocked(inst, m, base, full))
 
 
 def weak_char_check(inst: MultilayerInstance, m: Matching, layer: int) -> bool:

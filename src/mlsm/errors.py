@@ -66,3 +66,9 @@ class BadParameters(MlsmError):
 
 class OddVertexCount(MlsmError):
     pass
+
+
+class UncertifiedWitness(RuntimeError):
+    """A solver returned a matching that fails ``check`` for its query.
+
+    A solver bug, not malformed input, so deliberately no ``MlsmError``."""

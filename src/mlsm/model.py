@@ -66,6 +66,22 @@ class MultilayerInstance:
         return tuple(masks)
 
     @cached_property
+    def approving_pairs(self) -> tuple[dict[int, tuple[int, int]], ...]:
+        """Per agent ``a``, ``{b: (sa, sb)}`` over the ``b > a`` where either
+        agent approves the other in some layer, keys ascending; ``sa`` is a's
+        approval mask towards b and ``sb`` b's towards a.  Built once per
+        instance from ``approval_masks``; callers must not mutate it."""
+        masks = self.approval_masks
+        rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(self.n)]
+        for a, ma in enumerate(masks):
+            for b, ab in ma.items():
+                if a < b:
+                    rows[a][b] = (ab, masks[b].get(a, 0))
+                elif a not in masks[b]:
+                    rows[b][a] = (0, ab)
+        return tuple({b: row[b] for b in sorted(row)} for row in rows)
+
+    @cached_property
     def symmetric(self) -> bool:
         """True iff every approval is mutual in its layer: each pair's
         approval masks agree in both directions."""

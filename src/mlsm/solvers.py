@@ -9,14 +9,14 @@ scale, reporting unknown rather than guessing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from math import comb
 from operator import or_
 from typing import Callable
 
 from .blocking import Matching, stable_in_layer
-from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, NotSymmetric
+from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, NotSymmetric, UncertifiedWitness
 from .graphalg import SimpleGraph, has_perfect_matching, maximal_matching, maximum_matching, saturating_matching
 from .model import MultilayerInstance, agent_types, changing_agents, is_symmetric
 from .oracle import DEFAULT_BUDGET, OracleBudget, _iter_partner_arrays, oracle_solve
@@ -685,21 +685,35 @@ def dispatch(
     """Route a query to the first ``SOLVERS`` entry that applies, else to the
     oracle within budget.  Anything else is unknown, never a guessed
     not-exists, and its detail names the gates that blocked it.
+
+    Every ``exists`` witness passes ``check`` before it is returned, else
+    ``UncertifiedWitness`` is raised.
     """
     alpha = q.effective_alpha(inst.ell)
     facts = InstanceFacts(inst)
     for solver in SOLVERS:
         if solver.applies(facts, q, alpha):
-            return solver.run(inst, q, alpha)
-    if inst.n <= budget.max_agents:
+            res = solver.run(inst, q, alpha)
+            break
+    else:
+        if inst.n > budget.max_agents:
+            changing = f"beta={facts.beta} > {BETA_DISPATCH_MAX}" if facts.symmetric else "asymmetric"
+            return SolveResult.undecided(
+                "none",
+                f"no complete algorithm applies: tau={facts.tau} > {TAU_DISPATCH_MAX}, "
+                f"{changing}, n={inst.n} > oracle budget {budget.max_agents}",
+            )
         m = oracle_solve(inst, q, budget)
-        if m is None:
-            return SolveResult.none("oracle")
-        verdict = check(inst, m, q)
-        return SolveResult.found("oracle", m, verdict.witness_layers)
-    changing = f"beta={facts.beta} > {BETA_DISPATCH_MAX}" if facts.symmetric else "asymmetric"
-    return SolveResult.undecided(
-        "none",
-        f"no complete algorithm applies: tau={facts.tau} > {TAU_DISPATCH_MAX}, "
-        f"{changing}, n={inst.n} > oracle budget {budget.max_agents}",
-    )
+        res = SolveResult.none("oracle") if m is None else SolveResult.found("oracle", m)
+    if not res.exists:
+        return res
+    verdict = check(inst, res.matching, q)
+    if not verdict.stable:
+        raise UncertifiedWitness(
+            f"{res.algorithm} returned a matching that is not {q.describe()} stable"
+        )
+    if res.witness_layers is None:
+        # only the oracle leaves global witness layers unset; pair and
+        # individual verdicts name none, so other routes keep their own
+        res = replace(res, witness_layers=verdict.witness_layers)
+    return res

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from .blocking import (
     BASES,
     Matching,
+    _least_violation,
     block_mask,
     layer_set,
-    pair_masks,
     require_ids,
     stable_layers,
     support_mask,
@@ -96,25 +96,32 @@ def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
         layers = stable_layers(inst, m, q.base)
         return Verdict(len(layers) >= alpha, q, witness_layers=layers)
     full = (1 << inst.ell) - 1
-    for a, b, sa, sb, ha, hb in pair_masks(inst, m):
-        if q.agg == "pair":
-            blocked = block_mask(q.base, sa, sb, ha, hb, full)
-            if inst.ell - blocked.bit_count() < alpha:
-                return Verdict(
-                    False, q, violating_pair=(a, b), blocking_layers=layer_set(blocked)
-                )
-            continue
-        ca = support_mask(q.base, sa, ha, full).bit_count()
-        cb = support_mask(q.base, sb, hb, full).bit_count()
-        if max(ca, cb) < alpha:
-            return Verdict(
-                False,
-                q,
-                violating_pair=(a, b),
-                blocking_layers=layer_set(block_mask(q.base, sa, sb, ha, hb, full)),
-                supports=(ca, cb),
-            )
-    return Verdict(True, q)
+    base = q.base
+    if q.agg == "pair":
+        slack = inst.ell - alpha  # the most layers a complying pair blocks
+
+        def violates(sa, sb, ha, hb):
+            return block_mask(base, sa, sb, ha, hb, full).bit_count() > slack
+
+    else:
+
+        def violates(sa, sb, ha, hb):
+            return max(
+                support_mask(base, sa, ha, full).bit_count(),
+                support_mask(base, sb, hb, full).bit_count(),
+            ) < alpha
+    found = _least_violation(inst, m, base, violates)
+    if found is None:
+        return Verdict(True, q)
+    a, b, sa, sb, ha, hb = found
+    blocked = layer_set(block_mask(base, sa, sb, ha, hb, full))
+    if q.agg == "pair":
+        return Verdict(False, q, violating_pair=(a, b), blocking_layers=blocked)
+    supports = (
+        support_mask(base, sa, ha, full).bit_count(),
+        support_mask(base, sb, hb, full).bit_count(),
+    )
+    return Verdict(False, q, violating_pair=(a, b), blocking_layers=blocked, supports=supports)
 
 
 def all_queries(ell: int) -> list[StabilityQuery]:

@@ -14,7 +14,14 @@ from mlsm.blocking import (
     strong_char_check,
     weak_char_check,
 )
-from mlsm.errors import IdOutOfRange, InvalidMatching, MlsmError, NotSymmetric, PairIsMatched
+from mlsm.errors import (
+    IdOutOfRange,
+    InvalidMatching,
+    InvalidQuery,
+    MlsmError,
+    NotSymmetric,
+    PairIsMatched,
+)
 from mlsm.model import build_instance
 from mlsm.oracle import enumerate_matchings
 from mlsm.reductions import gen_random
@@ -49,6 +56,26 @@ def test_stable_in_layer_rejects_out_of_range_ids(ex1, m1):
             stable_in_layer(ex1, m1, layer, "weak")
     with pytest.raises(IdOutOfRange):
         stable_in_layer(ex1, Matching.from_pairs([(0, 7)]), 0, "weak")
+
+
+@pytest.mark.parametrize(
+    "inst, m",
+    [
+        (build_instance(0, 1, [[]]), Matching(())),
+        (build_instance(1, 2, [[set()], [set()]]), Matching(())),
+        (build_instance(4, 1, [[{1}, {0}, {3}, {2}]]), Matching.from_pairs([(0, 1), (2, 3)])),
+        (build_instance(3, 2, [[set()] * 3] * 2), Matching(())),
+    ],
+    ids=["n0", "n1", "all-matched", "no-approval"],
+)
+def test_unknown_base_is_rejected(inst, m):
+    # raised before any scan, also where no pair is scanned at all
+    with pytest.raises(InvalidQuery):
+        stable_layers(inst, m, "bogus")
+    with pytest.raises(InvalidQuery):
+        stable_in_layer(inst, m, 0, "bogus")
+    with pytest.raises(InvalidQuery):
+        blocks(inst, m, (0, 1), 0, "bogus")
 
 
 def _blocking_pairs(inst, m, layer, base):

@@ -63,6 +63,27 @@ def test_symmetry(ex1, ex2):
     assert is_symmetric(build_instance(3, 2, [[set()] * 3, [set()] * 3]))
 
 
+def test_approving_pairs_matches_definition():
+    rng = random.Random(5)
+    for _ in range(40):
+        inst = gen_random(
+            rng.randint(0, 12),
+            rng.randint(1, 4),
+            rng.choice([0.1, 0.3]),
+            symmetric=rng.random() < 0.5,
+            seed=rng.getrandbits(30),
+        )
+
+        def mask(x, y):
+            return sum(1 << i for i, lay in enumerate(inst.approvals) if y in lay[x])
+
+        assert len(inst.approving_pairs) == inst.n
+        for a, row in enumerate(inst.approving_pairs):
+            assert list(row) == sorted(row)
+            want = {b: (mask(a, b), mask(b, a)) for b in range(a + 1, inst.n)}
+            assert row == {b: pair for b, pair in want.items() if pair != (0, 0)}
+
+
 def test_bipartition_two_disjoint_edges(ex2):
     parts = bipartition(ex2)
     assert parts is not None

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mlsm.errors import AlphaTooHigh, AlphaTooLow, BadParameters, NotSymmetric
+import mlsm.solvers as solvers
+from mlsm.errors import AlphaTooHigh, AlphaTooLow, BadParameters, MlsmError, NotSymmetric, UncertifiedWitness
 from mlsm.model import agent_types, build_instance, changing_agents
 from mlsm.oracle import OracleBudget, existence_table, oracle_layer_superstable
 from mlsm.reductions import gen_random, reduce_is_to_global_strong
@@ -460,6 +461,22 @@ def test_dispatch_unknown_when_out_of_reach():
     r = dispatch(sym, q, OracleBudget(max_agents=8))
     assert r.status == "unknown"
     assert f"tau={tau} > 3, beta={beta} > 5, n=30 > oracle budget 8" in r.detail
+
+
+@pytest.mark.parametrize(
+    "route, solver, q",
+    [
+        ("weak-lowalpha", "solve_weak_lowalpha", StabilityQuery("weak", "pair", 2)),
+        ("oracle", "oracle_solve", StabilityQuery("weak", "all")),
+    ],
+)
+def test_dispatch_rejects_uncertified_witness(ex1, monkeypatch, route, solver, q):
+    # the empty matching leaves ex1's pair a-b weakly blocking in every layer
+    assert not check(ex1, Matching(()), q).stable
+    monkeypatch.setattr(solvers, solver, lambda *args: Matching(()))
+    with pytest.raises(UncertifiedWitness, match=f"{route} .* {q.describe()}"):
+        dispatch(ex1, q)
+    assert not issubclass(UncertifiedWitness, MlsmError)
 
 
 def test_traced_names_are_module_functions():

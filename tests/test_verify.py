@@ -8,6 +8,7 @@ from mlsm.blocking import (
     block_mask,
     blocks,
     layer_set,
+    stable_in_layer,
     stable_layers,
     support_mask,
 )
@@ -107,90 +108,176 @@ def test_global_witness_is_exact_stable_layer_set(ex1, m1, m2):
             assert verdict.witness_layers == stable_layers(ex1, m, base)
 
 
+def _compare_with_definitions(inst, m, seen):
+    """Compare ``block_mask``, ``support_mask``, ``blocks``,
+    ``stable_in_layer`` and every ``check`` query with the paper's per-layer
+    definitions, written out, over all n^2 pairs; add the cases met to
+    ``seen``."""
+    # an agent strictly prefers the other where it approves the other and is
+    # unhappy, and is at least indifferent where it approves the other or is
+    # unhappy
+    n, ell = inst.n, inst.ell
+    full = (1 << ell) - 1
+
+    def happy(x, i):
+        return m.partner(x) in inst.approvals[i][x]
+
+    def strict(x, y, i):
+        return y in inst.approvals[i][x] and not happy(x, i)
+
+    def geq(x, y, i):
+        return y in inst.approvals[i][x] or not happy(x, i)
+
+    rules = {
+        "weak": lambda a, b, i: strict(a, b, i) and strict(b, a, i),
+        "strong": lambda a, b, i: (strict(a, b, i) and geq(b, a, i))
+        or (strict(b, a, i) and geq(a, b, i)),
+        "super": lambda a, b, i: geq(a, b, i) and geq(b, a, i),
+    }
+    clauses = {
+        "weak": lambda x, y, i: not strict(x, y, i),
+        "super": lambda x, y, i: not geq(x, y, i),
+    }
+
+    def bits(pred):
+        return sum(1 << i for i in range(ell) if pred(i))
+
+    silent = set()  # unmatched pairs that approve in no layer
+    for base in BASES:
+        stable = set(range(ell))
+        blocked_by = {True: set(), False: set()}  # silent? -> layers blocked
+        degree = {"pair": ell, "individual": ell}
+        least = {"pair": {}, "individual": {}}  # alpha -> first violation
+        approving = {"pair": {}, "individual": {}}  # alpha -> first approving one
+        for a in range(n):
+            for b in range(a + 1, n):
+                if m.has_pair(a, b):
+                    continue
+                seen.add((m.covers(a), m.covers(b)))
+                sa = bits(lambda i: b in inst.approvals[i][a])
+                sb = bits(lambda i: a in inst.approvals[i][b])
+                ha = bits(lambda i: happy(a, i))
+                hb = bits(lambda i: happy(b, i))
+                if not sa | sb:
+                    silent.add((a, b))
+                blocked = {i for i in range(ell) if rules[base](a, b, i)}
+                assert layer_set(block_mask(base, sa, sb, ha, hb, full)) == blocked
+                for i in range(ell):
+                    assert blocks(inst, m, (a, b), i, base) == (i in blocked)
+                stable -= blocked
+                blocked_by[(a, b) in silent] |= blocked
+                pair_degree = ell - len(blocked)
+                degree["pair"] = min(degree["pair"], pair_degree)
+                for alpha in range(pair_degree + 1, ell + 1):
+                    least["pair"].setdefault(alpha, ((a, b), blocked, None))
+                    if (a, b) not in silent:
+                        approving["pair"].setdefault(alpha, (a, b))
+                if base == "strong":
+                    continue
+                sup = tuple(
+                    sum(clauses[base](x, y, i) for i in range(ell))
+                    for x, y in ((a, b), (b, a))
+                )
+                assert support_mask(base, sa, ha, full).bit_count() == sup[0]
+                assert support_mask(base, sb, hb, full).bit_count() == sup[1]
+                degree["individual"] = min(degree["individual"], max(sup))
+                for alpha in range(max(sup) + 1, ell + 1):
+                    least["individual"].setdefault(alpha, ((a, b), blocked, sup))
+                    if (a, b) not in silent:
+                        approving["individual"].setdefault(alpha, (a, b))
+        if blocked_by[True] - blocked_by[False]:
+            seen.add(f"{base}-global layer blocked only by silent pairs")
+        for i in range(ell):
+            assert stable_in_layer(inst, m, i, base) == (i in stable)
+        for q in all_queries(ell):
+            if q.base != base:
+                continue
+            alpha = q.effective_alpha(ell)
+            verdict = check(inst, m, q)
+            if q.agg in ("all", "global"):
+                assert verdict.witness_layers == stable
+                assert verdict.stable == (len(stable) >= alpha)
+                continue
+            assert verdict.stable == (degree[q.agg] >= alpha)
+            if not verdict.stable:
+                pair, blocked, sup = least[q.agg][alpha]
+                assert verdict.violating_pair == pair
+                assert verdict.blocking_layers == blocked
+                assert verdict.supports == sup
+                if pair in silent:
+                    seen.add(f"{base}-{q.agg} least violation silent")
+                    later = approving[q.agg].get(alpha)
+                    if later is not None and later[0] == pair[0]:
+                        seen.add("silent violation before an approving one in its row")
+
+
 def test_check_matches_inline_definitions():
-    # the paper's per-layer definitions, written out: an agent strictly
-    # prefers the other where it approves the other and is unhappy, and is at
-    # least indifferent where it approves the other or is unhappy
     rng = random.Random(11)
-    covered = set()  # (a matched, b matched) over the pairs compared
+    seen = set()
     for _ in range(60):
         inst = random_instance(rng, n_max=7)
-        m = random_matching(rng, inst.n)
-        n, ell = inst.n, inst.ell
-        full = (1 << ell) - 1
+        _compare_with_definitions(inst, random_matching(rng, inst.n), seen)
+    # single and matched agents on both sides of a pair
+    assert {(False, False), (False, True), (True, False), (True, True)} <= seen
 
-        def happy(x, i):
-            return m.partner(x) in inst.approvals[i][x]
 
-        def strict(x, y, i):
-            return y in inst.approvals[i][x] and not happy(x, i)
+def _sparse_case(rng):
+    """An instance with n <= 40, ell <= 6, approval density 0.03-0.15 and
+    some silent agents (approving and approved by nobody), with a matching
+    that mixes approving pairs, pairs of silent agents and singles.  Half the
+    instances are built around a planted pairing that most layers approve,
+    so that the matching makes most agents happy."""
+    n, ell = rng.randint(0, 40), rng.randint(1, 6)
+    p = rng.uniform(0.03, 0.15) * rng.choice([0, 1, 1])
+    quiet = set(rng.sample(range(n), rng.randint(0, n // 3)))
+    loud = [a for a in range(n) if a not in quiet]
+    rng.shuffle(loud)
+    planted = list(zip(loud[::2], loud[1::2])) if rng.random() < 0.5 else []
+    symmetric = rng.random() < 0.5
+    layers = [[set() for _ in range(n)] for _ in range(ell)]
+    for lay in layers:
+        for a, b in planted:
+            if rng.random() < 0.8:
+                lay[a].add(b)
+                lay[b].add(a)
+        for a in loud:
+            for b in loud:
+                if a != b and rng.random() < p:
+                    lay[a].add(b)
+                    if symmetric:
+                        lay[b].add(a)
+    inst = build_instance(n, ell, layers)
+    pairs = [pair for pair in planted if rng.random() < 0.9]
+    used = {a for pair in pairs for a in pair}
+    approving = sorted({(min(a, b), max(a, b)) for a, ma in enumerate(inst.approval_masks) for b in ma})
+    rng.shuffle(approving)
+    for a, b in approving:
+        if a not in used and b not in used and rng.random() < 0.7:
+            pairs.append((a, b))
+            used |= {a, b}
+    rest = [a for a in range(n) if a not in used]
+    rng.shuffle(rest)
+    while len(rest) >= 2:
+        if rng.random() < 0.5:
+            pairs.append((rest.pop(), rest.pop()))
+        else:
+            rest.pop()
+    return inst, Matching.from_pairs(pairs)
 
-        def geq(x, y, i):
-            return y in inst.approvals[i][x] or not happy(x, i)
 
-        rules = {
-            "weak": lambda a, b, i: strict(a, b, i) and strict(b, a, i),
-            "strong": lambda a, b, i: (strict(a, b, i) and geq(b, a, i))
-            or (strict(b, a, i) and geq(a, b, i)),
-            "super": lambda a, b, i: geq(a, b, i) and geq(b, a, i),
-        }
-        clauses = {
-            "weak": lambda x, y, i: not strict(x, y, i),
-            "super": lambda x, y, i: not geq(x, y, i),
-        }
-
-        def bits(pred):
-            return sum(1 << i for i in range(ell) if pred(i))
-
-        for base in BASES:
-            stable = set(range(ell))
-            degree = {"pair": ell, "individual": ell}
-            least = {"pair": {}, "individual": {}}  # alpha -> first violation
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if m.has_pair(a, b):
-                        continue
-                    covered.add((m.covers(a), m.covers(b)))
-                    sa = bits(lambda i: b in inst.approvals[i][a])
-                    sb = bits(lambda i: a in inst.approvals[i][b])
-                    ha = bits(lambda i: happy(a, i))
-                    hb = bits(lambda i: happy(b, i))
-                    blocked = {i for i in range(ell) if rules[base](a, b, i)}
-                    assert layer_set(block_mask(base, sa, sb, ha, hb, full)) == blocked
-                    for i in range(ell):
-                        assert blocks(inst, m, (a, b), i, base) == (i in blocked)
-                    stable -= blocked
-                    pair_degree = ell - len(blocked)
-                    degree["pair"] = min(degree["pair"], pair_degree)
-                    for alpha in range(pair_degree + 1, ell + 1):
-                        least["pair"].setdefault(alpha, ((a, b), blocked, None))
-                    if base == "strong":
-                        continue
-                    sup = tuple(
-                        sum(clauses[base](x, y, i) for i in range(ell))
-                        for x, y in ((a, b), (b, a))
-                    )
-                    assert support_mask(base, sa, ha, full).bit_count() == sup[0]
-                    assert support_mask(base, sb, hb, full).bit_count() == sup[1]
-                    degree["individual"] = min(degree["individual"], max(sup))
-                    for alpha in range(max(sup) + 1, ell + 1):
-                        least["individual"].setdefault(alpha, ((a, b), blocked, sup))
-            for q in all_queries(ell):
-                if q.base != base:
-                    continue
-                alpha = q.effective_alpha(ell)
-                verdict = check(inst, m, q)
-                if q.agg in ("all", "global"):
-                    assert verdict.witness_layers == stable
-                    assert verdict.stable == (len(stable) >= alpha)
-                    continue
-                assert verdict.stable == (degree[q.agg] >= alpha)
-                if not verdict.stable:
-                    pair, blocked, sup = least[q.agg][alpha]
-                    assert verdict.violating_pair == pair
-                    assert verdict.blocking_layers == blocked
-                    assert verdict.supports == sup
-    assert covered == {(False, False), (False, True), (True, False), (True, True)}
+def test_sparse_scan_matches_inline_definitions():
+    # check, stable_layers and stable_in_layer visit only approving pairs and
+    # count or search the silent ones; the definitions visit every pair
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(120):
+        _compare_with_definitions(*_sparse_case(rng), seen)
+    assert {
+        "super-pair least violation silent",
+        "super-individual least violation silent",
+        "super-global layer blocked only by silent pairs",
+        "silent violation before an approving one in its row",
+    } <= seen
 
 
 def test_base_monotonicity_lifts_to_every_aggregation():
