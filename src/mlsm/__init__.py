@@ -9,7 +9,6 @@ from .blocking import Matching
 from .model import (
     MultilayerInstance,
     agent_types,
-    bipartition,
     build_instance,
     changing_agents,
     is_symmetric,
@@ -28,7 +27,6 @@ __all__ = [
     "StabilityQuery",
     "Verdict",
     "agent_types",
-    "bipartition",
     "build_instance",
     "changing_agents",
     "check",

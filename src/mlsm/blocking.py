@@ -98,8 +98,7 @@ def _require_base(base: str) -> None:
 
 
 def is_happy(inst: MultilayerInstance, m: Matching, a: int, layer: int) -> bool:
-    p = m.partner(a)
-    return p is not None and p in inst.approvals[layer][a]
+    return bool(inst.approval_masks[a].get(m.partner(a), 0) >> layer & 1)
 
 
 def block_mask(base: str, sa: int, sb: int, ha: int, hb: int, full: int) -> int:
@@ -155,11 +154,10 @@ def blocks(
     pa = m.partner(a)
     if pa == b:
         raise PairIsMatched(f"pair ({a}, {b}) is in the matching")
-    lay = inst.approvals[layer]
-    pb = m.partner(b)
-    return bool(
-        block_mask(base, b in lay[a], a in lay[b], pa in lay[a], pb in lay[b], 1)
-    )
+    ma, mb = inst.approval_masks[a], inst.approval_masks[b]
+    sa, ha = ma.get(b, 0) >> layer & 1, ma.get(pa, 0) >> layer & 1
+    sb, hb = mb.get(a, 0) >> layer & 1, mb.get(m.partner(b), 0) >> layer & 1
+    return bool(block_mask(base, sa, sb, ha, hb, 1))
 
 
 def _happy_masks(inst: MultilayerInstance, m: Matching) -> list[int]:
@@ -331,8 +329,8 @@ def strong_char_check(inst: MultilayerInstance, m: Matching, layer: int) -> bool
     neighbor in the layer is matched along a mutual edge."""
     if not is_symmetric(inst):
         raise NotSymmetric("strong characterization requires symmetric approvals")
-    lay = inst.approvals[layer]
-    for a in range(inst.n):
-        if lay[a] and not is_happy(inst, m, a, layer):
+    bit = 1 << layer
+    for a, row in enumerate(inst.approval_masks):
+        if any(mask & bit for mask in row.values()) and not is_happy(inst, m, a, layer):
             return False
     return True

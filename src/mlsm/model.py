@@ -1,14 +1,17 @@
 """Multilayer approval instances and their structural analysis.
 
 An instance has ``n`` agents (indices ``0..n-1``) and ``ell`` layers; in each
-layer every agent approves a subset of the other agents.  Instances are
-immutable after construction, so they can be shared freely and used as cache
-keys.
+layer every agent approves a subset of the other agents.  The stored form is
+one approval mask per ordered pair that approves somewhere: bit ``i`` of
+``approval_masks[a][b]`` says a approves b in layer ``i``.  ``build_instance``
+validates the approvals and builds the masks in one pass; the per-layer sets
+(``approvals``) are a view built on first use, for I/O and the readable
+specifications.  Instances are immutable after construction and compare by
+value, so they can be shared freely and used as cache keys.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -21,49 +24,62 @@ __all__ = [
     "ChangingSet",
     "build_instance",
     "is_symmetric",
-    "bipartition",
     "agent_types",
     "changing_agents",
     "same_type",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultilayerInstance:
-    """n agents with one approval set per agent per layer.
+    """n agents with one approval mask per approving ordered pair.
 
-    ``approvals[i][a]`` is the set of agents approved by agent ``a`` in
-    layer ``i``.  Display names are carried only for I/O; algorithms work
-    on indices.
+    ``approval_masks[a]`` is ``{b: mask}`` over the agents ``a`` approves in
+    some layer, with bit ``i`` of ``mask`` set iff a approves b in layer
+    ``i``; masks are never 0 and callers must not mutate the rows.  Display
+    names are carried only for I/O; algorithms work on indices.  Build
+    instances with ``build_instance``, which validates them.
     """
 
     n: int
     ell: int
-    approvals: tuple[tuple[frozenset[int], ...], ...]
+    approval_masks: tuple[dict[int, int], ...]
     names: tuple[str, ...] | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, MultilayerInstance):
+            return NotImplemented
+        return (self.n, self.ell, self.names, self.approval_masks) == (
+            other.n, other.ell, other.names, other.approval_masks
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        rows = tuple(frozenset(row.items()) for row in self.approval_masks)
+        return hash((self.n, self.ell, self.names, rows))
+
+    @cached_property
+    def approvals(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """``approvals[i][a]``: the agents a approves in layer ``i``.  A view
+        of the masks, built on first use; no check or solver path reads it."""
+        return tuple(
+            tuple(frozenset(b for b, mask in row.items() if mask >> i & 1) for row in self.approval_masks)
+            for i in range(self.ell)
+        )
 
     def mutual_edges(self, layer: int) -> list[tuple[int, int]]:
         """Unordered mutually-approving pairs of one layer, lexicographic."""
-        lay = self.approvals[layer]
-        return [
+        bit = 1 << layer
+        masks = self.approval_masks
+        return sorted(
             (a, b)
-            for a in range(self.n)
-            for b in lay[a]
-            if a < b and a in lay[b]
-        ]
-
-    @cached_property
-    def approval_masks(self) -> tuple[dict[int, int], ...]:
-        """Per agent ``a``, ``{b: mask}`` over the agents ``a`` approves
-        somewhere, with bit ``i`` of ``mask`` set iff ``a`` approves ``b`` in
-        layer ``i``.  Built once per instance; callers must not mutate it."""
-        masks: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for i, lay in enumerate(self.approvals):
-            bit = 1 << i
-            for ma, approved in zip(masks, lay):
-                for b in approved:
-                    ma[b] = ma.get(b, 0) | bit
-        return tuple(masks)
+            for a, row in enumerate(masks)
+            for b, mask in row.items()
+            if a < b and mask & masks[b].get(a, 0) & bit
+        )
 
     @cached_property
     def approving_pairs(self) -> tuple[dict[int, tuple[int, int]], ...]:
@@ -114,11 +130,12 @@ def build_instance(
     approvals: Sequence[Sequence[Iterable[int]]],
     names: Sequence[str] | None = None,
 ) -> MultilayerInstance:
-    """Validate and freeze an instance.
+    """Validate an instance and build its approval masks in one pass.
 
     ``approvals`` is indexed ``[layer][agent]``; missing trailing agents in a
-    layer are treated as approving nobody.  Duplicate ids are normalized to a
-    set silently; self-approvals and out-of-range ids are rejected.
+    layer are treated as approving nobody.  Duplicate ids are merged
+    silently; self-approvals and out-of-range ids are rejected.  This is the
+    one place that validates approvals.
     """
     if n < 0:
         raise IdOutOfRange(f"agent count must be nonnegative, got {n}")
@@ -133,59 +150,26 @@ def build_instance(
         if len(names) != n:
             raise IdOutOfRange(f"expected {n} names, got {len(names)}")
         frozen_names = tuple(names)
-    layers = []
+    masks: list[dict[int, int]] = [{} for _ in range(n)]
     for i, layer in enumerate(approvals):
         if len(layer) > n:
             raise IdOutOfRange(f"layer {i} lists {len(layer)} agents, n={n}")
-        row = []
-        for a in range(n):
-            ids = frozenset(layer[a]) if a < len(layer) else frozenset()
+        bit = 1 << i
+        for a, ids in enumerate(layer):
+            row = masks[a]
             for b in ids:
                 if type(b) is not int or not 0 <= b < n:  # bool is no agent id
                     raise IdOutOfRange(f"approval {b!r} of agent {a} in layer {i}")
                 if b == a:
                     raise SelfApproval(a, i, None if names is None else names[a])
-            row.append(ids)
-        layers.append(tuple(row))
-    return MultilayerInstance(n, ell, tuple(layers), frozen_names)
+                row[b] = row.get(b, 0) | bit
+    return MultilayerInstance(n, ell, tuple(masks), frozen_names)
 
 
 def is_symmetric(inst: MultilayerInstance) -> bool:
     """True iff every approval is mutual in its layer (computed once per
     instance, see ``MultilayerInstance.symmetric``)."""
     return inst.symmetric
-
-
-def bipartition(inst: MultilayerInstance) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Two-color the union of all layers' symmetrized approval arcs.
-
-    Returns a pair of agent sets with no union-graph edge inside either,
-    or None if the union graph has an odd cycle.  Isolated agents land on
-    the first side.
-    """
-    adj: list[set[int]] = [set() for _ in range(inst.n)]
-    for lay in inst.approvals:
-        for a in range(inst.n):
-            for b in lay[a]:
-                adj[a].add(b)
-                adj[b].add(a)
-    color = [-1] * inst.n
-    for start in range(inst.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if color[b] == -1:
-                    color[b] = 1 - color[a]
-                    stack.append(b)
-                elif color[b] == color[a]:
-                    return None
-    side0 = frozenset(a for a in range(inst.n) if color[a] == 0)
-    side1 = frozenset(a for a in range(inst.n) if color[a] == 1)
-    return side0, side1
 
 
 def same_type(inst: MultilayerInstance, a: int, b: int) -> bool:
@@ -213,50 +197,58 @@ def same_type(inst: MultilayerInstance, a: int, b: int) -> bool:
     return True
 
 
-def _twin_labels(n: int, lay: Sequence[frozenset[int]]) -> list[int]:
-    """Per agent, the least member of its same-type class in one layer.
-
-    Same-type agents of a layer are twins: either non-adjacent with equal
-    (approves, approved-by) sets, or mutually approving with equal sets once
-    each agent is added to its own.  No agent has twins of both kinds, so an
-    agent with a non-adjacent twin takes that class, any other its
-    mutual-twin class (often just itself).
-    """
-    into: list[list[int]] = [[] for _ in range(n)]
-    for a, approved in enumerate(lay):
-        for b in approved:
-            into[b].append(a)
-    approved_by = [frozenset(x) for x in into]
-    first: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-    label = [first.setdefault((lay[a], approved_by[a]), a) for a in range(n)]
-    size = Counter(label)
-    closed_first: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-    for a in range(n):
-        if size[label[a]] == 1:
-            own = frozenset((a,))
-            label[a] = closed_first.setdefault((lay[a] | own, approved_by[a] | own), a)
-    return label
+def _fingerprint(masks: dict[int, int], own: int) -> tuple[int, int, int]:
+    return len(masks), sum(masks) + own, sum(masks.values())
 
 
 def agent_types(inst: MultilayerInstance) -> AgentTypePartition:
     """Partition the agents into maximal blocks of same-type agents.
 
-    Agents are grouped by their per-layer twin labels; blocks come in order
-    of their least member, members ascending.  Runs in
-    O(ell * (n + sum of approvals)).
+    Two agents are same-type iff their masks agree towards every third
+    agent, from every third agent, and between the two in both directions.
+    Twins that approve each other nowhere have equal mask rows and columns;
+    twins with a mask m between them have equal rows and columns once each
+    lists itself with m.  Each agent is compared only with the earlier
+    classes whose order-free fingerprint of those rows and columns it
+    shares.  Blocks come in order of their least member, members
+    ascending.  Expected time O(n + sum of row lengths); only agents whose
+    fingerprints collide without being twins cost extra comparisons.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    labels = zip(*(_twin_labels(inst.n, lay) for lay in inst.approvals))
-    for a, key in enumerate(labels):
+    masks = inst.approval_masks
+    cols: list[dict[int, int]] = [{} for _ in range(inst.n)]
+    for a, row in enumerate(masks):
+        for b, m in row.items():
+            cols[b][a] = m
+    label = list(range(inst.n))
+    # class representatives, by the fingerprint their twins share
+    apart: dict[tuple, list[int]] = {}
+    adjacent: dict[tuple, list[int]] = {}
+    for a, (row, col) in enumerate(zip(masks, cols)):
+        reps = apart.setdefault((_fingerprint(row, 0), _fingerprint(col, 0)), [])
+        twin = next((b for b in reps if row == masks[b] and col == cols[b]), None)
+        if twin is None:
+            near = adjacent.setdefault((_fingerprint(row, a), _fingerprint(col, a)), [])
+            for b in near:
+                m = row.get(b)
+                if m and {**row, a: m} == {**masks[b], b: m} and {**col, a: m} == {**cols[b], b: m}:
+                    twin = b
+                    break
+            else:
+                reps.append(a)
+                near.append(a)
+        if twin is not None:
+            label[a] = twin
+    groups: dict[int, list[int]] = {}
+    for a, key in enumerate(label):
         groups.setdefault(key, []).append(a)
     return AgentTypePartition(tuple(tuple(b) for b in groups.values()), len(groups))
 
 
 def changing_agents(inst: MultilayerInstance) -> ChangingSet:
-    """Agents whose approval set differs between some pair of layers."""
+    """Agents whose approval set differs between some pair of layers: those
+    with a mask towards some agent that is neither empty nor full."""
+    full = (1 << inst.ell) - 1
     changing = frozenset(
-        a
-        for a in range(inst.n)
-        if any(inst.approvals[i][a] != inst.approvals[0][a] for i in range(1, inst.ell))
+        a for a, row in enumerate(inst.approval_masks) if any(m != full for m in row.values())
     )
     return ChangingSet(changing, len(changing))

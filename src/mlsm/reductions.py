@@ -280,7 +280,7 @@ def copy_layers(
     rows = []
     for i, mult in enumerate(multiplicities):
         rows.extend([inst.approvals[i]] * mult)
-    return MultilayerInstance(inst.n, len(rows), tuple(rows), inst.names)
+    return build_instance(inst.n, len(rows), rows, inst.names)
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +400,31 @@ def reduce_degreepartition_to_pair_super(
 # external formats
 
 
+def _ints(tokens: list[str], error: type, lineno: int, line: str) -> list[int]:
+    """The tokens as integers, else ``error`` naming the line."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise error(f"line {lineno}: expected integers, got {line!r}") from None
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """DIMACS CNF: comment lines, a "p cnf VARS CLAUSES" header, and clauses
     terminated by 0 (possibly spanning lines)."""
     num_vars = None
     literals: list[int] = []
     clauses: list[tuple[int, ...]] = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith(("c", "%")):
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise MalformedFormula(f"bad problem line: {line!r}")
-            num_vars = int(parts[2])
+                raise MalformedFormula(f"line {lineno}: bad problem line {line!r}")
+            num_vars = _ints(parts[2:], MalformedFormula, lineno, line)[0]
             continue
-        for tok in line.split():
-            lit = int(tok)
+        for lit in _ints(line.split(), MalformedFormula, lineno, line):
             if lit == 0:
                 clauses.append(tuple(literals))
                 literals = []
@@ -433,15 +440,22 @@ def parse_dimacs(text: str) -> CnfFormula:
 def parse_edge_list(text: str) -> SimpleGraph:
     """Plain graph text: an "n m" header, then one "u v" line per edge,
     1-indexed vertices."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [
+        (lineno, ln)
+        for lineno, ln in enumerate(text.splitlines(), 1)
+        if ln.strip() and not ln.startswith("#")
+    ]
     if not lines:
         raise BadParameters("empty graph text")
-    header = lines[0].split()
-    n, m = int(header[0]), int(header[1])
-    edges = []
-    for ln in lines[1 : m + 1]:
-        u, v = (int(t) for t in ln.split()[:2])
-        edges.append((u - 1, v - 1))
+
+    def pair(lineno: int, ln: str) -> list[int]:
+        row = _ints(ln.split()[:2], BadParameters, lineno, ln)
+        if len(row) != 2:
+            raise BadParameters(f"line {lineno}: expected two integers, got {ln!r}")
+        return row
+
+    n, m = pair(*lines[0])
+    edges = [(u - 1, v - 1) for u, v in (pair(*x) for x in lines[1 : m + 1])]
     if len(edges) != m:
         raise BadParameters(f"expected {m} edges, found {len(edges)}")
     return SimpleGraph.from_edges(n, edges)

@@ -20,7 +20,7 @@ from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, N
 from .graphalg import SimpleGraph, has_perfect_matching, maximal_matching, maximum_matching, saturating_matching
 from .model import MultilayerInstance, agent_types, changing_agents, is_symmetric
 from .oracle import DEFAULT_BUDGET, OracleBudget, _iter_partner_arrays, oracle_solve
-from .verify import StabilityQuery, check
+from .verify import StabilityQuery, Verdict, check
 
 __all__ = [
     "SolveResult",
@@ -49,17 +49,27 @@ STRONG_GLOBAL_SUBSETS_MAX = 10_000
 
 @dataclass(frozen=True)
 class SolveResult:
-    """exists(M) / not-exists / unknown, tagged with the deciding algorithm."""
+    """exists(M) / not-exists / unknown, tagged with the deciding algorithm.
+
+    ``verdict`` is the ``check`` verdict that certified the matching: set by
+    the routes that check their own candidate, and by ``dispatch`` on every
+    ``exists`` it returns.
+    """
 
     status: str
     algorithm: str
     matching: Matching | None = None
     witness_layers: frozenset[int] | None = None
     detail: str | None = None
+    verdict: Verdict | None = None
 
     @classmethod
     def found(cls, alg, m, layers=None) -> "SolveResult":
         return cls("exists", alg, m, layers)
+
+    @classmethod
+    def certified(cls, alg, m, verdict: Verdict) -> "SolveResult":
+        return cls("exists", alg, m, verdict.witness_layers, verdict=verdict)
 
     @classmethod
     def none(cls, alg) -> "SolveResult":
@@ -128,16 +138,12 @@ def solve_weak_lowalpha(inst: MultilayerInstance, alpha: int) -> Matching:
 
 
 def _delete_agent(inst: MultilayerInstance, victim: int) -> MultilayerInstance:
-    remap = {a: (a if a < victim else a - 1) for a in range(inst.n) if a != victim}
-    rows = tuple(
-        tuple(
-            frozenset(remap[b] for b in lay[a] if b != victim)
-            for a in range(inst.n)
-            if a != victim
-        )
-        for lay in inst.approvals
+    masks = tuple(
+        {b if b < victim else b - 1: mask for b, mask in row.items() if b != victim}
+        for a, row in enumerate(inst.approval_masks)
+        if a != victim
     )
-    return MultilayerInstance(inst.n - 1, inst.ell, rows)
+    return MultilayerInstance(inst.n - 1, inst.ell, masks)
 
 
 def _strong_matching(inst: MultilayerInstance, sel: int) -> Matching | None:
@@ -276,8 +282,9 @@ def _solve_super_forced(inst: MultilayerInstance, q: StabilityQuery, tag: str) -
         return SolveResult.none(tag)
     forced, isolated = skeleton
     m = Matching.from_pairs(forced + [tuple(isolated)] if len(isolated) == 2 else forced)
-    if check(inst, m, q).stable:
-        return SolveResult.found(tag, m)
+    verdict = check(inst, m, q)
+    if verdict.stable:
+        return SolveResult.certified(tag, m, verdict)
     return SolveResult.none(tag)
 
 
@@ -326,8 +333,9 @@ def solve_super_pair_fpt(inst: MultilayerInstance, alpha: int) -> SolveResult:
             (isolated[i], isolated[j]) for i, j in enumerate(partner) if j > i
         )
         m = Matching.from_pairs(pairs)
-        if check(inst, m, q).stable:
-            return SolveResult.found(tag, m)
+        verdict = check(inst, m, q)
+        if verdict.stable:
+            return SolveResult.certified(tag, m, verdict)
     return SolveResult.none(tag)
 
 
@@ -336,22 +344,21 @@ def solve_super_pair_fpt(inst: MultilayerInstance, alpha: int) -> SolveResult:
 
 
 def _type_approval_table(inst: MultilayerInstance, blocks):
-    """type-level approval: does (an agent of) type t approve type u per layer?
+    """type-level approval: the layers in which (an agent of) type t
+    approves type u, as a mask.
 
     Within a singleton type the relation has no witness pair; those entries
     stay None and are never consulted for feasible usage patterns.
     """
+    masks = inst.approval_masks
     table = {}
     for t, bt in enumerate(blocks):
         for u, bu in enumerate(blocks):
             if t == u and len(bt) < 2:
                 table[(t, u)] = None
                 continue
-            a = bt[0]
             b = bu[0] if u != t else bt[1]
-            table[(t, u)] = tuple(
-                b in inst.approvals[i][a] for i in range(inst.ell)
-            )
+            table[(t, u)] = masks[bt[0]].get(b, 0)
     return table
 
 
@@ -414,10 +421,7 @@ def _types_tables(inst: MultilayerInstance):
     padded = inst
     dummy = inst.n % 2 == 1
     if dummy:
-        rows = tuple(
-            tuple(lay) + (frozenset(),) for lay in inst.approvals
-        )
-        padded = MultilayerInstance(inst.n + 1, inst.ell, rows)
+        padded = MultilayerInstance(inst.n + 1, inst.ell, inst.approval_masks + ({},))
     blocks = agent_types(padded).blocks
     table = _type_approval_table(padded, blocks)
     sizes = [len(b) for b in blocks]
@@ -439,18 +443,15 @@ def _types_tables(inst: MultilayerInstance):
                 j_pairs.append((len(profiles), len(profiles) + 1))
                 profiles.append(t)
                 profiles.append(u)
-        j_rows = tuple(
-            tuple(
-                frozenset(
-                    y
-                    for y in range(len(profiles))
-                    if y != x and table[(profiles[x], profiles[y])][i]
-                )
-                for x in range(len(profiles))
-            )
-            for i in range(inst.ell)
+        j_masks = tuple(
+            {
+                y: mask
+                for y, py in enumerate(profiles)
+                if y != x and (mask := table[(px, py)])
+            }
+            for x, px in enumerate(profiles)
         )
-        j_inst = MultilayerInstance(len(profiles), inst.ell, j_rows)
+        j_inst = MultilayerInstance(len(profiles), inst.ell, j_masks)
         j_match = Matching.from_pairs(j_pairs)
         # witness: hand out concrete agents per block, edge by edge
         queues = [list(b) for b in blocks]
@@ -488,7 +489,7 @@ def solve_by_types(inst: MultilayerInstance, q: StabilityQuery) -> SolveResult:
             )
         verdict = check(inst, m, q)
         if verdict.stable:
-            return SolveResult.found(tag, m, verdict.witness_layers)
+            return SolveResult.certified(tag, m, verdict)
     return SolveResult.none(tag)
 
 
@@ -508,16 +509,17 @@ def _changing_candidates(inst: MultilayerInstance):
     b_set = set(changing)
     n = inst.n
     static = [a for a in range(n) if a not in b_set]
-    # approvals of non-changing agents are identical in all layers
+    # approvals of non-changing agents are identical in all layers, so
+    # the keys of their mask rows are their approvals in every layer
+    masks = inst.approval_masks
     approved_by: dict[int, frozenset[int]] = {
-        b: frozenset(a for a in static if b in inst.approvals[0][a])
-        for b in changing
+        b: frozenset(a for a in static if b in masks[a]) for b in changing
     }
 
     def graph_for(matched_b: set[int]) -> SimpleGraph:
         edges = []
         for a in static:
-            for c in inst.approvals[0][a]:
+            for c in masks[a]:
                 if c in matched_b:
                     continue
                 if c in b_set or a < c:
@@ -593,7 +595,7 @@ def solve_by_changing(inst: MultilayerInstance, q: StabilityQuery) -> SolveResul
     for cand in weak_cands if q.base == "weak" else mcm_cands:
         verdict = check(inst, cand, q)
         if verdict.stable:
-            return SolveResult.found(tag, cand, verdict.witness_layers)
+            return SolveResult.certified(tag, cand, verdict)
     return SolveResult.none(tag)
 
 
@@ -687,7 +689,8 @@ def dispatch(
     not-exists, and its detail names the gates that blocked it.
 
     Every ``exists`` witness passes ``check`` before it is returned, else
-    ``UncertifiedWitness`` is raised.
+    ``UncertifiedWitness`` is raised; a route's own verdict for the same
+    query is reused, not repeated.
     """
     alpha = q.effective_alpha(inst.ell)
     facts = InstanceFacts(inst)
@@ -707,13 +710,14 @@ def dispatch(
         res = SolveResult.none("oracle") if m is None else SolveResult.found("oracle", m)
     if not res.exists:
         return res
-    verdict = check(inst, res.matching, q)
+    verdict = res.verdict
+    if verdict is None or verdict.query != q:
+        verdict = check(inst, res.matching, q)
     if not verdict.stable:
         raise UncertifiedWitness(
             f"{res.algorithm} returned a matching that is not {q.describe()} stable"
         )
-    if res.witness_layers is None:
-        # only the oracle leaves global witness layers unset; pair and
-        # individual verdicts name none, so other routes keep their own
-        res = replace(res, witness_layers=verdict.witness_layers)
-    return res
+    # only the oracle leaves global witness layers unset; pair and
+    # individual verdicts name none, so other routes keep their own
+    layers = verdict.witness_layers if res.witness_layers is None else res.witness_layers
+    return replace(res, witness_layers=layers, verdict=verdict)

@@ -12,8 +12,8 @@ from mlsm.cli import (
     matching_from_doc,
     matching_to_doc,
 )
-from mlsm.errors import MalformedDocument, MlsmError
-from mlsm.reductions import gen_random
+from mlsm.errors import BadParameters, MalformedDocument, MalformedFormula, MlsmError
+from mlsm.reductions import gen_random, parse_dimacs, parse_edge_list
 
 
 @pytest.fixture
@@ -202,6 +202,35 @@ def test_bench_known_suite(capsys):
 
 def test_bench_unknown_suite(capsys):
     assert main(["bench", "nope"]) == 2
+
+
+@pytest.mark.parametrize(
+    "generator, text, where",
+    [
+        ("is", "3\n", "line 1: expected two integers, got '3'"),
+        ("is", "# header\n3 x\n1 2\n", "line 2: expected integers, got '3 x'"),
+        ("is", "3 1\n0\n", "line 2: expected two integers, got '0'"),
+        ("sat", "p cnf x 1\n1 0\n", "line 1: expected integers, got 'p cnf x 1'"),
+        ("sat", "c note\np cnf 2 1\n1 a 0\n", "line 3: expected integers, got '1 a 0'"),
+    ],
+    ids=["one-token-header", "non-integer-header", "one-token-edge", "non-integer-cnf-header", "non-integer-literal"],
+)
+def test_malformed_graph_and_cnf_files_exit_two(tmp_path, capsys, generator, text, where):
+    source = tmp_path / "source.txt"
+    source.write_text(text)
+    out = str(tmp_path / "out.json")
+    if generator == "is":
+        argv = ["gen", "is", "--graph", str(source), "--k", "1", "--out", out]
+        error, parse = BadParameters, parse_edge_list
+    else:
+        argv = ["gen", "sat", "--cnf", str(source), "--out", out]
+        error, parse = MalformedFormula, parse_dimacs
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == where
+    with pytest.raises(error):
+        parse(text)
 
 
 def test_parse_error_exit_two(tmp_path, capsys):

@@ -1,19 +1,23 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlsm.cli import instance_from_doc, instance_to_doc
+from mlsm.blocking import Matching
 from mlsm.errors import IdOutOfRange, SelfApproval
 from mlsm.model import (
     agent_types,
-    bipartition,
     build_instance,
     changing_agents,
     is_symmetric,
     same_type,
 )
 from mlsm.reductions import gen_random
+from mlsm.solvers import _types_tables, dispatch
+from mlsm.verify import StabilityQuery, all_queries, check
 
 
 def test_build_valid_fixture(ex1):
@@ -82,39 +86,6 @@ def test_approving_pairs_matches_definition():
             assert list(row) == sorted(row)
             want = {b: (mask(a, b), mask(b, a)) for b in range(a + 1, inst.n)}
             assert row == {b: pair for b, pair in want.items() if pair != (0, 0)}
-
-
-def test_bipartition_two_disjoint_edges(ex2):
-    parts = bipartition(ex2)
-    assert parts is not None
-    side0, side1 = parts
-    assert side0 | side1 == {0, 1, 2, 3} and not side0 & side1
-    # union graph is {a1-a2, a3-a4}; neither edge may sit inside a part
-    for a, b in ((0, 1), (2, 3)):
-        assert (a in side0) != (b in side0)
-
-
-def test_bipartition_odd_cycle(triangle):
-    assert bipartition(triangle) is None
-
-
-def test_bipartition_no_approvals():
-    parts = bipartition(build_instance(3, 1, [[set()] * 3]))
-    assert parts is not None
-    assert parts[0] | parts[1] == {0, 1, 2}
-
-
-def test_bipartition_never_cuts_inside_a_part():
-    for seed in range(40):
-        inst = gen_random(7, 2, 0.3, bipartite=seed % 2 == 0, seed=seed)
-        parts = bipartition(inst)
-        if parts is None:
-            continue
-        side0, _ = parts
-        for lay in inst.approvals:
-            for a in range(inst.n):
-                for b in lay[a]:
-                    assert (a in side0) != (b in side0)
 
 
 def test_agent_types_fixture(ex2):
@@ -240,15 +211,66 @@ def test_changing_agents_identical_layers():
 
 
 def test_instances_hashable_and_immutable(ex1):
-    assert hash(ex1) == hash(
-        build_instance(
-            4,
-            3,
-            [
-                [{1}, {0}, {3}, {2}],
-                [{1, 3}, {0}, {1}, {0}],
-                [{1}, {0, 2}, {1, 3}, {0}],
-            ],
-            names=["a", "b", "c", "d"],
-        )
+    names = ["a", "b", "c", "d"]
+    layers = [
+        [{1}, {0}, {3}, {2}],
+        [{1, 3}, {0}, {1}, {0}],
+        [{1}, {0, 2}, {1, 3}, {0}],
+    ]
+    assert hash(ex1) == hash(build_instance(4, 3, layers, names=names))
+    # same approvals in another order, with duplicates: equal, same hash
+    shuffled = build_instance(
+        4,
+        3,
+        [
+            [[1, 1], [0], [3], [2, 2]],
+            [[3, 1, 3], [0], [1], [0, 0]],
+            [[1], [2, 0, 2], [3, 1], [0]],
+        ],
+        names=names,
     )
+    assert shuffled == ex1 and hash(shuffled) == hash(ex1)
+    x, y = build_instance(3, 1, [[[1, 2], [], []]]), build_instance(3, 1, [[[2, 1, 2], [], []]])
+    assert list(x.approval_masks[0]) != list(y.approval_masks[0])
+    assert x == y and hash(x) == hash(y)
+    # one layer bit flipped (d no longer approves a in layer 3), or a name
+    flipped = build_instance(4, 3, layers[:2] + [[{1}, {0, 2}, {1, 3}, set()]], names=names)
+    assert flipped != ex1
+    assert build_instance(4, 3, layers, names=["a", "b", "c", "e"]) != ex1
+    assert build_instance(4, 3, layers) != ex1
+    back = instance_from_doc(instance_to_doc(ex1))
+    assert back == ex1 and hash(back) == hash(ex1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ex1.n = 5
+
+
+def test_equal_instances_share_solver_tables():
+    q = StabilityQuery("weak", "all")
+    layers = [[{1}, {0}, set(), set()], [set(), set(), {3}, {2}]]
+    _types_tables.cache_clear()
+    assert dispatch(build_instance(4, 2, layers), q).algorithm == "agent-types"
+    hits = _types_tables.cache_info().hits
+    assert dispatch(build_instance(4, 2, [[[1], [0], [], []], [[], [], [3], [2]]]), q).exists
+    assert _types_tables.cache_info().hits > hits
+
+
+def test_check_never_builds_the_approval_sets():
+    rng = random.Random(8)
+    for seed in range(6):
+        inst = instance_from_doc(instance_to_doc(gen_random(12, 3, 0.3, symmetric=seed % 2 == 0, seed=seed)))
+        m = Matching.from_pairs([(a, a + 1) for a in range(0, 12, 2) if rng.random() < 0.7])
+        for q in all_queries(inst.ell):
+            check(inst, m, q)
+        assert "approvals" not in inst.__dict__
+    assert inst.approvals and "approvals" in inst.__dict__  # the view is lazy, not gone
+
+
+def test_mutual_edges_lexicographic():
+    # agent 0 approves 9 before 2 in the set's iteration order
+    layer = [set() for _ in range(12)]
+    layer[0], layer[2], layer[9] = {9, 2}, {0}, {0}
+    layer[5] = {0}  # one-sided, not mutual
+    inst = build_instance(12, 2, [layer, [set()] * 12])
+    assert list(inst.approval_masks[0]) == [9, 2]
+    assert inst.mutual_edges(0) == [(0, 2), (0, 9)]
+    assert inst.mutual_edges(1) == []

@@ -3,7 +3,7 @@ import pytest
 from mlsm.blocking import Matching
 from mlsm.errors import AlphaTooHigh, BadParameters, MalformedFormula, OddVertexCount
 from mlsm.graphalg import SimpleGraph
-from mlsm.model import bipartition, build_instance, is_symmetric
+from mlsm.model import build_instance, is_symmetric
 from mlsm.oracle import existence_table, oracle_all, oracle_solve
 from mlsm.reductions import (
     CnfFormula,
@@ -43,7 +43,6 @@ def test_gen_random_deterministic():
 def test_gen_random_flags():
     inst = gen_random(8, 2, 0.7, symmetric=True, bipartite=True, seed=5)
     assert is_symmetric(inst)
-    assert bipartition(inst) is not None
     for lay in inst.approvals:
         for a in range(8):
             for b in lay[a]:
@@ -63,9 +62,14 @@ def test_sat_reduction_shape():
     inst = gen.instance
     assert inst.n == 17 and inst.ell == 2
     assert is_symmetric(inst)
-    assert bipartition(inst) is not None
+    # bipartite: every approval runs between an a_*/al* and a b*/be* agent
+    alpha_side = [inst.name_of(a).startswith(("a_", "al")) for a in range(inst.n)]
+    beta_side = [inst.name_of(a).startswith(("b+", "b-", "be")) for a in range(inst.n)]
+    assert all(x != y for x, y in zip(alpha_side, beta_side))
     for lay in inst.approvals:
         assert all(len(s) <= 3 for s in lay)
+        for a, approved in enumerate(lay):
+            assert all(alpha_side[a] != alpha_side[b] for b in approved)
 
 
 def test_sat_reduction_certificate_roundtrip():

@@ -479,6 +479,27 @@ def test_dispatch_rejects_uncertified_witness(ex1, monkeypatch, route, solver, q
     assert not issubclass(UncertifiedWitness, MlsmError)
 
 
+@pytest.mark.parametrize(
+    "name", ["super-pair-veryhighalpha", "super-pair-fpt", "agent-types", "changing-agents"]
+)
+def test_dispatch_certifies_each_witness_once(name, monkeypatch, request):
+    # these routes check their own candidate; dispatch reuses that verdict
+    _, inst, q = next(case for case in ROUTE_CASES if case[0] == name)
+    if isinstance(inst, str):
+        inst = request.getfixturevalue(inst)
+    calls = []
+
+    def counting_check(i, m, query):
+        calls.append((i, m, query))
+        return check(i, m, query)
+
+    monkeypatch.setattr(solvers, "check", counting_check)
+    r = dispatch(inst, q)
+    assert r.algorithm == name and r.exists
+    assert sum(1 for i, m, query in calls if i is inst and m == r.matching and query == q) == 1
+    assert r.verdict == check(inst, r.matching, q) and r.verdict.stable
+
+
 def test_traced_names_are_module_functions():
     # the traced benchmark run wraps these names; a rename must fail here
     spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
