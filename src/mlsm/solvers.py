@@ -550,7 +550,7 @@ def _changing_candidates(inst: MultilayerInstance):
         if cand.pairs not in seen_mcm:
             seen_mcm.add(cand.pairs)
             mcm_cands.append(cand)
-        # weak: saturate a guessed must-be-happy set, then go maximal
+        # weak: a maximal matching that saturates a guessed must-be-happy set
         happy_sets = set()
         for keep_mask in range(1 << len(free_b)):
             kept = frozenset(
@@ -566,23 +566,11 @@ def _changing_candidates(inst: MultilayerInstance):
             sat = saturating_matching(g, happy)
             if sat is None:
                 continue
-            ext = _extend_maximal(g, sat)
-            cand = Matching.from_pairs(b_pairs + list(ext.pairs))
+            cand = Matching.from_pairs(b_pairs + list(sat.pairs))
             if cand.pairs not in seen_weak:
                 seen_weak.add(cand.pairs)
                 weak_cands.append(cand)
     return tuple(weak_cands), tuple(mcm_cands)
-
-
-def _extend_maximal(g: SimpleGraph, m: Matching) -> Matching:
-    used = {a for pair in m.pairs for a in pair}
-    pairs = list(m.pairs)
-    for u, v in g.sorted_edges():
-        if u not in used and v not in used:
-            pairs.append((u, v))
-            used.add(u)
-            used.add(v)
-    return Matching.from_pairs(pairs)
 
 
 def solve_by_changing(inst: MultilayerInstance, q: StabilityQuery) -> SolveResult:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlsm
 from mlsm import Matching, build_instance
 from mlsm.cli import (
     instance_from_doc,
@@ -412,3 +417,11 @@ def test_malformed_matching_docs_raise_only_package_errors(doc):
     except MlsmError:
         return
     assert matching_from_doc(inst, matching_to_doc(inst, m)) == m
+
+
+def test_cli_import_loads_no_networkx():
+    # a fresh interpreter: the test process itself may have loaded anything
+    src = str(Path(mlsm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mlsm.cli; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,6 +1,9 @@
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mlsm.bench import brute_force_max_matching
 from mlsm.graphalg import (
     SimpleGraph,
@@ -26,6 +29,11 @@ def _brute_saturates(g: SimpleGraph, cover: set[int]) -> bool:
         return False
 
     return rec(sorted(cover), set())
+
+
+def _assert_edges(g: SimpleGraph, m) -> None:
+    for pair in m.pairs:
+        assert pair in g.edges, pair
 
 
 def test_maximal_path_takes_first_edge():
@@ -76,7 +84,13 @@ def test_maximum_matches_brute_force_on_random_graphs():
         n = rng.randint(1, 9)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.45]
         g = SimpleGraph.from_edges(n, edges)
-        assert len(maximum_matching(g)) == brute_force_max_matching(g)
+        m = maximum_matching(g)
+        _assert_edges(g, m)
+        assert len(m) == brute_force_max_matching(g)
+        perfect = has_perfect_matching(g)
+        assert (perfect is not None) == (2 * len(m) == n)
+        if perfect is not None:
+            _assert_edges(g, perfect)
 
 
 def test_saturating_star_leaves_impossible():
@@ -108,6 +122,7 @@ def test_saturating_matches_brute_force():
         if m is None:
             assert not _brute_saturates(g, cover)
         else:
+            _assert_edges(g, m)
             assert cover <= {v for pair in m.pairs for v in pair}
             assert _brute_saturates(g, cover)
 
@@ -125,3 +140,69 @@ def test_perfect_even_cycle():
 def test_perfect_odd_vertex_count():
     g = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert has_perfect_matching(g) is None
+
+
+def test_maximum_augments_through_blossom_with_stem():
+    # stem 4-1=0, triangle 0-2=3-0, exposed 5 hanging off 2: the greedy
+    # start leaves 4 and 5 exposed, and the only augmenting path
+    # 4-1=0-3=2-5 runs around the triangle the other way
+    g = SimpleGraph.from_edges(6, [(0, 1), (1, 4), (0, 2), (0, 3), (2, 3), (2, 5)])
+    assert maximal_matching(g).pairs == ((0, 1), (2, 3))
+    assert maximum_matching(g).pairs == ((0, 3), (1, 4), (2, 5))
+    assert has_perfect_matching(g).pairs == ((0, 3), (1, 4), (2, 5))
+
+
+def test_saturating_uncovers_a_vertex_inside_a_blossom():
+    # the same stem and triangle without 5: covering 4 must push 2 out,
+    # and 2 is reached as an outer vertex only once the triangle 0-2=3-0
+    # is contracted (3, its mate, is in the cover)
+    g = SimpleGraph.from_edges(5, [(0, 1), (1, 4), (0, 2), (0, 3), (2, 3)])
+    assert maximal_matching(g).pairs == ((0, 1), (2, 3))
+    assert saturating_matching(g, {0, 1, 3, 4}).pairs == ((0, 3), (1, 4))
+    assert _brute_saturates(g, {0, 1, 3, 4})
+    assert saturating_matching(g, {0, 1, 2, 3, 4}) is None
+
+
+def test_planted_perfect_matching_at_scale():
+    rng = random.Random(2000)
+    n = 2000
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = list(zip(order[0::2], order[1::2]))
+    while len(edges) < 4 * n:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.append((u, v))
+    g = SimpleGraph.from_edges(n, edges)
+    assert len(maximal_matching(g)) < n // 2
+    m = maximum_matching(g)
+    assert len(m) == n // 2
+    _assert_edges(g, m)
+    perfect = has_perfect_matching(g)
+    assert perfect == m
+    again = SimpleGraph.from_edges(n, reversed(edges))
+    assert maximum_matching(again) == m and has_perfect_matching(again) == m
+
+
+@st.composite
+def _graphs_and_covers(draw):
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=24)) if pairs else []
+    cover = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return SimpleGraph.from_edges(n, edges), cover
+
+
+@given(_graphs_and_covers())
+@settings(max_examples=200, deadline=None)
+def test_matchings_agree_with_brute_force(case):
+    g, cover = case
+    m = maximum_matching(g)
+    _assert_edges(g, m)
+    assert len(m) == brute_force_max_matching(g)
+    sat = saturating_matching(g, cover)
+    assert (sat is not None) == _brute_saturates(g, cover)
+    if sat is not None:
+        _assert_edges(g, sat)
+        assert all(sat.covers(v) for v in cover)
+        assert all(sat.covers(u) or sat.covers(v) for u, v in g.edges)
