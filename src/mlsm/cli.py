@@ -13,23 +13,17 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bench import SUITES, run_suite
-from .blocking import Matching
+from .blocking import BASES, Matching
 from .errors import MalformedDocument, MlsmError
 from .model import MultilayerInstance, build_instance
-from .oracle import OracleBudget, oracle_all, oracle_solve
-from .reductions import (
-    GeneratedInstance,
-    gen_random,
-    parse_dimacs,
-    parse_edge_list,
-    reduce_degreepartition_to_pair_super,
-    reduce_is_to_global_strong,
-    reduce_sat_to_alllayers_weak,
-)
+from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_all, oracle_solve
 from .solvers import dispatch
-from .verify import StabilityQuery, check
+from .verify import AGGREGATIONS, StabilityQuery, check
+
+if TYPE_CHECKING:  # the generators are imported by the subcommand that runs them
+    from .reductions import GeneratedInstance
 
 __all__ = [
     "main",
@@ -118,13 +112,6 @@ def matching_from_doc(inst: MultilayerInstance, doc: dict) -> Matching:
     return Matching.from_pairs(pairs)
 
 
-def _query_from_args(args) -> StabilityQuery:
-    alpha = None if args.agg == "all" else args.alpha
-    if args.agg != "all" and alpha is None:
-        raise MlsmError(f"--agg {args.agg} requires --alpha")
-    return StabilityQuery(args.base, args.agg, alpha)
-
-
 def _layers_out(layers) -> list[int] | None:
     if layers is None:
         return None
@@ -146,7 +133,7 @@ def _emit(doc: dict) -> None:
 def cmd_check(args) -> int:
     inst = instance_from_doc(_load_json(args.instance))
     m = matching_from_doc(inst, _load_json(args.matching))
-    q = _query_from_args(args)
+    q = StabilityQuery(args.base, args.agg, args.alpha)
     t0 = time.perf_counter()
     verdict = check(inst, m, q)
     elapsed = (time.perf_counter() - t0) * 1000
@@ -167,7 +154,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = instance_from_doc(_load_json(args.instance))
-    q = _query_from_args(args)
+    q = StabilityQuery(args.base, args.agg, args.alpha)
     budget = OracleBudget(max_agents=args.budget)
     t0 = time.perf_counter()
     result = dispatch(inst, q, budget)
@@ -190,7 +177,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = instance_from_doc(_load_json(args.instance))
-    q = _query_from_args(args)
+    q = StabilityQuery(args.base, args.agg, args.alpha)
     budget = OracleBudget(max_agents=args.budget)
     t0 = time.perf_counter()
     if args.all:
@@ -233,6 +220,15 @@ def _write_generated(gen: GeneratedInstance, out: str, source: dict) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .reductions import (
+        gen_random,
+        parse_dimacs,
+        parse_edge_list,
+        reduce_degreepartition_to_pair_super,
+        reduce_is_to_global_strong,
+        reduce_sat_to_alllayers_weak,
+    )
+
     if args.generator == "random":
         inst = gen_random(
             args.n, args.layers, args.p, args.symmetric, args.bipartite, args.seed
@@ -276,6 +272,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import SUITES, run_suite
+
     if args.suite not in SUITES:
         raise MlsmError(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}"
@@ -291,10 +289,8 @@ def cmd_bench(args) -> int:
 
 
 def _add_query_flags(sub) -> None:
-    sub.add_argument("--base", required=True, choices=("weak", "strong", "super"))
-    sub.add_argument(
-        "--agg", required=True, choices=("all", "global", "pair", "individual")
-    )
+    sub.add_argument("--base", required=True, choices=BASES)
+    sub.add_argument("--agg", required=True, choices=AGGREGATIONS)
     sub.add_argument("--alpha", type=int, default=None)
 
 
@@ -314,14 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("solve", help="find a stable matching or report none/unknown")
     p.add_argument("instance")
     _add_query_flags(p)
-    p.add_argument("--budget", type=int, default=12, help="oracle fallback agent cap")
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET.max_agents, help="oracle fallback agent cap"
+    )
     p.set_defaults(fn=cmd_solve)
 
     p = subs.add_parser("oracle", help="exhaustive ground truth (small instances)")
     p.add_argument("instance")
     _add_query_flags(p)
     p.add_argument("--all", action="store_true", help="list every stable matching")
-    p.add_argument("--budget", type=int, default=12)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET.max_agents)
     p.set_defaults(fn=cmd_oracle)
 
     p = subs.add_parser("gen", help="generate instances")

@@ -292,8 +292,6 @@ def reduce_is_to_global_strong(g: SimpleGraph, k: int) -> GeneratedInstance:
     k corresponds to a matching strongly stable in the k picked layers."""
     if not 1 <= k <= g.n:
         raise BadParameters(f"need 1 <= k <= {g.n}, got {k}")
-    if g.n < 1:
-        raise BadParameters("the source graph needs at least one vertex")
     edges = g.sorted_edges()
     names = [f"e{u}-{v}.{r}" for u, v in edges for r in (1, 2, 3, 4)]
     n = 4 * len(edges)

@@ -137,15 +137,6 @@ def solve_weak_lowalpha(inst: MultilayerInstance, alpha: int) -> Matching:
 # strong stability, symmetric approvals
 
 
-def _delete_agent(inst: MultilayerInstance, victim: int) -> MultilayerInstance:
-    masks = tuple(
-        {b if b < victim else b - 1: mask for b, mask in row.items() if b != victim}
-        for a, row in enumerate(inst.approval_masks)
-        if a != victim
-    )
-    return MultilayerInstance(inst.n - 1, inst.ell, masks)
-
-
 def _strong_matching(inst: MultilayerInstance, sel: int) -> Matching | None:
     """A matching strongly stable in every layer of the bit mask ``sel``, or
     None; approvals must be symmetric.
@@ -153,31 +144,37 @@ def _strong_matching(inst: MultilayerInstance, sel: int) -> Matching | None:
     Even n: such matchings are exactly the perfect matchings of the graph
     whose edges are the pairs that, in each selected layer, approve each
     other or both approve nobody.  Odd n: some agent must approve nobody in
-    any selected layer; delete the first and solve the even case.
+    any selected layer; delete one such agent and solve the even case.
+
+    Call an agent silent if it approves nobody in any selected layer.  By
+    symmetry nobody approves it there either, so its neighbours in the graph
+    are exactly the other silent agents: the graph is a clique on the silent
+    agents plus a graph on the rest, with no edge between the two.  So find a
+    perfect matching of the rest alone, and pair the silent agents in
+    ascending order, leaving the first single when their number is odd,
+    which with a perfect matching of the rest means n is odd.  The graph
+    has at most one edge per approving pair, none between silent agents.
     """
     masks = inst.approval_masks
-    full = (1 << inst.ell) - 1
-    # per agent, the layers where it approves nobody
-    lone = [full & ~reduce(or_, ma.values(), 0) for ma in masks]
-    silent = [a for a in range(inst.n) if lone[a] & sel == sel]
-    if inst.n % 2 == 1:
-        if not silent:
-            return None
-        victim = silent[0]
-        sub = _strong_matching(_delete_agent(inst, victim), sel)
-        if sub is None:
-            return None
-        lift = lambda a: a if a < victim else a + 1
-        return Matching.from_pairs((lift(a), lift(b)) for a, b in sub.pairs)
+    # per agent, the layers where it approves somebody
+    busy = [reduce(or_, ma.values(), 0) for ma in masks]
+    silent = [a for a in range(inst.n) if not busy[a] & sel]
+    rest = [a for a in range(inst.n) if busy[a] & sel]
+    index = {a: i for i, a in enumerate(rest)}
     # approvals are symmetric, so a's mask towards b is the pair's mutual
-    # mask; pairs of silent agents are all edges and are added once, below
-    edges = list(itertools.combinations(silent, 2))
-    for a, ma in enumerate(masks):
-        for b, ab in ma.items():
-            both_lone = lone[a] & lone[b] & sel
-            if a < b and both_lone != sel and (ab | both_lone) & sel == sel:
-                edges.append((a, b))
-    return has_perfect_matching(SimpleGraph.from_edges(inst.n, edges))
+    # mask; a selected layer without it needs both a and b to approve nobody
+    edges = [
+        (index[a], index[b])
+        for a in rest
+        for b, ab in masks[a].items()
+        if a < b and b in index and not sel & ~ab & (busy[a] | busy[b])
+    ]
+    m = has_perfect_matching(SimpleGraph.from_edges(len(rest), edges))
+    if m is None:
+        return None
+    odd = len(silent) % 2
+    pairs = [(rest[u], rest[v]) for u, v in m.pairs]
+    return Matching.from_pairs(pairs + list(zip(silent[odd::2], silent[odd + 1::2])))
 
 
 def solve_strong_alllayers_symmetric(inst: MultilayerInstance) -> Matching | None:
@@ -512,9 +509,12 @@ def _changing_candidates(inst: MultilayerInstance):
     # approvals of non-changing agents are identical in all layers, so
     # the keys of their mask rows are their approvals in every layer
     masks = inst.approval_masks
-    approved_by: dict[int, frozenset[int]] = {
-        b: frozenset(a for a in static if b in masks[a]) for b in changing
-    }
+    # the unions of the static agents approving each subset of B, by doubling
+    unions = [frozenset()]
+    for b in changing:
+        approvers = frozenset(a for a in static if b in masks[a])
+        unions += [u | approvers for u in unions]
+    unions = set(unions)
 
     def graph_for(matched_b: set[int]) -> SimpleGraph:
         edges = []
@@ -530,8 +530,7 @@ def _changing_candidates(inst: MultilayerInstance):
     mcm_cands: list[Matching] = []
     seen_weak: set[tuple] = set()
     seen_mcm: set[tuple] = set()
-    beta = len(changing)
-    for partner in _iter_partner_arrays(beta):
+    for partner in _iter_partner_arrays(len(changing)):
         b_pairs = [
             (changing[i], changing[j]) for i, j in enumerate(partner) if j > i
         ]
@@ -551,17 +550,10 @@ def _changing_candidates(inst: MultilayerInstance):
             seen_mcm.add(cand.pairs)
             mcm_cands.append(cand)
         # weak: a maximal matching that saturates a guessed must-be-happy set
-        happy_sets = set()
-        for keep_mask in range(1 << len(free_b)):
-            kept = frozenset(
-                b for k, b in enumerate(free_b) if keep_mask >> k & 1
-            )
-            for c_mask in range(1 << beta):
-                chosen = [
-                    changing[k] for k in range(beta) if c_mask >> k & 1
-                ]
-                happy = kept.union(*(approved_by[b] for b in chosen)) if chosen else kept
-                happy_sets.add(happy)
+        kept_sets = [frozenset()]
+        for b in free_b:
+            kept_sets += [k | {b} for k in kept_sets]
+        happy_sets = {k | u for k in kept_sets for u in unions}
         for happy in sorted(happy_sets, key=sorted):
             sat = saturating_matching(g, happy)
             if sat is None:

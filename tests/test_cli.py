@@ -259,6 +259,22 @@ def test_missing_alpha_exit_two(ex1_file, m1_file, capsys):
     assert main(["check", ex1_file, m1_file, "--base", "weak", "--agg", "pair"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--agg", "all", "--alpha", "1"], "all-layers takes no alpha"),
+        (["--agg", "pair"], "pair aggregation requires alpha"),
+    ],
+    ids=["alpha-with-all", "pair-without-alpha"],
+)
+def test_query_flags_never_reinterpreted(ex1_file, capsys, flags, message):
+    assert main(["solve", ex1_file, "--base", "weak", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"] == message
+
+
 def test_duplicate_agent_names_exit_two(tmp_path, m1_file, capsys):
     bad = tmp_path / "dup.json"
     bad.write_text(json.dumps({"agents": ["a", "a"], "layers": [{}]}))
@@ -423,5 +439,8 @@ def test_cli_import_loads_no_networkx():
     # a fresh interpreter: the test process itself may have loaded anything
     src = str(Path(mlsm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, mlsm.cli; assert 'networkx' not in sys.modules"
+    code = (
+        "import sys, mlsm.cli; "
+        "assert not {'networkx', 'mlsm.bench', 'mlsm.reductions'} & set(sys.modules)"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

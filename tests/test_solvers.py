@@ -10,11 +10,11 @@ import pytest
 import mlsm.solvers as solvers
 from mlsm.errors import AlphaTooHigh, AlphaTooLow, BadParameters, MlsmError, NotSymmetric, UncertifiedWitness
 from mlsm.model import agent_types, build_instance, changing_agents
-from mlsm.oracle import OracleBudget, existence_table, oracle_layer_superstable
+from mlsm.oracle import OracleBudget, _iter_partner_arrays, existence_table, oracle_layer_superstable
 from mlsm.reductions import gen_random, reduce_is_to_global_strong
 from mlsm.bench import _exists_by_oracle, symmetric_lowbeta_instance
 from mlsm.blocking import Matching
-from mlsm.graphalg import SimpleGraph, has_perfect_matching
+from mlsm.graphalg import SimpleGraph, has_perfect_matching, saturating_matching
 from mlsm.solvers import (
     SOLVERS,
     _strong_matching,
@@ -214,6 +214,35 @@ def test_strong_solvers_match_definition():
     assert outcomes == {(0, False), (0, True), (1, False), (1, True)}
 
 
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_strong_graph_skips_silent_agents(n, monkeypatch):
+    # agents 0-3 approve each other in all five layers, the rest nobody
+    ell, talkers = 5, range(4)
+    layer = [{b for b in talkers if b != a} if a in talkers else set() for a in range(n)]
+    inst = build_instance(n, ell, [layer] * ell)
+    graphs = []
+
+    def recording(g):
+        graphs.append(g)
+        return has_perfect_matching(g)
+
+    monkeypatch.setattr(solvers, "has_perfect_matching", recording)
+    results = [(solve_strong_alllayers_symmetric(inst), StabilityQuery("strong", "all"))]
+    for alpha in range(1, ell + 1):
+        res = solve_strong_global_symmetric(inst, alpha)
+        assert res.witness_layers == frozenset(range(alpha))
+        results.append((res.matching, StabilityQuery("strong", "global", alpha)))
+    assert len(graphs) == ell + 1
+    for g in graphs:
+        assert g.n == len(talkers)  # only the non-silent agents are vertices
+        assert len(g.edges) <= 6  # at most one edge per approving pair
+    for m, q in results:
+        single = [a for a in range(n) if not m.covers(a)]
+        assert single == ([4] if n % 2 else [])
+        assert m.has_pair(0, 1) and m.has_pair(2, 3)
+        assert check(inst, m, q).stable
+
+
 # ---------------------------------------------------------------------------
 # super stability
 
@@ -394,6 +423,47 @@ def test_changing_lowbeta_vs_oracle():
             assert solve_by_changing(inst, q).exists == _exists_by_oracle(
                 table, q, inst.ell
             )
+
+
+def _weak_candidates_by_definition(inst):
+    """The weak candidates of the changing-agents search, spelled out: per
+    pairing of the changing agents B, the static graph without the matched
+    ones; per kept subset of the free ones and per subset C of B, the happy
+    set is the kept agents plus every static agent approving someone in C."""
+    changing = sorted(changing_agents(inst).agents)
+    static = [a for a in range(inst.n) if a not in changing]
+    approvals = inst.approvals[0]  # static rows agree in every layer
+    out = []
+    for partner in _iter_partner_arrays(len(changing)):
+        b_pairs = [(changing[i], changing[j]) for i, j in enumerate(partner) if j > i]
+        matched = {a for pair in b_pairs for a in pair}
+        free = [b for b in changing if b not in matched]
+        g = SimpleGraph.from_edges(inst.n, [
+            (a, c) for a in static for c in approvals[a] if c not in matched
+        ])
+        happy_sets = set()
+        for keep in range(1 << len(free)):
+            kept = {b for k, b in enumerate(free) if keep >> k & 1}
+            for pick in range(1 << len(changing)):
+                chosen = [b for k, b in enumerate(changing) if pick >> k & 1]
+                happy_sets.add(frozenset(kept.union(
+                    *({a for a in static if b in approvals[a]} for b in chosen)
+                )))
+        for happy in sorted(happy_sets, key=sorted):
+            sat = saturating_matching(g, happy)
+            if sat is not None:
+                cand = Matching.from_pairs(b_pairs + list(sat.pairs))
+                if cand not in out:
+                    out.append(cand)
+    return tuple(out)
+
+
+def test_changing_weak_candidates_match_definition():
+    rng = random.Random(43)
+    for _ in range(40):
+        inst = symmetric_lowbeta_instance(rng, rng.randint(2, 8), rng.randint(1, 4), 3)
+        weak, _ = solvers._changing_candidates(inst)
+        assert weak == _weak_candidates_by_definition(inst)
 
 
 # ---------------------------------------------------------------------------
