@@ -1,9 +1,15 @@
 """Exhaustive ground truth at desk scale.
 
 Enumerates every matching of an instance (the telephone-number count T(n)),
-decides arbitrary queries by brute force, and lists per-layer super-stable
-matchings.  The point of this module is being obviously correct; solvers and
-generators are validated against it.
+decides arbitrary queries, and lists per-layer super-stable matchings.
+
+``oracle_solve`` is the one search that prunes: a branch and bound over
+partial matchings that returns the first stable matching of the canonical
+order.  ``enumerate_matchings``, ``oracle_all``, ``oracle_layer_superstable``
+and ``existence_table`` visit every matching and stay plain, so that they are
+obviously correct: ``oracle_all`` with ``check`` is the specification the
+tests hold ``oracle_solve`` to.  Solvers and generators are validated against
+this module.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Iterator
 from .blocking import BASES, Matching, block_mask, stable_in_layer, support_mask
 from .errors import BadParameters, BudgetExceeded
 from .model import MultilayerInstance
-from .verify import StabilityQuery, check
+from .verify import StabilityQuery, _violation, check
 
 __all__ = [
     "OracleBudget",
@@ -30,6 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleBudget:
+    """Size bounds of the exhaustive searches; exceeding one raises
+    ``BudgetExceeded``.
+
+    ``max_agents`` bounds n.  ``max_matchings`` bounds the complete matchings
+    that ``enumerate_matchings`` (and so ``oracle_all``) yields, and the
+    search nodes of ``oracle_solve``: the partial matchings it extends.
+    """
+
     max_agents: int = 12
     max_matchings: int | None = None
 
@@ -103,12 +117,89 @@ def oracle_solve(
     q: StabilityQuery,
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> Matching | None:
-    """First matching satisfying the query in canonical order, or None."""
-    q.effective_alpha(inst.ell)
-    for m in enumerate_matchings(inst.n, budget):
-        if check(inst, m, q).stable:
-            return m
-    return None
+    """First matching satisfying the query in canonical order, or None.
+
+    Branch and bound over partial partner arrays, decided in the order of
+    ``_iter_partner_arrays``.  Once both agents of an unmatched pair are
+    decided, both happy masks are final and so is what the pair costs the
+    query: its blocked layers under global and all-layers, and every layer
+    when it violates a pair or individual query.  A branch is cut when the
+    OR of its pairs' costs exceeds ell - alpha layers; every completion
+    keeps those pairs, so none of its matchings is stable.  A complete
+    matching that survives is stable by the definition ``check`` uses, and
+    the first one is the first of ``oracle_all``.
+    """
+    alpha = q.effective_alpha(inst.ell)
+    _check_budget(inst.n, budget)
+    n, ell, base = inst.n, inst.ell, q.base
+    full = (1 << ell) - 1
+    slack = ell - alpha
+    masks = inst.approval_masks
+    if q.agg in ("all", "global"):
+        def cost(sa, sb, ha, hb):
+            return block_mask(base, sa, sb, ha, hb, full)
+    else:
+        violates = _violation(q, ell)
+
+        def cost(sa, sb, ha, hb):
+            return full if violates(sa, sb, ha, hb) else 0
+
+    partner = [-1] * n
+    happy = [0] * n
+    free = [True] * n
+    decided: list[int] = []
+    nodes = 0
+
+    def settle(x: int, blocked: int) -> int | None:
+        """Decide x: OR in its pairs with the decided agents other than its
+        partner, or None once the costs exceed the slack."""
+        row, hx, px = masks[x], happy[x], partner[x]
+        for y in decided:
+            if y != px:
+                blocked |= cost(row.get(y, 0), masks[y].get(x, 0), hx, happy[y])
+                if blocked.bit_count() > slack:
+                    return None
+        decided.append(x)
+        return blocked
+
+    def branch(a: int, b: int, blocked: int) -> Matching | None:
+        """Decide a, single (b == -1) or paired with b, and search on."""
+        depth = len(decided)
+        grown = settle(a, blocked)
+        if grown is not None and b != -1:
+            grown = settle(b, grown)
+        found = None if grown is None else rec(a + 1, grown)
+        del decided[depth:]
+        return found
+
+    def rec(a: int, blocked: int) -> Matching | None:
+        nonlocal nodes
+        while a < n and not free[a]:
+            a += 1
+        if a == n:
+            return _to_matching(partner)
+        nodes += 1
+        if budget.max_matchings is not None and nodes > budget.max_matchings:
+            raise BudgetExceeded(
+                f"searched more than max_matchings={budget.max_matchings} partial matchings"
+            )
+        free[a] = False
+        found = branch(a, -1, blocked)  # leave a single
+        for b in range(a + 1, n):
+            if found is not None:
+                break
+            if free[b]:
+                free[b] = False
+                partner[a], partner[b] = b, a
+                happy[a], happy[b] = masks[a].get(b, 0), masks[b].get(a, 0)
+                found = branch(a, b, blocked)
+                free[b] = True
+                partner[a] = partner[b] = -1
+                happy[a] = happy[b] = 0
+        free[a] = True
+        return found
+
+    return rec(0, 0)
 
 
 def oracle_all(
@@ -145,9 +236,9 @@ def existence_table(
     for "strong" is -1 (notion undefined).
 
     One pass over all matchings, with per-pair layer sets packed into ell-bit
-    integers for ``block_mask`` and ``support_mask``; this is the batched
-    form of oracle_solve used by the randomized comparison suites (their
-    agreement is itself under test).
+    integers for ``block_mask`` and ``support_mask``.  The randomized
+    comparison suites use it, and its agreement with ``oracle_solve`` is
+    itself under test.
     """
     _check_budget(inst.n, budget)
     n, ell = inst.n, inst.ell

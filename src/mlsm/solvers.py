@@ -16,7 +16,7 @@ from operator import or_
 from typing import Callable
 
 from .blocking import Matching, stable_in_layer
-from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, NotSymmetric, UncertifiedWitness
+from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, NotSymmetric, UncertifiedWitness
 from .graphalg import SimpleGraph, has_perfect_matching, maximal_matching, maximum_matching, saturating_matching
 from .model import MultilayerInstance, agent_types, changing_agents, is_symmetric
 from .oracle import DEFAULT_BUDGET, OracleBudget, _iter_partner_arrays, oracle_solve
@@ -686,7 +686,10 @@ def dispatch(
                 f"no complete algorithm applies: tau={facts.tau} > {TAU_DISPATCH_MAX}, "
                 f"{changing}, n={inst.n} > oracle budget {budget.max_agents}",
             )
-        m = oracle_solve(inst, q, budget)
+        try:
+            m = oracle_solve(inst, q, budget)
+        except BudgetExceeded as exc:
+            return SolveResult.undecided("oracle", f"oracle budget exceeded: {exc}")
         res = SolveResult.none("oracle") if m is None else SolveResult.found("oracle", m)
     if not res.exists:
         return res

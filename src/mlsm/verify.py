@@ -88,17 +88,14 @@ class Verdict:
     supports: tuple[int, int] | None = None
 
 
-def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
-    """Decide whether the matching satisfies the queried stability notion."""
-    alpha = q.effective_alpha(inst.ell)
-    require_ids(inst, m._partner)
-    if q.agg in ("all", "global"):
-        layers = stable_layers(inst, m, q.base)
-        return Verdict(len(layers) >= alpha, q, witness_layers=layers)
-    full = (1 << inst.ell) - 1
+def _violation(q: StabilityQuery, ell: int):
+    """For a pair or individual query, the test ``violates(sa, sb, ha, hb)``
+    that an unmatched pair breaks it (ell-bit masks as in ``block_mask``)."""
+    alpha = q.effective_alpha(ell)
+    full = (1 << ell) - 1
     base = q.base
     if q.agg == "pair":
-        slack = inst.ell - alpha  # the most layers a complying pair blocks
+        slack = ell - alpha  # the most layers a complying pair blocks
 
         def violates(sa, sb, ha, hb):
             return block_mask(base, sa, sb, ha, hb, full).bit_count() > slack
@@ -110,7 +107,20 @@ def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
                 support_mask(base, sa, ha, full).bit_count(),
                 support_mask(base, sb, hb, full).bit_count(),
             ) < alpha
-    found = _least_violation(inst, m, base, violates)
+
+    return violates
+
+
+def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
+    """Decide whether the matching satisfies the queried stability notion."""
+    alpha = q.effective_alpha(inst.ell)
+    require_ids(inst, m._partner)
+    if q.agg in ("all", "global"):
+        layers = stable_layers(inst, m, q.base)
+        return Verdict(len(layers) >= alpha, q, witness_layers=layers)
+    full = (1 << inst.ell) - 1
+    base = q.base
+    found = _least_violation(inst, m, base, _violation(q, inst.ell))
     if found is None:
         return Verdict(True, q)
     a, b, sa, sb, ha, hb = found

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mlsm.blocking import weak_char_check
 from mlsm.errors import BudgetExceeded
@@ -15,7 +17,7 @@ from mlsm.oracle import (
 )
 from mlsm.reductions import gen_random
 from mlsm.bench import _exists_by_oracle
-from mlsm.verify import StabilityQuery, all_queries
+from mlsm.verify import StabilityQuery, all_queries, check
 
 
 def _telephone(n: int) -> int:
@@ -46,6 +48,39 @@ def test_enumeration_budget():
         list(enumerate_matchings(20))
     with pytest.raises(BudgetExceeded):
         list(enumerate_matchings(6, OracleBudget(max_matchings=10)))
+
+
+def test_oracle_solve_budget_counts_search_nodes():
+    # a pruned search reaches few complete matchings, so the budget bounds
+    # the partial matchings it extends: T(12) = 140 152 matchings here
+    inst = gen_random(12, 3, 0.8, seed=1)
+    budget = OracleBudget(max_matchings=1000)
+    for q in all_queries(inst.ell):
+        found = oracle_solve(inst, q, budget)
+        assert found is None or check(inst, found, q).stable
+        with pytest.raises(BudgetExceeded, match="max_matchings=1 "):
+            oracle_solve(inst, q, OracleBudget(max_matchings=1))
+
+
+@given(
+    st.tuples(
+        st.integers(1, 8),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.15, 0.4, 0.8, 1.0]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+)
+@example((8, 4, 0.0, False, False, 0))
+@example((8, 4, 1.0, False, False, 0))
+@example((8, 3, 0.8, True, False, 1))
+@settings(max_examples=60, deadline=None)
+def test_oracle_solve_is_first_of_oracle_all(params):
+    n, ell, p, symmetric, bipartite, seed = params
+    inst = gen_random(n, ell, p, symmetric, bipartite, seed)
+    for q in all_queries(ell):
+        assert oracle_solve(inst, q) == next(iter(oracle_all(inst, q)), None)
 
 
 def test_oracle_solve_fixture(ex1, m1):

@@ -533,6 +533,17 @@ def test_dispatch_unknown_when_out_of_reach():
     assert f"tau={tau} > 3, beta={beta} > 5, n=30 > oracle budget 8" in r.detail
 
 
+def test_dispatch_unknown_when_oracle_budget_runs_out():
+    # dense and asymmetric, so only the oracle applies; it stops at once
+    q = StabilityQuery("weak", "all")
+    inst = gen_random(9, 3, 0.8, seed=4)
+    assert agent_types(inst).tau > 3
+    r = dispatch(inst, q, OracleBudget(max_matchings=1))
+    assert (r.status, r.algorithm, r.matching) == ("unknown", "oracle", None)
+    assert "oracle budget exceeded" in r.detail and "max_matchings=1" in r.detail
+    assert dispatch(inst, q).status != "unknown"
+
+
 @pytest.mark.parametrize(
     "route, solver, q",
     [
