@@ -9,10 +9,10 @@ The weak/strong/super blocking rule and the individual clause live in
 layer is the one-bit case.
 
 ``stable_layers``, ``stable_in_layer`` and ``check`` scan only the pairs that
-approve somewhere (``MultilayerInstance.approving_pairs``).  Silent pairs,
-which approve nowhere, never weakly or strongly block; under super they are
-counted per layer, or searched for by grouping agents by happy mask, and
-never visited one by one.
+approve somewhere, in at most one pass over ``approval_masks`` and with no
+pair table.  Silent pairs, which approve nowhere, never weakly or strongly
+block; under super they are counted per layer, or searched for by grouping
+agents by happy mask, and never visited one by one.
 """
 
 from __future__ import annotations
@@ -170,21 +170,22 @@ def _happy_masks(inst: MultilayerInstance, m: Matching) -> list[int]:
 
 
 def _approving(inst: MultilayerInstance, m: Matching):
-    """Yield ``(a, b, sa, sb, ha, hb)`` for every unmatched pair a < b that
-    approves in some layer, in lexicographic order, with ell-bit masks as in
-    ``block_mask``.  Happy masks are computed when first needed."""
+    """Yield ``(a, b, sa, sb, ha, hb)`` once for every unmatched pair a < b
+    that approves in some layer (ell-bit masks as in ``block_mask``), from
+    a's mask row, or from b's if only b approves: not in lexicographic order."""
     masks = inst.approval_masks
     partner = m._partner
-    happy: list[int | None] = [None] * inst.n
-    for a, row in enumerate(inst.approving_pairs):
+    happy = _happy_masks(inst, m)
+    for a, row in enumerate(masks):
         pa = partner.get(a)
-        ha = masks[a].get(pa, 0)
-        for b, (sa, sb) in row.items():
-            if b != pa:
-                hb = happy[b]
-                if hb is None:
-                    hb = happy[b] = masks[b].get(partner.get(b), 0)
-                yield a, b, sa, sb, ha, hb
+        ha = happy[a]
+        for b, s in row.items():
+            if b == pa:
+                continue
+            if a < b:
+                yield a, b, s, masks[b].get(a, 0), ha, happy[b]
+            elif a not in masks[b]:
+                yield b, a, 0, s, happy[b], ha
 
 
 def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int:
@@ -223,26 +224,27 @@ def _least_silent(inst: MultilayerInstance, m: Matching, violates, stop):
 
     Agents are grouped by happy mask; a row keeps the groups that violate
     with it and takes the least member of each above it that is neither its
-    partner nor in its approving row.
+    partner nor in its mask row, nor lists a in its own.
     """
     n = inst.n
     last, bound = (stop[0], stop[1]) if stop is not None else (n - 1, n)
-    rows = inst.approving_pairs
+    masks = inst.approval_masks
     partner = m._partner
     happy = groups = None  # built on first need
     fits: dict[int, list[list[int]]] = {}  # happy mask of a -> violating groups
     for a in range(last + 1):
         limit = bound if a == last else n
-        row = rows[a]
+        row = masks[a]
         pa = partner.get(a)
-        # is some b in (a, limit) silent?  Each step that says no passes a
-        # key of the row or the partner, so this costs O(len(row)).
+        # is some b in (a, limit) silent?  Each step that says no passes the
+        # partner, an agent a approves or one that approves a, so this costs
+        # O(out- plus in-degree of a).
         for b in range(a + 1, limit):
-            if b != pa and b not in row:
+            if b != pa and b not in row and a not in masks[b]:
                 break
         else:
             continue
-        ha = inst.approval_masks[a].get(pa, 0)
+        ha = row.get(pa, 0)
         lists = fits.get(ha)
         if lists is None:
             if groups is None:
@@ -257,7 +259,7 @@ def _least_silent(inst: MultilayerInstance, m: Matching, violates, stop):
                 b = g[i]
                 if b >= best:
                     break
-                if b != pa and b not in row:
+                if b != pa and b not in row and a not in masks[b]:
                     best = b
                     break
         if best < limit:
@@ -270,22 +272,26 @@ def _least_violation(inst: MultilayerInstance, m: Matching, base: str, violates)
     ``(a, b, sa, sb, ha, hb)``, for which ``violates(sa, sb, ha, hb)``, or
     None.
 
-    Only pairs that approve somewhere are visited.  Silent pairs
-    (``sa == sb == 0``) never weakly or strongly block and have weak support
-    ell, so they are searched for only under super, and only before the
-    least approving violation.
+    One pass over the approving pairs keeps the least violation so far and
+    skips every pair above it.  Silent pairs (``sa == sb == 0``) never weakly or strongly
+    block and have weak support ell, so they are searched for only under
+    super, and only before the least approving violation.
     """
     first = None
+    fa = fb = inst.n  # the least violating pair so far; none yet
     complying = set()  # mask tuples already seen not to violate
     for a, b, sa, sb, ha, hb in _approving(inst, m):
+        if a > fa or a == fa and b >= fb:
+            continue
         key = sa, sb, ha, hb
         if key in complying:
             continue
         if violates(sa, sb, ha, hb):
             first = a, b, sa, sb, ha, hb
-            break
-        complying.add(key)
-    if base != "super" or (first is not None and first[:2] == (0, 1)):
+            fa, fb = a, b
+        else:
+            complying.add(key)
+    if base != "super" or (fa, fb) == (0, 1):
         return first  # no pair precedes (0, 1)
     return _least_silent(inst, m, violates, first) or first
 

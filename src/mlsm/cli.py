@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .blocking import BASES, Matching
 from .errors import MalformedDocument, MlsmError
-from .model import MultilayerInstance, build_instance
+from .model import MultilayerInstance, _check_shape, _refuse_self_approvals
 from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_all, oracle_solve
 from .solvers import dispatch
 from .verify import AGGREGATIONS, StabilityQuery, check
@@ -72,24 +72,27 @@ def instance_from_doc(doc: dict) -> MultilayerInstance:
         raise MalformedDocument('"agents" must list agent names as strings')
     if len(set(names)) != len(names):
         raise MalformedDocument("agent names must be unique")
+    layers = _expect(doc.get("layers"), list, '"layers"')
+    ell = len(layers)
+    names = _check_shape(len(names), ell, ell, names)
     index = {name: a for a, name in enumerate(names)}
-    layers = []
-    for i, layer in enumerate(_expect(doc.get("layers"), list, '"layers"')):
+    masks: list[dict[int, int]] = [{} for _ in names]
+    # names map straight to mask rows: the index holds only valid ids
+    for i, layer in enumerate(layers):
         _expect(layer, dict, f"layer {i + 1}")
-        sets: list[list[int]] = [[] for _ in names]
+        bit = 1 << i
         for name, approved in layer.items():
             if not isinstance(approved, list):
                 raise MalformedDocument(f"approvals in layer {i + 1} must be arrays")
             try:
-                row = sets[index[name]]
+                row = masks[index[name]]
                 for other in approved:
-                    row.append(index[other])
+                    b = index[other]
+                    row[b] = row.get(b, 0) | bit
             except (KeyError, TypeError) as exc:  # TypeError: unhashable name
-                raise MalformedDocument(
-                    f"unknown agent in layer {i + 1}: {exc}"
-                ) from None
-        layers.append(sets)
-    return build_instance(len(names), len(layers), layers, names)
+                raise MalformedDocument(f"unknown agent in layer {i + 1}: {exc}") from None
+        _refuse_self_approvals(masks, i, names)
+    return MultilayerInstance(len(names), ell, tuple(masks), names)
 
 
 def matching_to_doc(inst: MultilayerInstance, m: Matching) -> dict:

@@ -1,13 +1,15 @@
 """Multilayer approval instances and their structural analysis.
 
 An instance has ``n`` agents (indices ``0..n-1``) and ``ell`` layers; in each
-layer every agent approves a subset of the other agents.  The stored form is
-one approval mask per ordered pair that approves somewhere: bit ``i`` of
-``approval_masks[a][b]`` says a approves b in layer ``i``.  ``build_instance``
-validates the approvals and builds the masks in one pass; the per-layer sets
-(``approvals``) are a view built on first use, for I/O and the readable
-specifications.  Instances are immutable after construction and compare by
-value, so they can be shared freely and used as cache keys.
+layer every agent approves a subset of the other agents.  The stored form, and
+all the checker reads, is one approval mask per ordered pair that approves
+somewhere: bit ``i`` of ``approval_masks[a][b]`` says a approves b in layer
+``i``.  ``build_instance`` (from ids) and ``cli.instance_from_doc`` (from
+names) OR each approval's layer bit into its row in one pass, under the shape
+and self-approval rules defined here.  The per-layer sets (``approvals``) are
+a view built on first use, for I/O and the readable specifications.
+Instances are immutable and compare by value, so they can be shared freely
+and used as cache keys.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ class MultilayerInstance:
     some layer, with bit ``i`` of ``mask`` set iff a approves b in layer
     ``i``; masks are never 0 and callers must not mutate the rows.  Display
     names are carried only for I/O; algorithms work on indices.  Build
-    instances with ``build_instance``, which validates them.
+    instances with ``build_instance`` or, from a document,
+    ``cli.instance_from_doc``; both validate them.
     """
 
     n: int
@@ -82,22 +85,6 @@ class MultilayerInstance:
         )
 
     @cached_property
-    def approving_pairs(self) -> tuple[dict[int, tuple[int, int]], ...]:
-        """Per agent ``a``, ``{b: (sa, sb)}`` over the ``b > a`` where either
-        agent approves the other in some layer, keys ascending; ``sa`` is a's
-        approval mask towards b and ``sb`` b's towards a.  Built once per
-        instance from ``approval_masks``; callers must not mutate it."""
-        masks = self.approval_masks
-        rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(self.n)]
-        for a, ma in enumerate(masks):
-            for b, ab in ma.items():
-                if a < b:
-                    rows[a][b] = (ab, masks[b].get(a, 0))
-                elif a not in masks[b]:
-                    rows[b][a] = (0, ab)
-        return tuple({b: row[b] for b in sorted(row)} for row in rows)
-
-    @cached_property
     def symmetric(self) -> bool:
         """True iff every approval is mutual in its layer: each pair's
         approval masks agree in both directions."""
@@ -134,22 +121,9 @@ def build_instance(
 
     ``approvals`` is indexed ``[layer][agent]``; missing trailing agents in a
     layer are treated as approving nobody.  Duplicate ids are merged
-    silently; self-approvals and out-of-range ids are rejected.  This is the
-    one place that validates approvals.
+    silently; self-approvals and out-of-range ids are rejected.
     """
-    if n < 0:
-        raise IdOutOfRange(f"agent count must be nonnegative, got {n}")
-    if ell < 1:
-        raise IdOutOfRange(f"layer count must be at least 1, got {ell}")
-    if len(approvals) != ell:
-        raise IdOutOfRange(
-            f"expected {ell} layers of approvals, got {len(approvals)}"
-        )
-    frozen_names = None
-    if names is not None:
-        if len(names) != n:
-            raise IdOutOfRange(f"expected {n} names, got {len(names)}")
-        frozen_names = tuple(names)
+    frozen_names = _check_shape(n, ell, len(approvals), names)
     masks: list[dict[int, int]] = [{} for _ in range(n)]
     for i, layer in enumerate(approvals):
         if len(layer) > n:
@@ -160,10 +134,31 @@ def build_instance(
             for b in ids:
                 if type(b) is not int or not 0 <= b < n:  # bool is no agent id
                     raise IdOutOfRange(f"approval {b!r} of agent {a} in layer {i}")
-                if b == a:
-                    raise SelfApproval(a, i, None if names is None else names[a])
                 row[b] = row.get(b, 0) | bit
+        _refuse_self_approvals(masks, i, names)
     return MultilayerInstance(n, ell, tuple(masks), frozen_names)
+
+
+def _check_shape(n: int, ell: int, layers: int, names: Sequence[str] | None) -> tuple[str, ...] | None:
+    """The shape rules of every instance builder: ``n >= 0``, ``ell >= 1``,
+    ``layers == ell`` and one name per agent.  Returns the names as a tuple."""
+    if n < 0:
+        raise IdOutOfRange(f"agent count must be nonnegative, got {n}")
+    if ell < 1:
+        raise IdOutOfRange(f"layer count must be at least 1, got {ell}")
+    if layers != ell:
+        raise IdOutOfRange(f"expected {ell} layers of approvals, got {layers}")
+    if names is not None and len(names) != n:
+        raise IdOutOfRange(f"expected {n} names, got {len(names)}")
+    return None if names is None else tuple(names)
+
+
+def _refuse_self_approvals(masks: list[dict[int, int]], layer: int, names: Sequence[str] | None) -> None:
+    """The self-approval rule, tested once per agent after layer ``layer``
+    is ORed into the mask rows."""
+    for a, row in enumerate(masks):
+        if a in row:
+            raise SelfApproval(a, layer, None if names is None else names[a])
 
 
 def is_symmetric(inst: MultilayerInstance) -> bool:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mlsm.blocking import (
     BASES,
     Matching,
+    _approving,
     blocks,
     is_happy,
     stable_in_layer,
@@ -99,6 +100,40 @@ def test_approval_masks(ex1):
         assert blocks(ex1, Matching(()), (0, 1), 2, base) == blocks(
             ex1, with_c, (0, 1), 2, base
         )
+
+
+def test_approving_scan_matches_definition():
+    rng = random.Random(5)
+    for _ in range(40):
+        inst = gen_random(
+            rng.randint(0, 12),
+            rng.randint(1, 4),
+            rng.choice([0.1, 0.3]),
+            symmetric=rng.random() < 0.5,
+            seed=rng.getrandbits(30),
+        )
+        n = inst.n
+        order = list(range(n))
+        rng.shuffle(order)
+        k = rng.randint(0, n // 2)
+        m = Matching.from_pairs(zip(order[0 : 2 * k : 2], order[1 : 2 * k : 2]))
+
+        def mask(x, y):
+            return sum(1 << i for i, lay in enumerate(inst.approvals) if y in lay[x])
+
+        def happy(x):
+            p = m.partner(x)
+            return 0 if p is None else mask(x, p)
+
+        rows = list(_approving(inst, m))
+        assert len({(a, b) for a, b, *_ in rows}) == len(rows)  # each pair once
+        want = {
+            (a, b): (mask(a, b), mask(b, a), happy(a), happy(b))
+            for a in range(n)
+            for b in range(a + 1, n)
+            if not m.has_pair(a, b) and (mask(a, b) or mask(b, a))
+        }
+        assert {(a, b): tuple(rest) for a, b, *rest in rows} == want
 
 
 def test_is_happy(ex1, m1):

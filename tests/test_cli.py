@@ -17,7 +17,14 @@ from mlsm.cli import (
     matching_from_doc,
     matching_to_doc,
 )
-from mlsm.errors import BadParameters, MalformedDocument, MalformedFormula, MlsmError
+from mlsm.errors import (
+    BadParameters,
+    IdOutOfRange,
+    MalformedDocument,
+    MalformedFormula,
+    MlsmError,
+    SelfApproval,
+)
 from mlsm.reductions import gen_random, parse_dimacs, parse_edge_list
 
 
@@ -317,6 +324,37 @@ def test_self_approval_message_uses_cli_numbering(tmp_path, capsys):
     assert err == "agent 'a' approves itself in layer 2"
 
 
+def test_empty_layer_list_exit_two(tmp_path, m1_file, capsys):
+    doc = {"agents": ["a", "b"], "layers": []}
+    with pytest.raises(IdOutOfRange):
+        instance_from_doc(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), m1_file, "--base", "weak", "--agg", "all"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "layer count must be at least 1, got 0"
+
+
+def test_self_approval_from_doc_names_agent_and_layer():
+    doc = {"agents": ["x", "y", "z"], "layers": [{"x": ["y"]}, {}, {"x": ["z"], "z": ["x", "z"]}]}
+    with pytest.raises(SelfApproval) as exc:
+        instance_from_doc(doc)
+    assert (exc.value.agent, exc.value.layer) == (2, 2)
+    assert str(exc.value) == "agent 'z' approves itself in layer 3"
+
+
+def test_self_approval_wins_over_a_later_unknown_name(tmp_path, capsys):
+    # the document is read layer by layer, so the first broken layer decides
+    doc = {"agents": ["a", "b"], "layers": [{"a": ["b", "a"]}, {"b": ["zz"]}]}
+    with pytest.raises(SelfApproval):
+        instance_from_doc(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", str(bad), "--base", "weak", "--agg", "all"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "agent 'a' approves itself in layer 1"
+
+
 @pytest.mark.parametrize(
     "doc",
     [[["a", "b"]], {"pairs": {"a": "b"}}, {"pairs": ["ab"]}, {"pairs": [["a", ["b"]]]}],
@@ -405,6 +443,31 @@ _MATCHING_DOCS = _or_junk(st.fixed_dictionaries({"pairs": _or_junk(st.lists(_or_
 def test_instance_doc_roundtrip_property(inst):
     assert instance_from_doc(instance_to_doc(inst)) == inst
     assert instance_from_doc(json.loads(json.dumps(instance_to_doc(inst)))) == inst
+
+
+@st.composite
+def _reshuffled_docs(draw):
+    """An instance and its document with every layer's keys and every
+    approval list shuffled, and some names repeated."""
+    inst = draw(_named_instances())
+    doc = instance_to_doc(inst)
+    layers = []
+    for layer in doc["layers"]:
+        items = draw(st.permutations(list(layer.items())))
+        out = {}
+        for name, approved in items:
+            repeats = draw(st.lists(st.sampled_from(approved), max_size=3))
+            out[name] = draw(st.permutations(approved + repeats))
+        layers.append(out)
+    return inst, {"agents": doc["agents"], "layers": layers}
+
+
+@given(_reshuffled_docs())
+@settings(max_examples=100, deadline=None)
+def test_instance_doc_order_and_repeats_ignored(case):
+    inst, doc = case
+    for back in (instance_from_doc(instance_to_doc(inst)), instance_from_doc(doc)):
+        assert back == inst and hash(back) == hash(inst)
 
 
 @given(_instances_with_matchings())

@@ -67,27 +67,6 @@ def test_symmetry(ex1, ex2):
     assert is_symmetric(build_instance(3, 2, [[set()] * 3, [set()] * 3]))
 
 
-def test_approving_pairs_matches_definition():
-    rng = random.Random(5)
-    for _ in range(40):
-        inst = gen_random(
-            rng.randint(0, 12),
-            rng.randint(1, 4),
-            rng.choice([0.1, 0.3]),
-            symmetric=rng.random() < 0.5,
-            seed=rng.getrandbits(30),
-        )
-
-        def mask(x, y):
-            return sum(1 << i for i, lay in enumerate(inst.approvals) if y in lay[x])
-
-        assert len(inst.approving_pairs) == inst.n
-        for a, row in enumerate(inst.approving_pairs):
-            assert list(row) == sorted(row)
-            want = {b: (mask(a, b), mask(b, a)) for b in range(a + 1, inst.n)}
-            assert row == {b: pair for b, pair in want.items() if pair != (0, 0)}
-
-
 def test_agent_types_fixture(ex2):
     partition = agent_types(ex2)
     assert partition.tau == 2
@@ -254,14 +233,26 @@ def test_equal_instances_share_solver_tables():
     assert _types_tables.cache_info().hits > hits
 
 
+_FIELDS = {"n", "ell", "approval_masks", "names"}
+
+
 def test_check_never_builds_the_approval_sets():
+    # on a freshly parsed instance, check builds nothing but the masks and
+    # dispatch at most the symmetry flag: no pair table, no approvals view
     rng = random.Random(8)
+    algorithms = set()
     for seed in range(6):
-        inst = instance_from_doc(instance_to_doc(gen_random(12, 3, 0.3, symmetric=seed % 2 == 0, seed=seed)))
-        m = Matching.from_pairs([(a, a + 1) for a in range(0, 12, 2) if rng.random() < 0.7])
-        for q in all_queries(inst.ell):
+        doc = instance_to_doc(gen_random(12, 3, 0.3, symmetric=seed % 2 == 0, seed=seed))
+        for q in all_queries(3):
+            inst = instance_from_doc(doc)
+            m = Matching.from_pairs([(a, a + 1) for a in range(0, 12, 2) if rng.random() < 0.7])
             check(inst, m, q)
-        assert "approvals" not in inst.__dict__
+            assert set(vars(inst)) == _FIELDS
+            inst = instance_from_doc(doc)
+            res = dispatch(inst, q)
+            algorithms.add(res.algorithm)
+            assert set(vars(inst)) <= _FIELDS | {"symmetric"}, res.algorithm
+    assert {"oracle", "super-global", "weak-lowalpha", "strong-alllayers-symmetric"} <= algorithms
     assert inst.approvals and "approvals" in inst.__dict__  # the view is lazy, not gone
 
 

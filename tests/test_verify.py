@@ -221,6 +221,43 @@ def test_check_matches_inline_definitions():
     assert {(False, False), (False, True), (True, False), (True, True)} <= seen
 
 
+def test_least_violation_approved_only_by_larger_agent():
+    # agent 2 approves 0 in both layers and 0 never approves 2, so the scan
+    # reaches (0, 2) from row 2, after (0, 3) from row 0, which also violates
+    # the 2-pair strong, 2-pair super and 2-individual super queries.  Agent
+    # 0 is happy in layer 1 only (layers from 0); 1-4 are unhappy everywhere.
+    layers = [
+        [{3}, set(), {0, 4}, {4}, {3}],
+        [{1}, set(), {0}, set(), set()],
+    ]
+    inst = build_instance(5, 2, layers)
+    m = Matching.from_pairs([(0, 1), (2, 3)])
+    expected = {
+        # weak needs mutual approval: only (3, 4), in layer 0
+        ("weak", "pair", 1): None,
+        ("weak", "pair", 2): ((3, 4), {0}, None),
+        ("weak", "individual", 1): None,
+        ("weak", "individual", 2): ((3, 4), {0}, (1, 1)),
+        ("strong", "pair", 1): None,
+        ("strong", "pair", 2): ((0, 2), {0}, None),
+        # the silent pair (1, 2) blocks both layers under super
+        ("super", "pair", 1): ((1, 2), {0, 1}, None),
+        ("super", "pair", 2): ((0, 2), {0}, None),
+        ("super", "individual", 1): ((1, 2), {0, 1}, (0, 0)),
+        ("super", "individual", 2): ((0, 2), {0}, (1, 0)),
+    }
+    for (base, agg, alpha), want in expected.items():
+        verdict = check(inst, m, StabilityQuery(base, agg, alpha))
+        if want is None:
+            assert verdict.stable
+            continue
+        pair, blocked, supports = want
+        assert not verdict.stable
+        assert verdict.violating_pair == pair
+        assert verdict.blocking_layers == frozenset(blocked)
+        assert verdict.supports == supports
+
+
 def _sparse_case(rng):
     """An instance with n <= 40, ell <= 6, approval density 0.03-0.15 and
     some silent agents (approving and approved by nobody), with a matching
