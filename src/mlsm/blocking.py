@@ -10,9 +10,12 @@ layer is the one-bit case.
 
 ``stable_layers``, ``stable_in_layer`` and ``check`` scan only the pairs that
 approve somewhere, in at most one pass over ``approval_masks`` and with no
-pair table.  Silent pairs, which approve nowhere, never weakly or strongly
-block; under super they are counted per layer, or searched for by grouping
-agents by happy mask, and never visited one by one.
+pair table, and decide each distinct ``(sa, sb, ha, hb)`` mask tuple of a
+scan once.  A pair or individual check reads no row that cannot hold a
+pair below the least violation found so far.  Silent pairs, which approve
+nowhere, never weakly or strongly block; under super they are counted per
+layer, or searched for by grouping agents by happy mask, and never visited
+one by one.
 """
 
 from __future__ import annotations
@@ -169,32 +172,56 @@ def _happy_masks(inst: MultilayerInstance, m: Matching) -> list[int]:
     return happy
 
 
-def _approving(inst: MultilayerInstance, m: Matching):
-    """Yield ``(a, b, sa, sb, ha, hb)`` once for every unmatched pair a < b
-    that approves in some layer (ell-bit masks as in ``block_mask``), from
-    a's mask row, or from b's if only b approves: not in lexicographic order."""
+def _approving(inst: MultilayerInstance, m: Matching, least: list[int] | None = None):
+    """Yield ``(a, b, key)``, ``key = (sa, sb, ha, hb)`` (ell-bit masks as in
+    ``block_mask``), once for every unmatched pair a < b that approves in
+    some layer, from a's mask row, or from b's if only b approves: row by
+    row, not in lexicographic order.
+
+    ``least``, if given, is the caller's least pair so far, ``[fa, fb]``,
+    which it may lower between yields.  A row a > fa can only add a lesser
+    pair (b, a) that only a approves, with b < fa, or b = fa while a < fb:
+    such a row is probed for those keys alone, and once fa = 0 and a >= fb
+    no later row is read.  Pairs not below ``least`` may still be yielded.
+    """
     masks = inst.approval_masks
     partner = m._partner
     happy = _happy_masks(inst, m)
     for a, row in enumerate(masks):
+        items = row.items()
+        if least is not None and a > least[0]:
+            fa, fb = least
+            keys = fa + 1 if a < fb else fa  # keys below this can precede
+            if not keys:
+                return
+            if keys < len(row):
+                items = [(b, row[b]) for b in range(keys) if b in row]
+            else:
+                items = [(b, s) for b, s in items if b < keys]
         pa = partner.get(a)
         ha = happy[a]
-        for b, s in row.items():
+        for b, s in items:
             if b == pa:
                 continue
             if a < b:
-                yield a, b, s, masks[b].get(a, 0), ha, happy[b]
+                yield a, b, (s, masks[b].get(a, 0), ha, happy[b])
             elif a not in masks[b]:
-                yield b, a, 0, s, happy[b], ha
+                yield b, a, (0, s, happy[b], ha)
 
 
 def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int:
     """The layers of ``want`` in which some unmatched pair blocks (other bits
-    may be set too).  The scan stops once all of ``want`` is blocked."""
+    may be set too).  ``block_mask`` runs once per distinct mask tuple of
+    the approving pairs, and the scan stops once all of ``want`` is
+    blocked."""
     full = (1 << inst.ell) - 1
     blocked = 0
-    for _, _, sa, sb, ha, hb in _approving(inst, m):
-        blocked |= block_mask(base, sa, sb, ha, hb, full)
+    seen = set()  # mask tuples already evaluated
+    for _, _, key in _approving(inst, m):
+        if key in seen:
+            continue
+        seen.add(key)
+        blocked |= block_mask(base, *key, full)
         if blocked & want == want:
             return blocked
     open_layers = want & ~blocked
@@ -272,23 +299,25 @@ def _least_violation(inst: MultilayerInstance, m: Matching, base: str, violates)
     ``(a, b, sa, sb, ha, hb)``, for which ``violates(sa, sb, ha, hb)``, or
     None.
 
-    One pass over the approving pairs keeps the least violation so far and
-    skips every pair above it.  Silent pairs (``sa == sb == 0``) never weakly or strongly
-    block and have weak support ell, so they are searched for only under
-    super, and only before the least approving violation.
+    One pass over the approving pairs keeps the least violation so far,
+    skips every pair above it and reads no row that cannot hold a lesser
+    one (see ``_approving``); ``violates`` runs once per distinct mask
+    tuple that complies.  Silent pairs (``sa == sb == 0``) never weakly or
+    strongly block and have weak support ell, so they are searched for only
+    under super, and only before the least approving violation.
     """
     first = None
     fa = fb = inst.n  # the least violating pair so far; none yet
+    least = [fa, fb]  # the same, shared with the scan
     complying = set()  # mask tuples already seen not to violate
-    for a, b, sa, sb, ha, hb in _approving(inst, m):
+    for a, b, key in _approving(inst, m, least):
         if a > fa or a == fa and b >= fb:
             continue
-        key = sa, sb, ha, hb
         if key in complying:
             continue
-        if violates(sa, sb, ha, hb):
-            first = a, b, sa, sb, ha, hb
-            fa, fb = a, b
+        if violates(*key):
+            first = (a, b) + key
+            fa, fb = least[:] = a, b
         else:
             complying.add(key)
     if base != "super" or (fa, fb) == (0, 1):

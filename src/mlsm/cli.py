@@ -103,7 +103,8 @@ def matching_to_doc(inst: MultilayerInstance, m: Matching) -> dict:
 
 def matching_from_doc(inst: MultilayerInstance, doc: dict) -> Matching:
     _expect(doc, dict, "a matching document")
-    index = {inst.name_of(a): a for a in range(inst.n)}
+    names = map(str, range(inst.n)) if inst.names is None else inst.names
+    index = dict(zip(names, range(inst.n)))
     pairs = []
     for pair in _expect(doc.get("pairs"), list, '"pairs"'):
         if not isinstance(pair, list) or len(pair) != 2:

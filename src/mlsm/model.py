@@ -26,6 +26,7 @@ __all__ = [
     "ChangingSet",
     "build_instance",
     "is_symmetric",
+    "mutual_pairs",
     "agent_types",
     "changing_agents",
     "same_type",
@@ -75,14 +76,7 @@ class MultilayerInstance:
 
     def mutual_edges(self, layer: int) -> list[tuple[int, int]]:
         """Unordered mutually-approving pairs of one layer, lexicographic."""
-        bit = 1 << layer
-        masks = self.approval_masks
-        return sorted(
-            (a, b)
-            for a, row in enumerate(masks)
-            for b, mask in row.items()
-            if a < b and mask & masks[b].get(a, 0) & bit
-        )
+        return mutual_pairs(self, 1 << layer)[layer]
 
     @cached_property
     def symmetric(self) -> bool:
@@ -159,6 +153,24 @@ def _refuse_self_approvals(masks: list[dict[int, int]], layer: int, names: Seque
     for a, row in enumerate(masks):
         if a in row:
             raise SelfApproval(a, layer, None if names is None else names[a])
+
+
+def mutual_pairs(inst: MultilayerInstance, sel: int) -> list[list[tuple[int, int]]]:
+    """Per layer, the unordered pairs that approve each other there,
+    lexicographic, for every layer of the bit mask ``sel`` (the other
+    layers' lists stay empty); one pass over the masks for all of them."""
+    masks = inst.approval_masks
+    out: list[list[tuple[int, int]]] = [[] for _ in range(inst.ell)]
+    for a, row in enumerate(masks):
+        for b, mask in row.items():
+            if a < b and (both := mask & masks[b].get(a, 0) & sel):
+                while both:
+                    low = both & -both
+                    out[low.bit_length() - 1].append((a, b))
+                    both ^= low
+    for pairs in out:
+        pairs.sort()
+    return out
 
 
 def is_symmetric(inst: MultilayerInstance) -> bool:

@@ -18,7 +18,7 @@ from typing import Callable
 from .blocking import Matching, stable_in_layer
 from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, NotSymmetric, UncertifiedWitness
 from .graphalg import SimpleGraph, has_perfect_matching, maximal_matching, maximum_matching, saturating_matching
-from .model import MultilayerInstance, agent_types, changing_agents, is_symmetric
+from .model import MultilayerInstance, agent_types, changing_agents, is_symmetric, mutual_pairs
 from .oracle import DEFAULT_BUDGET, OracleBudget, _iter_partner_arrays, oracle_solve
 from .verify import StabilityQuery, Verdict, check
 
@@ -201,58 +201,61 @@ def solve_strong_global_symmetric(inst: MultilayerInstance, alpha: int) -> Solve
 # super stability
 
 
-def layer_superstable_set(inst: MultilayerInstance, layer: int) -> list[Matching]:
-    """All (at most three) super stable matchings of a single layer.
+def _layer_candidates(n: int, forced: list[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
+    """The (at most three) matchings, as sorted pair tuples, that can be
+    super stable in a layer with the lexicographic mutual pairs ``forced``.
 
     Mutual pairs are forced; an agent on two mutual pairs kills the layer;
     after removing forced agents, more than three leftovers kill it too,
-    otherwise the few completion candidates are checked directly.
+    otherwise each way to pair up the leftovers is one candidate.
     """
-    forced = inst.mutual_edges(layer)
     seen: set[int] = set()
     for a, b in forced:
         if a in seen or b in seen:
             return []
         seen.add(a)
         seen.add(b)
-    rest = [a for a in range(inst.n) if a not in seen]
-    if len(rest) >= 4:
+    if n - len(seen) >= 4:
         return []
+    rest = [a for a in range(n) if a not in seen]
     if len(rest) <= 1:
-        candidates = [forced]
-    elif len(rest) == 2:
-        candidates = [forced + [(rest[0], rest[1])]]
-    else:
-        u, v, w = rest
-        candidates = [forced + [pair] for pair in ((u, v), (u, w), (v, w))]
-    out = []
-    for pairs in candidates:
-        m = Matching.from_pairs(pairs)
-        if stable_in_layer(inst, m, layer, "super"):
-            out.append(m)
-    return out
+        return [tuple(forced)]
+    return [tuple(sorted(forced + [pair])) for pair in itertools.combinations(rest, 2)]
+
+
+def layer_superstable_set(inst: MultilayerInstance, layer: int) -> list[Matching]:
+    """All (at most three) super stable matchings of a single layer: the
+    candidates of ``_layer_candidates`` that ``stable_in_layer`` accepts."""
+    return [
+        m
+        for m in map(Matching, _layer_candidates(inst.n, inst.mutual_edges(layer)))
+        if stable_in_layer(inst, m, layer, "super")
+    ]
 
 
 def solve_super_global(inst: MultilayerInstance, alpha: int) -> SolveResult:
-    """Count multiplicities of per-layer super stable matchings.
+    """Decide alpha-global super stability from the per-layer candidates.
 
-    Each layer contributes at most three candidates; a matching super stable
-    in at least alpha layers is one whose canonical encoding repeats that
-    often.  Complete for arbitrary (also asymmetric) approvals.
+    A matching super stable in a layer is one of that layer's at most three
+    candidates (``_layer_candidates``), so one super stable in at least
+    alpha layers is listed by at least alpha layers.  One pass over the
+    masks finds every layer's mutual pairs; each distinct candidate listed
+    often enough gets one global ``check``, in candidate order, and the
+    first that passes is returned with its verdict.  Complete for arbitrary
+    (also asymmetric) approvals.
     """
     _check_alpha(alpha, inst.ell)
     tag = "super-global"
-    hits: dict[Matching, list[int]] = {}
-    for i in range(inst.ell):
-        for m in layer_superstable_set(inst, i):
-            hits.setdefault(m, []).append(i)
-    winners = sorted(
-        ((m, layers) for m, layers in hits.items() if len(layers) >= alpha),
-        key=lambda pair: pair[0].pairs,
-    )
-    if winners:
-        m, layers = winners[0]
-        return SolveResult.found(tag, m, frozenset(layers))
+    listed: dict[tuple[tuple[int, int], ...], int] = {}  # candidate -> layers listing it
+    for forced in mutual_pairs(inst, (1 << inst.ell) - 1):
+        for pairs in _layer_candidates(inst.n, forced):
+            listed[pairs] = listed.get(pairs, 0) + 1
+    q = StabilityQuery("super", "global", alpha)
+    for pairs in sorted(pairs for pairs, k in listed.items() if k >= alpha):
+        m = Matching(pairs)
+        verdict = check(inst, m, q)
+        if verdict.stable:
+            return SolveResult.certified(tag, m, verdict)
     return SolveResult.none(tag)
 
 

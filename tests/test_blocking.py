@@ -126,14 +126,22 @@ def test_approving_scan_matches_definition():
             return 0 if p is None else mask(x, p)
 
         rows = list(_approving(inst, m))
-        assert len({(a, b) for a, b, *_ in rows}) == len(rows)  # each pair once
+        assert len({(a, b) for a, b, _ in rows}) == len(rows)  # each pair once
         want = {
             (a, b): (mask(a, b), mask(b, a), happy(a), happy(b))
             for a in range(n)
             for b in range(a + 1, n)
             if not m.has_pair(a, b) and (mask(a, b) or mask(b, a))
         }
-        assert {(a, b): tuple(rest) for a, b, *rest in rows} == want
+        assert {(a, b): key for a, b, key in rows} == want
+        # a scan cut at a least pair still yields every pair below it
+        for least in [(x, y) for x in range(n) for y in range(x + 1, n)]:
+            below = {
+                (a, b): key
+                for a, b, key in _approving(inst, m, list(least))
+                if (a, b) < least
+            }
+            assert below == {pair: key for pair, key in want.items() if pair < least}
 
 
 def test_is_happy(ex1, m1):

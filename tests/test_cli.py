@@ -368,6 +368,29 @@ def test_malformed_matching_shapes_exit_two(ex1, ex1_file, tmp_path, doc, capsys
 
 
 @pytest.mark.parametrize(
+    "pair, message",
+    [
+        (["a", "x"], "unknown agent in matching: 'x'"),
+        (["a", ["b"]], "unknown agent in matching: unhashable type: 'list'"),
+        ([{"b": 1}, "c"], "unknown agent in matching: unhashable type: 'dict'"),
+        ([0, "b"], "unknown agent in matching: 0"),
+    ],
+)
+def test_unknown_matching_names_exit_two(ex1_file, tmp_path, pair, message, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps({"pairs": [["c", "d"], pair]}))
+    assert main(["check", ex1_file, str(bad), "--base", "weak", "--agg", "all"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == message
+
+
+def test_matching_names_of_a_nameless_instance_are_its_ids():
+    inst = build_instance(3, 1, [[{1}, set(), set()]])
+    assert matching_from_doc(inst, {"pairs": [["2", "0"]]}) == Matching.from_pairs([(0, 2)])
+    with pytest.raises(MalformedDocument, match="^unknown agent in matching: 2$"):
+        matching_from_doc(inst, {"pairs": [["0", 2]]})
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bench", "lattice", "--trials", "-5"],

@@ -285,6 +285,65 @@ def test_super_global_fixtures(ex1, ex2):
     assert not solve_super_global(ex1, 2).exists
 
 
+def _listed_candidates(inst):
+    """Per candidate matching (sorted pairs), the number of layers listing
+    it, written out: a layer's mutual pairs are forced, and when they are
+    disjoint and leave at most three agents, each way to pair up those
+    agents is one candidate."""
+    n = inst.n
+    listed = {}
+    for lay in inst.approvals:
+        forced = [(a, b) for a in range(n) for b in range(a + 1, n) if b in lay[a] and a in lay[b]]
+        covered = [x for pair in forced for x in pair]
+        rest = [x for x in range(n) if x not in covered]
+        if len(set(covered)) < len(covered) or len(rest) > 3:
+            continue
+        for extra in [[]] if len(rest) <= 1 else [[pair] for pair in itertools.combinations(rest, 2)]:
+            pairs = tuple(sorted(forced + extra))
+            listed[pairs] = listed.get(pairs, 0) + 1
+    return listed
+
+
+def test_super_global_checks_each_listed_candidate_once(monkeypatch):
+    # one global check per distinct candidate listed by >= alpha layers, in
+    # candidate order up to the first that passes; dispatch reuses its verdict
+    calls = []
+    real_check = solvers.check
+
+    def counting_check(inst, m, q):
+        calls.append((m.pairs, q))
+        return real_check(inst, m, q)
+
+    monkeypatch.setattr(solvers, "check", counting_check)
+    rng = random.Random(29)
+    skipped = 0  # checks saved by the >= alpha listing filter
+    for _ in range(80):
+        inst = gen_random(
+            rng.randint(2, 7),
+            rng.randint(1, 4),
+            rng.choice([0.3, 0.6, 0.9]),
+            symmetric=rng.random() < 0.5,
+            seed=rng.getrandbits(30),
+        )
+        listed = _listed_candidates(inst)
+        for alpha in range(1, inst.ell + 1):
+            q = StabilityQuery("super", "global", alpha)
+            want = sorted(pairs for pairs, k in listed.items() if k >= alpha)
+            calls.clear()
+            r = solve_super_global(inst, alpha)
+            if r.exists:
+                want = want[: want.index(r.matching.pairs) + 1]
+            assert calls == [(pairs, q) for pairs in want]
+            skipped += any(
+                k < alpha and (not r.exists or pairs < r.matching.pairs)
+                for pairs, k in listed.items()
+            )
+            calls.clear()
+            assert dispatch(inst, q) == r
+            assert calls == [(pairs, q) for pairs in want]
+    assert skipped
+
+
 def test_super_individual_highalpha_footnote(ex2):
     assert not solve_super_individual_highalpha(ex2, 2).exists
 

@@ -149,6 +149,9 @@ def _compare_with_definitions(inst, m, seen):
         degree = {"pair": ell, "individual": ell}
         least = {"pair": {}, "individual": {}}  # alpha -> first violation
         approving = {"pair": {}, "individual": {}}  # alpha -> first approving one
+        # alpha -> approving violations, lexicographic, with the mask row
+        # the scan reads each from (a's, or b's when only b approves)
+        read = {"pair": {}, "individual": {}}
         for a in range(n):
             for b in range(a + 1, n):
                 if m.has_pair(a, b):
@@ -172,6 +175,7 @@ def _compare_with_definitions(inst, m, seen):
                     least["pair"].setdefault(alpha, ((a, b), blocked, None))
                     if (a, b) not in silent:
                         approving["pair"].setdefault(alpha, (a, b))
+                        read["pair"].setdefault(alpha, []).append(((a, b), a if sa else b))
                 if base == "strong":
                     continue
                 sup = tuple(
@@ -185,6 +189,7 @@ def _compare_with_definitions(inst, m, seen):
                     least["individual"].setdefault(alpha, ((a, b), blocked, sup))
                     if (a, b) not in silent:
                         approving["individual"].setdefault(alpha, (a, b))
+                        read["individual"].setdefault(alpha, []).append(((a, b), a if sa else b))
         if blocked_by[True] - blocked_by[False]:
             seen.add(f"{base}-global layer blocked only by silent pairs")
         for i in range(ell):
@@ -199,6 +204,7 @@ def _compare_with_definitions(inst, m, seen):
                 assert verdict.stable == (len(stable) >= alpha)
                 continue
             assert verdict.stable == (degree[q.agg] >= alpha)
+            _note_cutoffs(read[q.agg].get(alpha, []), n, seen)
             if not verdict.stable:
                 pair, blocked, sup = least[q.agg][alpha]
                 assert verdict.violating_pair == pair
@@ -209,6 +215,29 @@ def _compare_with_definitions(inst, m, seen):
                     later = approving[q.agg].get(alpha)
                     if later is not None and later[0] == pair[0]:
                         seen.add("silent violation before an approving one in its row")
+
+
+def _note_cutoffs(violations, n, seen):
+    """Add to ``seen`` the row cut-offs that the scan of
+    ``_least_violation`` meets on its way to the least approving violation.
+
+    ``violations`` are the approving violations of one query, lexicographic,
+    each with the mask row the scan reads it from (a's, or b's when only b
+    approves).  Rows are read in order; a row past the least violation
+    (fa, fb) so far is probed only for keys below fa, and for fa itself
+    while the row is below fb, so with fa = 0 no row from fb on is read.
+    """
+    if not violations:
+        return
+    (x, y), row = violations[0]
+    before = [pair for pair, r in violations if r < row]  # lexicographic
+    if x == 0 and y < n - 1:
+        seen.add("scan stops at fb with fa = 0")
+        if row == y and before and before[0] == (0, y + 1):
+            seen.add("fa = 0: lesser pair read from the row before fb")
+    if before and 0 < before[0][0] < row:
+        # the least so far has fa > 0, and row y > fa holds (x, y), x <= fa
+        seen.add(f"lesser pair read from a row after fa > 0, b {'=' if x == before[0][0] else '<'} fa")
 
 
 def test_check_matches_inline_definitions():
@@ -314,6 +343,10 @@ def test_sparse_scan_matches_inline_definitions():
         "super-individual least violation silent",
         "super-global layer blocked only by silent pairs",
         "silent violation before an approving one in its row",
+        "scan stops at fb with fa = 0",
+        "fa = 0: lesser pair read from the row before fb",
+        "lesser pair read from a row after fa > 0, b = fa",
+        "lesser pair read from a row after fa > 0, b < fa",
     } <= seen
 
 
