@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import IdOutOfRange, InvalidMatching, InvalidQuery, NotSymmetric, PairIsMatched
-from .model import MultilayerInstance, is_symmetric
+from .model import MultilayerInstance, _immutable, is_symmetric
 
 __all__ = [
     "Matching",
@@ -46,23 +45,36 @@ __all__ = [
 BASES = ("weak", "strong", "super")
 
 
-@dataclass(frozen=True)
 class Matching:
-    """Disjoint unordered agent pairs with partner lookup."""
+    """Disjoint unordered agent pairs with partner lookup.  Equality, hash
+    and repr read ``pairs`` only."""
 
     pairs: tuple[tuple[int, int], ...]
-    _partner: dict[int, int] = field(init=False, repr=False, compare=False, hash=False)
+    _partner: dict[int, int]
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
         partner: dict[int, int] = {}
-        for a, b in self.pairs:
+        for a, b in pairs:
             if a == b:
                 raise InvalidMatching(f"pair ({a}, {b}) has identical endpoints")
             if a in partner or b in partner:
                 raise InvalidMatching(f"agent reused by pair ({a}, {b})")
             partner[a] = b
             partner[b] = a
-        object.__setattr__(self, "_partner", partner)
+        self.__dict__.update(pairs=pairs, _partner=partner)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"Matching(pairs={self.pairs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Matching":

@@ -9,12 +9,12 @@ neighbours in ascending order, so each result depends on the graph alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .blocking import Matching
 from .errors import IdOutOfRange
+from .model import _immutable
 
 __all__ = [
     "SimpleGraph",
@@ -25,12 +25,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
     """A loop-free undirected graph on vertices ``0..n-1``."""
 
     n: int
     edges: frozenset[tuple[int, int]]
+
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        self.__dict__.update(n=n, edges=edges)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph(n={self.n!r}, edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":

@@ -14,7 +14,6 @@ and used as cache keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -33,7 +32,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+def _immutable(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the package's value classes.
+
+    Their ``__init__`` stores the fields straight into ``__dict__``, and
+    ``functools.cached_property`` writes there too, so neither passes
+    through here; any other assignment or deletion is refused."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class MultilayerInstance:
     """n agents with one approval mask per approving ordered pair.
 
@@ -48,7 +55,17 @@ class MultilayerInstance:
     n: int
     ell: int
     approval_masks: tuple[dict[int, int], ...]
-    names: tuple[str, ...] | None = None
+    names: tuple[str, ...] | None
+
+    def __init__(self, n: int, ell: int, approval_masks: tuple[dict[int, int], ...],
+                 names: tuple[str, ...] | None = None):
+        self.__dict__.update(n=n, ell=ell, approval_masks=approval_masks, names=names)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return (f"MultilayerInstance(n={self.n!r}, ell={self.ell!r}, "
+                f"approval_masks={self.approval_masks!r}, names={self.names!r})")
 
     def __eq__(self, other):
         if not isinstance(other, MultilayerInstance):
@@ -93,16 +110,46 @@ class MultilayerInstance:
         return str(a)
 
 
-@dataclass(frozen=True)
 class AgentTypePartition:
     blocks: tuple[tuple[int, ...], ...]
     tau: int
 
+    def __init__(self, blocks: tuple[tuple[int, ...], ...], tau: int):
+        self.__dict__.update(blocks=blocks, tau=tau)
 
-@dataclass(frozen=True)
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"AgentTypePartition(blocks={self.blocks!r}, tau={self.tau!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks, self.tau) == (other.blocks, other.tau)
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.tau))
+
+
 class ChangingSet:
     agents: frozenset[int]
     beta: int
+
+    def __init__(self, agents: frozenset[int], beta: int):
+        self.__dict__.update(agents=agents, beta=beta)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"ChangingSet(agents={self.agents!r}, beta={self.beta!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.agents, self.beta) == (other.agents, other.beta)
+
+    def __hash__(self) -> int:
+        return hash((self.agents, self.beta))
 
 
 def build_instance(

@@ -14,13 +14,12 @@ this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
 from .blocking import BASES, Matching, block_mask, stable_in_layer, support_mask
 from .errors import BadParameters, BudgetExceeded
-from .model import MultilayerInstance
+from .model import MultilayerInstance, _immutable
 from .verify import StabilityQuery, _violation, check
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class OracleBudget:
     """Size bounds of the exhaustive searches; exceeding one raises
     ``BudgetExceeded``.
@@ -44,12 +42,26 @@ class OracleBudget:
     search nodes of ``oracle_solve``: the partial matchings it extends.
     """
 
-    max_agents: int = 12
-    max_matchings: int | None = None
+    max_agents: int
+    max_matchings: int | None
 
-    def __post_init__(self):
-        if self.max_agents < 0 or (self.max_matchings or 0) < 0:
+    def __init__(self, max_agents: int = 12, max_matchings: int | None = None):
+        self.__dict__.update(max_agents=max_agents, max_matchings=max_matchings)
+        if max_agents < 0 or (max_matchings or 0) < 0:
             raise BadParameters(f"negative oracle budget {self}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"OracleBudget(max_agents={self.max_agents!r}, max_matchings={self.max_matchings!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_agents, self.max_matchings) == (other.max_agents, other.max_matchings)
+
+    def __hash__(self) -> int:
+        return hash((self.max_agents, self.max_matchings))
 
 
 DEFAULT_BUDGET = OracleBudget()

@@ -9,7 +9,6 @@ scale, reporting unknown rather than guessing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from math import comb
 from operator import or_
@@ -18,7 +17,7 @@ from typing import Callable
 from .blocking import Matching, stable_in_layer
 from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, NotSymmetric, UncertifiedWitness
 from .graphalg import SimpleGraph, has_perfect_matching, maximal_matching, maximum_matching, saturating_matching
-from .model import MultilayerInstance, agent_types, changing_agents, is_symmetric, mutual_pairs
+from .model import MultilayerInstance, _immutable, agent_types, changing_agents, is_symmetric, mutual_pairs
 from .oracle import DEFAULT_BUDGET, OracleBudget, _iter_partner_arrays, oracle_solve
 from .verify import StabilityQuery, Verdict, check
 
@@ -47,7 +46,6 @@ BETA_DISPATCH_MAX = 5
 STRONG_GLOBAL_SUBSETS_MAX = 10_000
 
 
-@dataclass(frozen=True)
 class SolveResult:
     """exists(M) / not-exists / unknown, tagged with the deciding algorithm.
 
@@ -58,10 +56,41 @@ class SolveResult:
 
     status: str
     algorithm: str
-    matching: Matching | None = None
-    witness_layers: frozenset[int] | None = None
-    detail: str | None = None
-    verdict: Verdict | None = None
+    matching: Matching | None
+    witness_layers: frozenset[int] | None
+    detail: str | None
+    verdict: Verdict | None
+
+    def __init__(
+        self,
+        status: str,
+        algorithm: str,
+        matching: Matching | None = None,
+        witness_layers: frozenset[int] | None = None,
+        detail: str | None = None,
+        verdict: Verdict | None = None,
+    ):
+        self.__dict__.update(status=status, algorithm=algorithm, matching=matching,
+                             witness_layers=witness_layers, detail=detail, verdict=verdict)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def _fields(self) -> tuple:
+        return (self.status, self.algorithm, self.matching,
+                self.witness_layers, self.detail, self.verdict)
+
+    def __repr__(self) -> str:
+        return (f"SolveResult(status={self.status!r}, algorithm={self.algorithm!r}, "
+                f"matching={self.matching!r}, witness_layers={self.witness_layers!r}, "
+                f"detail={self.detail!r}, verdict={self.verdict!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @classmethod
     def found(cls, alg, m, layers=None) -> "SolveResult":
@@ -607,7 +636,6 @@ class InstanceFacts:
         return changing_agents(self.inst).beta
 
 
-@dataclass(frozen=True)
 class Solver:
     """One dispatcher route, named by the ``SolveResult.algorithm`` it emits.
 
@@ -619,6 +647,27 @@ class Solver:
     name: str
     applies: Callable[[InstanceFacts, StabilityQuery, int], bool]
     run: Callable[[MultilayerInstance, StabilityQuery, int], SolveResult]
+
+    def __init__(
+        self,
+        name: str,
+        applies: Callable[[InstanceFacts, StabilityQuery, int], bool],
+        run: Callable[[MultilayerInstance, StabilityQuery, int], SolveResult],
+    ):
+        self.__dict__.update(name=name, applies=applies, run=run)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"Solver(name={self.name!r}, applies={self.applies!r}, run={self.run!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.applies, self.run) == (other.name, other.applies, other.run)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.applies, self.run))
 
 
 def _run_strong_alllayers(inst: MultilayerInstance, q, alpha) -> SolveResult:
@@ -673,7 +722,8 @@ def dispatch(
 
     Every ``exists`` witness passes ``check`` before it is returned, else
     ``UncertifiedWitness`` is raised; a route's own verdict for the same
-    query is reused, not repeated.
+    notion is reused, not repeated, and returned with ``query`` set to q.
+    All-layers is the same notion as global(ell), as ``check`` reads it.
     """
     alpha = q.effective_alpha(inst.ell)
     facts = InstanceFacts(inst)
@@ -697,8 +747,10 @@ def dispatch(
     if not res.exists:
         return res
     verdict = res.verdict
-    if verdict is None or verdict.query != q:
+    if verdict is None or _as_global(verdict.query, inst.ell) != _as_global(q, inst.ell):
         verdict = check(inst, res.matching, q)
+    elif verdict.query != q:
+        verdict = Verdict(verdict.stable, q, witness_layers=verdict.witness_layers)
     if not verdict.stable:
         raise UncertifiedWitness(
             f"{res.algorithm} returned a matching that is not {q.describe()} stable"
@@ -706,4 +758,9 @@ def dispatch(
     # only the oracle leaves global witness layers unset; pair and
     # individual verdicts name none, so other routes keep their own
     layers = verdict.witness_layers if res.witness_layers is None else res.witness_layers
-    return replace(res, witness_layers=layers, verdict=verdict)
+    return SolveResult(res.status, res.algorithm, res.matching, layers, res.detail, verdict)
+
+
+def _as_global(q: StabilityQuery, ell: int) -> StabilityQuery:
+    """An all-layers query read as global(ell); any other query as it is."""
+    return StabilityQuery(q.base, "global", ell) if q.agg == "all" else q

@@ -7,8 +7,6 @@ strong-individual notion.  All-layers is canonicalized to global(ell).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .blocking import (
     BASES,
     Matching,
@@ -20,7 +18,7 @@ from .blocking import (
     support_mask,
 )
 from .errors import AlphaOutOfRange, InvalidQuery
-from .model import MultilayerInstance
+from .model import MultilayerInstance, _immutable
 
 __all__ = [
     "AGGREGATIONS",
@@ -33,26 +31,39 @@ __all__ = [
 AGGREGATIONS = ("all", "global", "pair", "individual")
 
 
-@dataclass(frozen=True)
 class StabilityQuery:
     """base x aggregation x degree.  ``alpha`` must be None for "all"."""
 
     base: str
     agg: str
-    alpha: int | None = None
+    alpha: int | None
 
-    def __post_init__(self):
-        if self.base not in BASES:
-            raise InvalidQuery(f"unknown base {self.base!r}")
-        if self.agg not in AGGREGATIONS:
-            raise InvalidQuery(f"unknown aggregation {self.agg!r}")
-        if self.base == "strong" and self.agg == "individual":
+    def __init__(self, base: str, agg: str, alpha: int | None = None):
+        if base not in BASES:
+            raise InvalidQuery(f"unknown base {base!r}")
+        if agg not in AGGREGATIONS:
+            raise InvalidQuery(f"unknown aggregation {agg!r}")
+        if base == "strong" and agg == "individual":
             raise InvalidQuery("there is no strong individual stability")
-        if self.agg == "all":
-            if self.alpha is not None:
+        if agg == "all":
+            if alpha is not None:
                 raise InvalidQuery("all-layers takes no alpha")
-        elif self.alpha is None:
-            raise InvalidQuery(f"{self.agg} aggregation requires alpha")
+        elif alpha is None:
+            raise InvalidQuery(f"{agg} aggregation requires alpha")
+        self.__dict__.update(base=base, agg=agg, alpha=alpha)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"StabilityQuery(base={self.base!r}, agg={self.agg!r}, alpha={self.alpha!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.agg, self.alpha) == (other.base, other.agg, other.alpha)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.agg, self.alpha))
 
     def effective_alpha(self, ell: int) -> int:
         """Resolve the degree against an instance, validating the range."""
@@ -69,7 +80,6 @@ class StabilityQuery:
         return f"{self.alpha}-{self.agg} {self.base}"
 
 
-@dataclass(frozen=True)
 class Verdict:
     """Outcome plus a machine-checkable witness.
 
@@ -82,10 +92,41 @@ class Verdict:
 
     stable: bool
     query: StabilityQuery
-    witness_layers: frozenset[int] | None = None
-    violating_pair: tuple[int, int] | None = None
-    blocking_layers: frozenset[int] | None = None
-    supports: tuple[int, int] | None = None
+    witness_layers: frozenset[int] | None
+    violating_pair: tuple[int, int] | None
+    blocking_layers: frozenset[int] | None
+    supports: tuple[int, int] | None
+
+    def __init__(
+        self,
+        stable: bool,
+        query: StabilityQuery,
+        witness_layers: frozenset[int] | None = None,
+        violating_pair: tuple[int, int] | None = None,
+        blocking_layers: frozenset[int] | None = None,
+        supports: tuple[int, int] | None = None,
+    ):
+        self.__dict__.update(stable=stable, query=query, witness_layers=witness_layers,
+                             violating_pair=violating_pair, blocking_layers=blocking_layers, supports=supports)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def _fields(self) -> tuple:
+        return (self.stable, self.query, self.witness_layers,
+                self.violating_pair, self.blocking_layers, self.supports)
+
+    def __repr__(self) -> str:
+        return (f"Verdict(stable={self.stable!r}, query={self.query!r}, "
+                f"witness_layers={self.witness_layers!r}, violating_pair={self.violating_pair!r}, "
+                f"blocking_layers={self.blocking_layers!r}, supports={self.supports!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def _violation(q: StabilityQuery, ell: int):

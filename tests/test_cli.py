@@ -530,3 +530,16 @@ def test_cli_import_loads_no_networkx():
         "assert not {'networkx', 'mlsm.bench', 'mlsm.reductions'} & set(sys.modules)"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the value classes on the CLI path are plain classes, so a CLI call
+    # pays for neither dataclasses nor the inspect it imports
+    src = str(Path(mlsm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, mlsm.cli; "
+        "loaded = {'dataclasses', 'inspect', 'networkx', 'mlsm.bench', 'mlsm.reductions'} & set(sys.modules); "
+        "assert not loaded, sorted(loaded)"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 import random
 
 import pytest
@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 from mlsm.cli import instance_from_doc, instance_to_doc
 from mlsm.blocking import Matching
-from mlsm.errors import IdOutOfRange, SelfApproval
+from mlsm.errors import BadParameters, IdOutOfRange, SelfApproval
+from mlsm.graphalg import SimpleGraph
 from mlsm.model import (
+    AgentTypePartition,
+    ChangingSet,
+    MultilayerInstance,
     agent_types,
     build_instance,
     changing_agents,
@@ -16,8 +20,9 @@ from mlsm.model import (
     same_type,
 )
 from mlsm.reductions import gen_random
-from mlsm.solvers import _types_tables, dispatch
-from mlsm.verify import StabilityQuery, all_queries, check
+from mlsm.oracle import OracleBudget
+from mlsm.solvers import SolveResult, Solver, _types_tables, dispatch
+from mlsm.verify import StabilityQuery, Verdict, all_queries, check
 
 
 def test_build_valid_fixture(ex1):
@@ -219,8 +224,64 @@ def test_instances_hashable_and_immutable(ex1):
     assert build_instance(4, 3, layers) != ex1
     back = instance_from_doc(instance_to_doc(ex1))
     assert back == ex1 and hash(back) == hash(ex1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         ex1.n = 5
+    assert ex1.n == 4
+
+
+_Q1 = StabilityQuery("weak", "pair", 1)
+
+# per value class: an instance with its defaults left out, an equal one with
+# every argument written out, an unequal one, the first's repr and a field
+_VALUES = [
+    (lambda: Matching(((0, 1), (2, 3))), lambda: Matching.from_pairs([(3, 2), (1, 0)]),
+     lambda: Matching(((0, 1),)), "Matching(pairs=((0, 1), (2, 3)))", "pairs"),
+    (lambda: MultilayerInstance(2, 1, ({1: 1}, {})), lambda: build_instance(2, 1, [[[1], []]]),
+     lambda: MultilayerInstance(2, 1, ({1: 1}, {}), ("a", "b")),
+     "MultilayerInstance(n=2, ell=1, approval_masks=({1: 1}, {}), names=None)", "n"),
+    (lambda: AgentTypePartition(((0, 1), (2,)), 2), lambda: AgentTypePartition(((0, 1), (2,)), 2),
+     lambda: AgentTypePartition(((0,), (1, 2)), 2), "AgentTypePartition(blocks=((0, 1), (2,)), tau=2)", "tau"),
+    (lambda: ChangingSet(frozenset({1}), 1), lambda: ChangingSet(frozenset({1}), 1),
+     lambda: ChangingSet(frozenset(), 0), "ChangingSet(agents=frozenset({1}), beta=1)", "beta"),
+    (lambda: StabilityQuery("weak", "all"), lambda: StabilityQuery("weak", "all", None),
+     lambda: StabilityQuery("weak", "global", 1), "StabilityQuery(base='weak', agg='all', alpha=None)", "alpha"),
+    (lambda: Verdict(False, _Q1), lambda: Verdict(False, _Q1, None, None, None, None),
+     lambda: Verdict(False, _Q1, violating_pair=(0, 1)),
+     "Verdict(stable=False, query=StabilityQuery(base='weak', agg='pair', alpha=1), witness_layers=None, "
+     "violating_pair=None, blocking_layers=None, supports=None)", "stable"),
+    (lambda: OracleBudget(), lambda: OracleBudget(12, None), lambda: OracleBudget(max_matchings=5),
+     "OracleBudget(max_agents=12, max_matchings=None)", "max_agents"),
+    (lambda: SolveResult("not-exists", "oracle"), lambda: SolveResult("not-exists", "oracle", None, None, None, None),
+     lambda: SolveResult("unknown", "oracle"),
+     "SolveResult(status='not-exists', algorithm='oracle', matching=None, witness_layers=None, detail=None, "
+     "verdict=None)", "status"),
+    (lambda: Solver("s", len, repr), lambda: Solver("s", len, repr), lambda: Solver("s", len, str),
+     "Solver(name='s', applies=<built-in function len>, run=<built-in function repr>)", "run"),
+    (lambda: SimpleGraph(3, frozenset({(0, 1)})), lambda: SimpleGraph.from_edges(3, [(1, 0)]),
+     lambda: SimpleGraph(4, frozenset({(0, 1)})), "SimpleGraph(n=3, edges=frozenset({(0, 1)}))", "n"),
+]
+
+
+@pytest.mark.parametrize("make, make_equal, make_other, text, field", _VALUES,
+                         ids=[case[3].split("(")[0] for case in _VALUES])
+def test_value_classes(make, make_equal, make_other, text, field):
+    a, b, c = make(), make_equal(), make_other()
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert a != c and c != a and a != text
+    assert repr(a) == text
+    before = getattr(a, field)
+    with pytest.raises(AttributeError):
+        setattr(a, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert getattr(a, field) is before and a == b
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_value_class_validation_text():
+    # the budget error embeds the budget's repr
+    with pytest.raises(BadParameters, match=r"^negative oracle budget OracleBudget\(max_agents=-1, max_matchings=None\)$"):
+        OracleBudget(max_agents=-1)
 
 
 def test_equal_instances_share_solver_tables():

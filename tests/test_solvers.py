@@ -344,6 +344,44 @@ def test_super_global_checks_each_listed_candidate_once(monkeypatch):
     assert skipped
 
 
+def test_super_alllayers_reuses_the_global_verdict(monkeypatch):
+    # all-layers super is global(ell): dispatch certifies the route's witness
+    # with the calls it makes for global(ell), and returns that verdict under q
+    calls = []
+    real_check = solvers.check
+
+    def counting_check(inst, m, q):
+        calls.append((m.pairs, q))
+        return real_check(inst, m, q)
+
+    monkeypatch.setattr(solvers, "check", counting_check)
+    rng = random.Random(31)
+    q = StabilityQuery("super", "all")
+    found = 0
+    for _ in range(60):
+        inst = gen_random(
+            rng.randint(2, 7),
+            rng.randint(1, 4),
+            rng.choice([0.3, 0.6, 0.9]),
+            symmetric=rng.random() < 0.5,
+            seed=rng.getrandbits(30),
+        )
+        calls.clear()
+        want = dispatch(inst, StabilityQuery("super", "global", inst.ell))
+        global_calls = list(calls)
+        calls.clear()
+        got = dispatch(inst, q)
+        assert calls == global_calls
+        assert (got.status, got.algorithm, got.matching, got.witness_layers) == (
+            want.status, want.algorithm, want.matching, want.witness_layers
+        )
+        if got.exists:
+            found += 1
+            assert got.verdict.query == q
+            assert got.verdict == real_check(inst, got.matching, q)
+    assert found
+
+
 def test_super_individual_highalpha_footnote(ex2):
     assert not solve_super_individual_highalpha(ex2, 2).exists
 
