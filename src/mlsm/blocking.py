@@ -56,9 +56,9 @@ class Matching:
         partner: dict[int, int] = {}
         for a, b in pairs:
             if a == b:
-                raise InvalidMatching(f"pair ({a}, {b}) has identical endpoints")
+                raise InvalidMatching((a, b), reused=False)
             if a in partner or b in partner:
-                raise InvalidMatching(f"agent reused by pair ({a}, {b})")
+                raise InvalidMatching((a, b), reused=True)
             partner[a] = b
             partner[b] = a
         self.__dict__.update(pairs=pairs, _partner=partner)

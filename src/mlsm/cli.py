@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .blocking import BASES, Matching
-from .errors import MalformedDocument, MlsmError
+from .errors import InvalidMatching, MalformedDocument, MlsmError
 from .model import MultilayerInstance, _check_shape, _refuse_self_approvals
 from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_all, oracle_solve
 from .solvers import dispatch
@@ -113,7 +113,12 @@ def matching_from_doc(inst: MultilayerInstance, doc: dict) -> Matching:
             pairs.append((index[pair[0]], index[pair[1]]))
         except (KeyError, TypeError) as exc:
             raise MalformedDocument(f"unknown agent in matching: {exc}") from None
-    return Matching.from_pairs(pairs)
+    try:
+        return Matching.from_pairs(pairs)
+    except InvalidMatching as exc:
+        if inst.names is None:
+            raise
+        raise InvalidMatching(exc.pair, exc.reused, inst.names) from None
 
 
 def _layers_out(layers) -> list[int] | None:

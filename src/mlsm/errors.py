@@ -25,7 +25,19 @@ class MalformedDocument(MlsmError, ValueError):
 
 
 class InvalidMatching(MlsmError, ValueError):
-    """A pair with identical endpoints, or an agent in two pairs."""
+    """A pair with identical endpoints, or an agent in two pairs.  ``pair``
+    is the offending pair of 0-based ids; given ``names``, the message
+    names its agents by them."""
+
+    def __init__(self, pair: tuple[int, int], reused: bool, names=None):
+        super().__init__(pair, reused, names)  # the args, so pickling restores them
+        self.pair = pair
+        self.reused = reused
+
+    def __str__(self) -> str:
+        pair, reused, names = self.args
+        a, b = pair if names is None else (repr(names[pair[0]]), repr(names[pair[1]]))
+        return f"agent reused by pair ({a}, {b})" if reused else f"pair ({a}, {b}) has identical endpoints"
 
 
 class PairIsMatched(MlsmError):

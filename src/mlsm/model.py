@@ -262,7 +262,11 @@ def agent_types(inst: MultilayerInstance) -> AgentTypePartition:
     agent, from every third agent, and between the two in both directions.
     Twins that approve each other nowhere have equal mask rows and columns;
     twins with a mask m between them have equal rows and columns once each
-    lists itself with m.  Each agent is compared only with the earlier
+    lists itself with m.  Either way twins share the row fingerprint
+    ``(len(row), sum(row.values()))``, since the masks between adjacent
+    twins are mutual-or-absent, so tau is at least the number of distinct
+    row fingerprints; the dispatcher's agent-types gate rejects on that
+    count without calling this.  Each agent is compared only with the earlier
     classes whose order-free fingerprint of those rows and columns it
     shares.  Blocks come in order of their least member, members
     ascending.  Expected time O(n + sum of row lengths); only agents whose

@@ -12,7 +12,7 @@ import itertools
 from functools import cached_property, lru_cache, reduce
 from math import comb
 from operator import or_
-from typing import Callable
+from typing import Callable, Iterator
 
 from .blocking import Matching, stable_in_layer
 from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, NotSymmetric, UncertifiedWitness
@@ -369,6 +369,49 @@ def solve_super_pair_fpt(inst: MultilayerInstance, alpha: int) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
+# the parameterized routes' candidate tables
+
+
+class _Lazy:
+    """A memoized, lazily extended sequence of the items ``make()`` yields.
+
+    Every iterator replays the stored items, then pulls new ones from one
+    shared generator and stores them, so iterators, interleaved or not, see
+    the same items in the same order and each item is built once.  A pull
+    cut short by an exception drops the generator, and the next pull starts
+    ``make()`` afresh past the stored items: an interruption never reads as
+    the end.
+    """
+
+    def __init__(self, make: Callable[[], Iterator]):
+        self._make = make
+        self._items: list = []
+        self._source: Iterator | None = None  # set between pulls only
+        self._done = False
+
+    def __iter__(self):
+        items = self._items
+        i = 0
+        while i < len(items) or self._pull():
+            yield items[i]
+            i += 1
+
+    def _pull(self) -> bool:
+        """Store one more item; False once ``make()`` is exhausted."""
+        if self._done:
+            return False
+        source, self._source = self._source, None
+        if source is None:
+            source = itertools.islice(self._make(), len(self._items), None)
+        for item in source:
+            self._items.append(item)
+            self._source = source
+            return True
+        self._done = True
+        return False
+
+
+# ---------------------------------------------------------------------------
 # few agent types
 
 
@@ -445,8 +488,15 @@ def _types_tables(inst: MultilayerInstance):
     A pattern records, per type pair, whether it is matched zero times, once,
     or at least twice; stability of a compatible perfect matching depends
     only on that signature, so one reduced check per pattern decides all of
-    them.
+    them.  Returns the entries, in signature order, as a ``_Lazy`` sequence
+    (the types and patterns are found on the first pull, each entry is
+    built when first reached), and whether a dummy agent pads odd n.
     """
+    return _Lazy(lambda: _types_entries(inst)), inst.n % 2 == 1
+
+
+def _types_entries(inst: MultilayerInstance):
+    """The entries of ``_types_tables``, one pattern at a time."""
     padded = inst
     dummy = inst.n % 2 == 1
     if dummy:
@@ -461,7 +511,6 @@ def _types_tables(inst: MultilayerInstance):
     for usage in _usage_vectors(sizes, edges):
         sig = tuple(min(c, 2) for c in usage)
         by_signature.setdefault(sig, usage)
-    entries = []
     for sig in sorted(by_signature):
         usage = by_signature[sig]
         # reduced instance: one matched agent pair per profile copy
@@ -492,8 +541,7 @@ def _types_tables(inst: MultilayerInstance):
                 else:
                     pairs.append((queues[t].pop(0), queues[u].pop(0)))
         witness = Matching.from_pairs(pairs)
-        entries.append((j_inst, j_match, witness))
-    return tuple(entries), dummy
+        yield j_inst, j_match, witness
 
 
 def solve_by_types(inst: MultilayerInstance, q: StabilityQuery) -> SolveResult:
@@ -503,7 +551,9 @@ def solve_by_types(inst: MultilayerInstance, q: StabilityQuery) -> SolveResult:
     Iterates usage patterns of type pairs (odd n padded with a dummy agent
     approving and approved by nobody); a pattern is accepted when its reduced
     instance passes the checker, and any accepted pattern yields a concrete
-    stable matching.
+    stable matching.  The patterns are taken in ``_types_tables`` order and
+    the walk stops at the first stable witness, so only the entries up to it
+    are built; a later query on the same instance reuses them.
     """
     q.effective_alpha(inst.ell)
     tag = "agent-types"
@@ -533,6 +583,9 @@ def _changing_candidates(inst: MultilayerInstance):
     All guesses of the search are query-independent: which changing agents
     pair up inside B, and (weak only) which agents must stay happy in every
     layer.  The final stability check is the only query-dependent step.
+    Returns the weak and the mcm (maximum matching plus completion)
+    families as ``_Lazy`` sequences, so a query builds only the candidates
+    it reaches; both share one lazy list of the guessed pairings of B.
     """
     changing = sorted(changing_agents(inst).agents)
     b_set = set(changing)
@@ -541,65 +594,77 @@ def _changing_candidates(inst: MultilayerInstance):
     # approvals of non-changing agents are identical in all layers, so
     # the keys of their mask rows are their approvals in every layer
     masks = inst.approval_masks
-    # the unions of the static agents approving each subset of B, by doubling
-    unions = [frozenset()]
-    for b in changing:
-        approvers = frozenset(a for a in static if b in masks[a])
-        unions += [u | approvers for u in unions]
-    unions = set(unions)
 
-    def graph_for(matched_b: set[int]) -> SimpleGraph:
-        edges = []
-        for a in static:
-            for c in masks[a]:
-                if c in matched_b:
-                    continue
-                if c in b_set or a < c:
-                    edges.append((a, c))
-        return SimpleGraph.from_edges(n, edges)
+    def guesses():
+        # per pairing of B: its pairs, the agents it matches, the free
+        # agents of B and the static graph without the matched ones
+        for partner in _iter_partner_arrays(len(changing)):
+            b_pairs = [
+                (changing[i], changing[j]) for i, j in enumerate(partner) if j > i
+            ]
+            matched_b = {a for pair in b_pairs for a in pair}
+            edges = [
+                (a, c)
+                for a in static
+                for c in masks[a]
+                if c not in matched_b and (c in b_set or a < c)
+            ]
+            free_b = [b for b in changing if b not in matched_b]
+            yield b_pairs, matched_b, free_b, SimpleGraph.from_edges(n, edges)
 
-    weak_cands: list[Matching] = []
-    mcm_cands: list[Matching] = []
-    seen_weak: set[tuple] = set()
-    seen_mcm: set[tuple] = set()
-    for partner in _iter_partner_arrays(len(changing)):
-        b_pairs = [
-            (changing[i], changing[j]) for i, j in enumerate(partner) if j > i
-        ]
-        matched_b = {a for pair in b_pairs for a in pair}
-        free_b = [b for b in changing if b not in matched_b]
-        g = graph_for(matched_b)
+    by_guess = _Lazy(guesses)
+
+    def mcm_family():
         # strong/super: maximum matching plus arbitrary completion
-        mcm = maximum_matching(g)
-        leftover = [
-            v
-            for v in range(n)
-            if v not in matched_b and not mcm.covers(v)
-        ]
-        completion = list(zip(leftover[0::2], leftover[1::2]))
-        cand = Matching.from_pairs(b_pairs + list(mcm.pairs) + completion)
-        if cand.pairs not in seen_mcm:
-            seen_mcm.add(cand.pairs)
-            mcm_cands.append(cand)
+        seen: set[tuple] = set()
+        for b_pairs, matched_b, _, g in by_guess:
+            mcm = maximum_matching(g)
+            leftover = [
+                v
+                for v in range(n)
+                if v not in matched_b and not mcm.covers(v)
+            ]
+            completion = list(zip(leftover[0::2], leftover[1::2]))
+            cand = Matching.from_pairs(b_pairs + list(mcm.pairs) + completion)
+            if cand.pairs not in seen:
+                seen.add(cand.pairs)
+                yield cand
+
+    def weak_family():
         # weak: a maximal matching that saturates a guessed must-be-happy set
-        kept_sets = [frozenset()]
-        for b in free_b:
-            kept_sets += [k | {b} for k in kept_sets]
-        happy_sets = {k | u for k in kept_sets for u in unions}
-        for happy in sorted(happy_sets, key=sorted):
-            sat = saturating_matching(g, happy)
-            if sat is None:
-                continue
-            cand = Matching.from_pairs(b_pairs + list(sat.pairs))
-            if cand.pairs not in seen_weak:
-                seen_weak.add(cand.pairs)
-                weak_cands.append(cand)
-    return tuple(weak_cands), tuple(mcm_cands)
+        # the unions of the static agents approving each subset of B, by doubling
+        unions = [frozenset()]
+        for b in changing:
+            approvers = frozenset(a for a in static if b in masks[a])
+            unions += [u | approvers for u in unions]
+        unions = set(unions)
+        seen: set[tuple] = set()
+        for b_pairs, _, free_b, g in by_guess:
+            kept_sets = [frozenset()]
+            for b in free_b:
+                kept_sets += [k | {b} for k in kept_sets]
+            happy_sets = {k | u for k in kept_sets for u in unions}
+            for happy in sorted(happy_sets, key=sorted):
+                sat = saturating_matching(g, happy)
+                if sat is None:
+                    continue
+                cand = Matching.from_pairs(b_pairs + list(sat.pairs))
+                if cand.pairs not in seen:
+                    seen.add(cand.pairs)
+                    yield cand
+
+    return _Lazy(weak_family), _Lazy(mcm_family)
 
 
 def solve_by_changing(inst: MultilayerInstance, q: StabilityQuery) -> SolveResult:
     """Complete decision for symmetric approvals, exponential only in the
-    number of agents whose approvals differ between layers."""
+    number of agents whose approvals differ between layers.
+
+    Checks the query's candidate family of ``_changing_candidates`` in order
+    and stops at the first stable one, so an ``exists`` builds only the
+    candidates up to its witness; a later query on the same instance
+    resumes from the stored ones.
+    """
     _require_symmetric(inst, "solve_by_changing")
     q.effective_alpha(inst.ell)
     tag = "changing-agents"
@@ -617,7 +682,13 @@ def solve_by_changing(inst: MultilayerInstance, q: StabilityQuery) -> SolveResul
 
 class InstanceFacts:
     """The structural analysis the dispatcher gates read, each part computed
-    on first use and at most once per instance."""
+    on first use and at most once per instance.
+
+    The agent-types gate asks ``tau_at_most``, which rejects most instances
+    from the mask rows alone; the exact ``tau`` (``agent_types``) is
+    computed only when that scan cannot reject, or for the detail of an
+    ``unknown``.
+    """
 
     def __init__(self, inst: MultilayerInstance):
         self.inst = inst
@@ -630,6 +701,18 @@ class InstanceFacts:
     @cached_property
     def tau(self) -> int:
         return agent_types(self.inst).tau
+
+    def tau_at_most(self, k: int) -> bool:
+        """tau <= k.  Same-type agents share ``(len(row), sum(row.values()))``
+        (see ``agent_types``), so more than k distinct ones mean tau > k: the
+        scan stops at the (k+1)-th, and only a scan that cannot reject
+        computes tau."""
+        seen = set()
+        for row in self.inst.approval_masks:
+            seen.add((len(row), sum(row.values())))
+            if len(seen) > k:
+                return False
+        return self.tau <= k
 
     @cached_property
     def beta(self) -> int:
@@ -703,7 +786,7 @@ SOLVERS = (
            lambda f, q, a: q.base == "super" and q.agg == "pair" and 2 * a > f.ell and f.symmetric,
            lambda inst, q, a: solve_super_pair_fpt(inst, a)),
     Solver("agent-types",
-           lambda f, q, a: f.tau <= TAU_DISPATCH_MAX,
+           lambda f, q, a: f.tau_at_most(TAU_DISPATCH_MAX),
            lambda inst, q, a: solve_by_types(inst, q)),
     Solver("changing-agents",
            lambda f, q, a: f.symmetric and f.beta <= BETA_DISPATCH_MAX,

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -41,6 +42,9 @@ def test_matching_rejects_reuse():
         Matching.from_pairs([(2, 2)])
     for exc in (reused.value, loop.value):
         assert isinstance(exc, InvalidMatching) and isinstance(exc, MlsmError)
+        assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
+    assert str(reused.value) == "agent reused by pair (1, 2)"
+    assert str(loop.value) == "pair (2, 2) has identical endpoints"
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from mlsm.cli import (
 from mlsm.errors import (
     BadParameters,
     IdOutOfRange,
+    InvalidMatching,
     MalformedDocument,
     MalformedFormula,
     MlsmError,
@@ -381,6 +382,29 @@ def test_unknown_matching_names_exit_two(ex1_file, tmp_path, pair, message, caps
     bad.write_text(json.dumps({"pairs": [["c", "d"], pair]}))
     assert main(["check", ex1_file, str(bad), "--base", "weak", "--agg", "all"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == message
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([["a", "a"]], "pair ('a', 'a') has identical endpoints"),
+        ([["a", "b"], ["b", "c"]], "agent reused by pair ('b', 'c')"),
+    ],
+)
+def test_invalid_matching_names_agents_and_exits_two(ex1, ex1_file, tmp_path, pairs, message, capsys):
+    with pytest.raises(InvalidMatching) as exc:
+        matching_from_doc(ex1, {"pairs": pairs})
+    assert str(exc.value) == message
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps({"pairs": pairs}))
+    assert main(["check", ex1_file, str(bad), "--base", "weak", "--agg", "all"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == message
+
+
+def test_invalid_matching_of_a_nameless_instance_names_ids():
+    inst = build_instance(3, 1, [[{1}, set(), set()]])
+    with pytest.raises(InvalidMatching, match=r"^agent reused by pair \(0, 2\)$"):
+        matching_from_doc(inst, {"pairs": [["1", "0"], ["2", "0"]]})
 
 
 def test_matching_names_of_a_nameless_instance_are_its_ids():

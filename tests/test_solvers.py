@@ -12,7 +12,7 @@ from mlsm.errors import AlphaTooHigh, AlphaTooLow, BadParameters, MlsmError, Not
 from mlsm.model import agent_types, build_instance, changing_agents
 from mlsm.oracle import OracleBudget, _iter_partner_arrays, existence_table, oracle_layer_superstable
 from mlsm.reductions import gen_random, reduce_is_to_global_strong
-from mlsm.bench import _exists_by_oracle, symmetric_lowbeta_instance
+from mlsm.bench import _exists_by_oracle, lowtau_instance, symmetric_lowbeta_instance
 from mlsm.blocking import Matching
 from mlsm.graphalg import SimpleGraph, has_perfect_matching, saturating_matching
 from mlsm.solvers import (
@@ -560,7 +560,80 @@ def test_changing_weak_candidates_match_definition():
     for _ in range(40):
         inst = symmetric_lowbeta_instance(rng, rng.randint(2, 8), rng.randint(1, 4), 3)
         weak, _ = solvers._changing_candidates(inst)
-        assert weak == _weak_candidates_by_definition(inst)
+        assert tuple(weak) == _weak_candidates_by_definition(inst)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls ``solvers`` makes to its module-level ``name``."""
+    calls = []
+    real = getattr(solvers, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, name, counted)
+    return calls
+
+
+def test_changing_weak_exists_builds_a_prefix(monkeypatch):
+    # an exists stops at its witness; materializing the family pays for all
+    calls = _counting(monkeypatch, "saturating_matching")
+    rng = random.Random(43)
+    q = StabilityQuery("weak", "all")
+    prefix, whole = [], []
+    for _ in range(10):
+        inst = symmetric_lowbeta_instance(rng, rng.randint(5, 9), rng.randint(2, 4), 4)
+        solvers._changing_candidates.cache_clear()
+        calls.clear()
+        assert solve_by_changing(inst, q).exists
+        prefix.append(len(calls))
+        tuple(solvers._changing_candidates(inst)[0])
+        whole.append(len(calls))
+    assert all(p <= w for p, w in zip(prefix, whole))
+    assert prefix[1] < whole[1] and 2 * sum(prefix) < sum(whole)
+
+
+def test_changing_candidates_replay_and_interleave(monkeypatch):
+    rng = random.Random(47)
+    for _ in range(10):
+        inst = symmetric_lowbeta_instance(rng, rng.randint(2, 8), rng.randint(1, 4), 3)
+        expected = _weak_candidates_by_definition(inst)
+        solvers._changing_candidates.cache_clear()
+        weak, mcm = solvers._changing_candidates(inst)
+        # two iterators in lockstep, then a replay of the stored items
+        pairs = list(itertools.zip_longest(weak, weak))
+        assert tuple(a for a, _ in pairs) == tuple(b for _, b in pairs) == expected
+        assert tuple(weak) == expected
+        # one iterator stopped after its first item, another run to the end
+        first = iter(mcm)
+        head = next(first)
+        everything = tuple(mcm)
+        assert everything[0] == head and tuple(first) == everything[1:]
+        assert len(set(everything)) == len(everything)
+    # a cleared cache starts over: new tables, and the work is done again
+    calls = _counting(monkeypatch, "saturating_matching")
+    assert tuple(solvers._changing_candidates(inst)[0]) == expected and not calls
+    solvers._changing_candidates.cache_clear()
+    weak_again, _ = solvers._changing_candidates(inst)
+    assert weak_again is not weak
+    assert tuple(weak_again) == expected and calls
+
+
+def test_lazy_sequence_survives_an_interrupted_pull():
+    # an exception inside a pull is no end of the sequence
+    state = {"fail": True}
+
+    def make():
+        yield 1
+        if state.pop("fail", False):
+            raise KeyboardInterrupt
+        yield 2
+
+    seq = solvers._Lazy(make)
+    with pytest.raises(KeyboardInterrupt):
+        tuple(seq)
+    assert tuple(seq) == (1, 2) and tuple(seq) == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +712,35 @@ def test_dispatch_unknown_when_oracle_budget_runs_out():
     assert (r.status, r.algorithm, r.matching) == ("unknown", "oracle", None)
     assert "oracle budget exceeded" in r.detail and "max_matchings=1" in r.detail
     assert dispatch(inst, q).status != "unknown"
+
+
+def test_row_fingerprints_bound_tau():
+    # twins share (len(row), sum(row.values())), adjacent twins included
+    rng = random.Random(71)
+    corpus = [lowtau_instance(rng, rng.randint(2, 12), rng.randint(1, 4), rng.randint(1, 4)) for _ in range(60)]
+    corpus += [
+        gen_random(rng.randint(2, 12), rng.randint(1, 4), rng.choice([0.2, 0.6, 1.0]),
+                   symmetric=rng.random() < 0.5, seed=rng.getrandbits(30))
+        for _ in range(60)
+    ]
+    adjacent = 0
+    for inst in corpus:
+        tau = agent_types(inst).tau
+        rows = inst.approval_masks
+        assert len({(len(row), sum(row.values())) for row in rows}) <= tau
+        adjacent += any(a in rows[b] for block in agent_types(inst).blocks for a in block for b in block)
+        facts = solvers.InstanceFacts(inst)
+        assert [facts.tau_at_most(k) for k in range(6)] == [tau <= k for k in range(6)]
+    assert adjacent >= 10
+
+
+def test_agent_types_gate_rejects_dense_instances_from_fingerprints(monkeypatch):
+    # dense and asymmetric, so the query goes to the oracle; the gate's
+    # row scan rejects tau <= 3 without computing the types
+    inst = gen_random(9, 3, 0.8, seed=4)
+    calls = _counting(monkeypatch, "agent_types")
+    r = dispatch(inst, StabilityQuery("weak", "all"))
+    assert r.algorithm == "oracle" and not calls
 
 
 @pytest.mark.parametrize(
@@ -720,9 +822,9 @@ def test_solvers_are_deterministic():
 
     inst = gen_random(7, 3, 0.4, symmetric=True, seed=5150)
     _changing_candidates.cache_clear()
-    first = _changing_candidates(inst)
+    first = tuple(map(tuple, _changing_candidates(inst)))
     _changing_candidates.cache_clear()
-    assert _changing_candidates(inst) == first
+    assert tuple(map(tuple, _changing_candidates(inst))) == first
     _types_tables.cache_clear()
     q = StabilityQuery("weak", "all")
     assert dispatch(inst, q) == dispatch(inst, q)
