@@ -24,8 +24,8 @@ from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 
-from .errors import IdOutOfRange, InvalidMatching, InvalidQuery, NotSymmetric, PairIsMatched
-from .model import MultilayerInstance, _immutable, is_symmetric
+from .errors import IdOutOfRange, InvalidMatching, InvalidQuery, PairIsMatched
+from .model import MultilayerInstance, _immutable
 
 __all__ = [
     "Matching",
@@ -38,8 +38,6 @@ __all__ = [
     "layer_set",
     "stable_in_layer",
     "stable_layers",
-    "weak_char_check",
-    "strong_char_check",
 ]
 
 BASES = ("weak", "strong", "super")
@@ -357,27 +355,3 @@ def stable_layers(inst: MultilayerInstance, m: Matching, base: str) -> frozenset
     _require_base(base)
     full = (1 << inst.ell) - 1
     return layer_set(full & ~_blocked(inst, m, base, full))
-
-
-def weak_char_check(inst: MultilayerInstance, m: Matching, layer: int) -> bool:
-    """Symmetric-instance fast path: weakly stable iff the matching restricted
-    to the layer's mutual edges is maximal there, i.e. every mutual edge has a
-    happy endpoint."""
-    if not is_symmetric(inst):
-        raise NotSymmetric("weak characterization requires symmetric approvals")
-    for a, b in inst.mutual_edges(layer):
-        if not is_happy(inst, m, a, layer) and not is_happy(inst, m, b, layer):
-            return False
-    return True
-
-
-def strong_char_check(inst: MultilayerInstance, m: Matching, layer: int) -> bool:
-    """Symmetric-instance fast path: strongly stable iff every agent with a
-    neighbor in the layer is matched along a mutual edge."""
-    if not is_symmetric(inst):
-        raise NotSymmetric("strong characterization requires symmetric approvals")
-    bit = 1 << layer
-    for a, row in enumerate(inst.approval_masks):
-        if any(mask & bit for mask in row.values()) and not is_happy(inst, m, a, layer):
-            return False
-    return True

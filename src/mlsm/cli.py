@@ -3,7 +3,7 @@
 Instances, matchings, and verdicts travel as JSON documents with stable key
 order and 1-based layer indices; agents are referenced by display name.
 Exit codes: check 0 stable / 1 unstable, solve 0 exists / 1 not-exists /
-3 unknown, 2 for any error, bench nonzero on failure.
+3 unknown, 2 for any error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "cmd_solve",
     "cmd_oracle",
     "cmd_gen",
-    "cmd_bench",
     "instance_to_doc",
     "instance_from_doc",
     "matching_to_doc",
@@ -280,20 +279,6 @@ def cmd_gen(args) -> int:
     raise MlsmError(f"unknown generator {args.generator!r}")
 
 
-def cmd_bench(args) -> int:
-    from .bench import SUITES, run_suite
-
-    if args.suite not in SUITES:
-        raise MlsmError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}"
-        )
-    report = run_suite(args.suite, args.trials, args.seed)
-    print(report.line())
-    for note in report.notes:
-        print(f"  {note}")
-    return 0 if report.passed else 1
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -320,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     _add_query_flags(p)
     p.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET.max_agents, help="oracle fallback agent cap"
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET.max_agents,
+        help="agent cap of the exhaustive searches: the oracle fallback and the super-pair-fpt kernel",
     )
     p.set_defaults(fn=cmd_solve)
 
@@ -357,12 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--alpha", type=int, required=True)
     g.add_argument("--out", default="instance.json")
     g.set_defaults(fn=cmd_gen)
-
-    p = subs.add_parser("bench", help="run a named randomized suite")
-    p.add_argument("suite")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

@@ -10,10 +10,14 @@ class SelfApproval(MlsmError):
     its display name, if it has one, and numbers layers from 1."""
 
     def __init__(self, agent: int, layer: int, name: str | None = None):
-        who = agent if name is None else repr(name)
-        super().__init__(f"agent {who} approves itself in layer {layer + 1}")
+        super().__init__(agent, layer, name)  # the args, so pickling restores them
         self.agent = agent
         self.layer = layer
+
+    def __str__(self) -> str:
+        agent, layer, name = self.args
+        who = agent if name is None else repr(name)
+        return f"agent {who} approves itself in layer {layer + 1}"
 
 
 class IdOutOfRange(MlsmError):

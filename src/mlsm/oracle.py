@@ -1,13 +1,12 @@
 """Exhaustive ground truth at desk scale.
 
-Enumerates every matching of an instance (the telephone-number count T(n)),
-decides arbitrary queries, and lists per-layer super-stable matchings.
+Enumerates every matching of an instance (the telephone-number count T(n))
+and decides arbitrary queries.
 
 ``oracle_solve`` is the one search that prunes: a branch and bound over
 partial matchings that returns the first stable matching of the canonical
-order.  ``enumerate_matchings``, ``oracle_all``, ``oracle_layer_superstable``
-and ``existence_table`` visit every matching and stay plain, so that they are
-obviously correct: ``oracle_all`` with ``check`` is the specification the
+order.  ``enumerate_matchings``, ``oracle_all`` and ``existence_table`` visit
+every matching and stay plain, so that they are obviously correct: ``oracle_all`` with ``check`` is the specification the
 tests hold ``oracle_solve`` to.  Solvers and generators are validated against
 this module.
 """
@@ -17,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator
 
-from .blocking import BASES, Matching, block_mask, stable_in_layer, support_mask
+from .blocking import BASES, Matching, block_mask, support_mask
 from .errors import BadParameters, BudgetExceeded
 from .model import MultilayerInstance, _immutable
 from .verify import StabilityQuery, _violation, check
@@ -28,7 +27,6 @@ __all__ = [
     "enumerate_matchings",
     "oracle_solve",
     "oracle_all",
-    "oracle_layer_superstable",
     "existence_table",
 ]
 
@@ -223,17 +221,6 @@ def oracle_all(
     q.effective_alpha(inst.ell)
     return [
         m for m in enumerate_matchings(inst.n, budget) if check(inst, m, q).stable
-    ]
-
-
-def oracle_layer_superstable(
-    inst: MultilayerInstance, layer: int, budget: OracleBudget = DEFAULT_BUDGET
-) -> list[Matching]:
-    """All matchings that are super stable in one layer."""
-    return [
-        m
-        for m in enumerate_matchings(inst.n, budget)
-        if stable_in_layer(inst, m, layer, "super")
     ]
 
 

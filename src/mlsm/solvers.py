@@ -18,7 +18,7 @@ from .blocking import Matching, stable_in_layer
 from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, NotSymmetric, UncertifiedWitness
 from .graphalg import SimpleGraph, has_perfect_matching, maximal_matching, maximum_matching, saturating_matching
 from .model import MultilayerInstance, _immutable, agent_types, changing_agents, is_symmetric, mutual_pairs
-from .oracle import DEFAULT_BUDGET, OracleBudget, _iter_partner_arrays, oracle_solve
+from .oracle import DEFAULT_BUDGET, OracleBudget, _check_budget, _iter_partner_arrays, oracle_solve
 from .verify import StabilityQuery, Verdict, check
 
 __all__ = [
@@ -337,12 +337,15 @@ def solve_super_pair_veryhighalpha(inst: MultilayerInstance, alpha: int) -> Solv
     return _solve_super_forced(inst, q, "super-pair-veryhighalpha")
 
 
-def solve_super_pair_fpt(inst: MultilayerInstance, alpha: int) -> SolveResult:
+def solve_super_pair_fpt(
+    inst: MultilayerInstance, alpha: int, budget: OracleBudget = DEFAULT_BUDGET
+) -> SolveResult:
     """alpha-pair super stability for symmetric approvals, alpha > ell/2.
 
     Beyond the forced threshold edges, more than 2^(ell+1) isolated agents
     rule out a solution; otherwise the isolated kernel is matched among
-    itself exhaustively and each completion is verified.
+    itself exhaustively and each completion is verified.  A kernel of more
+    than ``budget.max_agents`` agents raises ``BudgetExceeded`` instead.
     """
     _require_symmetric(inst, "solve_super_pair_fpt")
     _check_alpha(alpha, inst.ell)
@@ -355,6 +358,7 @@ def solve_super_pair_fpt(inst: MultilayerInstance, alpha: int) -> SolveResult:
     forced, isolated = skeleton
     if len(isolated) > 2 ** (inst.ell + 1):
         return SolveResult.none(tag)
+    _check_budget(len(isolated), budget)
     q = StabilityQuery("super", "pair", alpha)
     for partner in _iter_partner_arrays(len(isolated)):
         pairs = list(forced)
@@ -724,18 +728,19 @@ class Solver:
 
     ``applies(facts, q, alpha)`` is the route's query shape, structural
     precondition and cost gate; it tests the query, then alpha, and only then
-    ``facts``.  ``run(inst, q, alpha)`` decides the query.
+    ``facts``.  ``run(inst, q, alpha, budget)`` decides the query; a route
+    with an exhaustive step raises ``BudgetExceeded`` past the budget.
     """
 
     name: str
     applies: Callable[[InstanceFacts, StabilityQuery, int], bool]
-    run: Callable[[MultilayerInstance, StabilityQuery, int], SolveResult]
+    run: Callable[[MultilayerInstance, StabilityQuery, int, OracleBudget], SolveResult]
 
     def __init__(
         self,
         name: str,
         applies: Callable[[InstanceFacts, StabilityQuery, int], bool],
-        run: Callable[[MultilayerInstance, StabilityQuery, int], SolveResult],
+        run: Callable[[MultilayerInstance, StabilityQuery, int, OracleBudget], SolveResult],
     ):
         self.__dict__.update(name=name, applies=applies, run=run)
 
@@ -753,11 +758,16 @@ class Solver:
         return hash((self.name, self.applies, self.run))
 
 
-def _run_strong_alllayers(inst: MultilayerInstance, q, alpha) -> SolveResult:
+def _run_strong_alllayers(inst: MultilayerInstance, q, alpha, budget) -> SolveResult:
     m = solve_strong_alllayers_symmetric(inst)
     if m is None:
         return SolveResult.none("strong-alllayers-symmetric")
     return SolveResult.found("strong-alllayers-symmetric", m, frozenset(range(inst.ell)))
+
+
+def _run_oracle(inst: MultilayerInstance, q, alpha, budget) -> SolveResult:
+    m = oracle_solve(inst, q, budget)
+    return SolveResult.none("oracle") if m is None else SolveResult.found("oracle", m)
 
 
 # Every route, in order of precedence.  Each ``run`` looks its solver up by
@@ -765,32 +775,32 @@ def _run_strong_alllayers(inst: MultilayerInstance, q, alpha) -> SolveResult:
 SOLVERS = (
     Solver("weak-lowalpha",
            lambda f, q, a: q.base == "weak" and q.agg in ("pair", "individual") and 2 * a <= f.ell + 1,
-           lambda inst, q, a: SolveResult.found("weak-lowalpha", solve_weak_lowalpha(inst, a))),
+           lambda inst, q, a, b: SolveResult.found("weak-lowalpha", solve_weak_lowalpha(inst, a))),
     Solver("super-global",
            lambda f, q, a: q.base == "super" and q.agg in ("all", "global"),
-           lambda inst, q, a: solve_super_global(inst, a)),
+           lambda inst, q, a, b: solve_super_global(inst, a)),
     Solver("strong-alllayers-symmetric",
            lambda f, q, a: q.base == "strong" and q.agg in ("all", "global") and a == f.ell and f.symmetric,
            _run_strong_alllayers),
     Solver("strong-global-symmetric",
            lambda f, q, a: q.base == "strong" and q.agg in ("all", "global")
            and comb(f.ell, a) <= STRONG_GLOBAL_SUBSETS_MAX and f.symmetric,
-           lambda inst, q, a: solve_strong_global_symmetric(inst, a)),
+           lambda inst, q, a, b: solve_strong_global_symmetric(inst, a)),
     Solver("super-individual-highalpha",
            lambda f, q, a: q.base == "super" and q.agg == "individual" and 2 * a > f.ell and f.symmetric,
-           lambda inst, q, a: solve_super_individual_highalpha(inst, a)),
+           lambda inst, q, a, b: solve_super_individual_highalpha(inst, a)),
     Solver("super-pair-veryhighalpha",
            lambda f, q, a: q.base == "super" and q.agg == "pair" and 3 * a > 2 * f.ell and f.symmetric,
-           lambda inst, q, a: solve_super_pair_veryhighalpha(inst, a)),
+           lambda inst, q, a, b: solve_super_pair_veryhighalpha(inst, a)),
     Solver("super-pair-fpt",
            lambda f, q, a: q.base == "super" and q.agg == "pair" and 2 * a > f.ell and f.symmetric,
-           lambda inst, q, a: solve_super_pair_fpt(inst, a)),
+           lambda inst, q, a, b: solve_super_pair_fpt(inst, a, b)),
     Solver("agent-types",
            lambda f, q, a: f.tau_at_most(TAU_DISPATCH_MAX),
-           lambda inst, q, a: solve_by_types(inst, q)),
+           lambda inst, q, a, b: solve_by_types(inst, q)),
     Solver("changing-agents",
            lambda f, q, a: f.symmetric and f.beta <= BETA_DISPATCH_MAX,
-           lambda inst, q, a: solve_by_changing(inst, q)),
+           lambda inst, q, a, b: solve_by_changing(inst, q)),
 )
 
 
@@ -801,7 +811,9 @@ def dispatch(
 ) -> SolveResult:
     """Route a query to the first ``SOLVERS`` entry that applies, else to the
     oracle within budget.  Anything else is unknown, never a guessed
-    not-exists, and its detail names the gates that blocked it.
+    not-exists, and its detail names the gates that blocked it.  A route
+    or oracle search stopped by the budget is unknown too, tagged with the
+    route's name.
 
     Every ``exists`` witness passes ``check`` before it is returned, else
     ``UncertifiedWitness`` is raised; a route's own verdict for the same
@@ -812,7 +824,7 @@ def dispatch(
     facts = InstanceFacts(inst)
     for solver in SOLVERS:
         if solver.applies(facts, q, alpha):
-            res = solver.run(inst, q, alpha)
+            name, run = solver.name, solver.run
             break
     else:
         if inst.n > budget.max_agents:
@@ -822,11 +834,11 @@ def dispatch(
                 f"no complete algorithm applies: tau={facts.tau} > {TAU_DISPATCH_MAX}, "
                 f"{changing}, n={inst.n} > oracle budget {budget.max_agents}",
             )
-        try:
-            m = oracle_solve(inst, q, budget)
-        except BudgetExceeded as exc:
-            return SolveResult.undecided("oracle", f"oracle budget exceeded: {exc}")
-        res = SolveResult.none("oracle") if m is None else SolveResult.found("oracle", m)
+        name, run = "oracle", _run_oracle
+    try:
+        res = run(inst, q, alpha, budget)
+    except BudgetExceeded as exc:
+        return SolveResult.undecided(name, f"{name} budget exceeded: {exc}")
     if not res.exists:
         return res
     verdict = res.verdict

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import strong_char_check, weak_char_check
 from mlsm.blocking import (
     BASES,
     Matching,
@@ -13,8 +14,6 @@ from mlsm.blocking import (
     is_happy,
     stable_in_layer,
     stable_layers,
-    strong_char_check,
-    weak_char_check,
 )
 from mlsm.errors import (
     IdOutOfRange,

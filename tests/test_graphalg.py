@@ -4,7 +4,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsm.bench import brute_force_max_matching
+from corpus import brute_force_max_matching
 from mlsm.graphalg import (
     SimpleGraph,
     has_perfect_matching,

@@ -45,6 +45,9 @@ def test_build_rejects_self_approval():
         build_instance(2, 1, [[set(), {1}]], names=["x", "y"])
     assert (named.value.agent, named.value.layer) == (1, 0)
     assert str(named.value) == "agent 'y' approves itself in layer 1"
+    for err in (plain.value, named.value):
+        back = pickle.loads(pickle.dumps(err))
+        assert (back.agent, back.layer, str(back)) == (err.agent, err.layer, str(err))
 
 
 def test_build_rejects_out_of_range():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlsm.blocking import weak_char_check
+from corpus import exists_by_oracle, oracle_layer_superstable, weak_char_check
 from mlsm.errors import BudgetExceeded
 from mlsm.model import build_instance
 from mlsm.oracle import (
@@ -12,11 +12,9 @@ from mlsm.oracle import (
     enumerate_matchings,
     existence_table,
     oracle_all,
-    oracle_layer_superstable,
     oracle_solve,
 )
 from mlsm.reductions import gen_random
-from mlsm.bench import _exists_by_oracle
 from mlsm.verify import StabilityQuery, all_queries, check
 
 
@@ -152,6 +150,6 @@ def test_existence_table_matches_per_query_oracle():
         )
         table = existence_table(inst)
         for q in all_queries(inst.ell):
-            assert _exists_by_oracle(table, q, inst.ell) == (
+            assert exists_by_oracle(table, q, inst.ell) == (
                 oracle_solve(inst, q) is not None
             )

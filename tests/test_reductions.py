@@ -189,7 +189,7 @@ def test_copy_layers_blocking_floors_at_copy_count():
     import random
 
     from mlsm.blocking import blocks
-    from mlsm.bench import random_matching
+    from corpus import random_matching
 
     rng = random.Random(63)
     for _ in range(20):

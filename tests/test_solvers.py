@@ -3,16 +3,17 @@ import importlib
 import inspect
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+from corpus import exists_by_oracle, lowtau_instance, oracle_layer_superstable, symmetric_lowbeta_instance
 import mlsm.solvers as solvers
-from mlsm.errors import AlphaTooHigh, AlphaTooLow, BadParameters, MlsmError, NotSymmetric, UncertifiedWitness
+from mlsm.errors import AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, MlsmError, NotSymmetric, UncertifiedWitness
 from mlsm.model import agent_types, build_instance, changing_agents
-from mlsm.oracle import OracleBudget, _iter_partner_arrays, existence_table, oracle_layer_superstable
+from mlsm.oracle import OracleBudget, _iter_partner_arrays, existence_table
 from mlsm.reductions import gen_random, reduce_is_to_global_strong
-from mlsm.bench import _exists_by_oracle, lowtau_instance, symmetric_lowbeta_instance
 from mlsm.blocking import Matching
 from mlsm.graphalg import SimpleGraph, has_perfect_matching, saturating_matching
 from mlsm.solvers import (
@@ -446,9 +447,29 @@ def test_super_pair_fpt_agrees_with_veryhighalpha():
 
 
 def test_super_pair_fpt_kernel_rejection():
-    # ell=1, alpha=1: threshold graph empty on 5 agents > 2^2 isolated
+    # ell=1, alpha=1: threshold graph empty on 5 agents > 2^2 isolated; the
+    # rejection comes before the budget, so even a zero budget says so
     inst = build_instance(5, 1, [[set()] * 5])
     assert not solve_super_pair_fpt(inst, 1).exists
+    assert solve_super_pair_fpt(inst, 1, OracleBudget(max_agents=0)).status == "not-exists"
+    # a threshold-degree-two vertex: no skeleton
+    fork = build_instance(3, 2, [[{1, 2}, {0}, {0}]] * 2)
+    assert solve_super_pair_fpt(fork, 2, OracleBudget(max_agents=0)).status == "not-exists"
+
+
+def test_super_pair_fpt_kernel_over_budget_is_unknown():
+    # no approvals in 5 layers: every agent is isolated in the threshold graph
+    q = StabilityQuery("super", "pair", 3)
+    empty = build_instance(14, 5, [[set()] * 14] * 5)
+    t0 = time.perf_counter()
+    r = dispatch(empty, q)
+    assert time.perf_counter() - t0 < 1.0
+    assert (r.status, r.algorithm) == ("unknown", "super-pair-fpt")
+    assert r.detail == "super-pair-fpt budget exceeded: 14 agents exceed the oracle budget of 12"
+    with pytest.raises(BudgetExceeded):
+        solve_super_pair_fpt(empty, 3)
+    small = dispatch(build_instance(8, 5, [[set()] * 8] * 5), q)
+    assert (small.status, small.algorithm) == ("not-exists", "super-pair-fpt")
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +502,7 @@ def test_types_uniform_approvals_vs_oracle():
         inst = build_instance(n, ell, layers)
         table = existence_table(inst)
         for q in all_queries(inst.ell):
-            assert solve_by_types(inst, q).exists == _exists_by_oracle(
+            assert solve_by_types(inst, q).exists == exists_by_oracle(
                 table, q, inst.ell
             )
 
@@ -503,7 +524,7 @@ def test_changing_no_changers_weak_always_exists():
 def test_changing_footnote_all_queries(ex2):
     table = existence_table(ex2)
     for q in all_queries(ex2.ell):
-        assert solve_by_changing(ex2, q).exists == _exists_by_oracle(table, q, 2)
+        assert solve_by_changing(ex2, q).exists == exists_by_oracle(table, q, 2)
 
 
 def test_changing_requires_symmetry(ex1):
@@ -517,7 +538,7 @@ def test_changing_lowbeta_vs_oracle():
         inst = symmetric_lowbeta_instance(rng, rng.randint(2, 8), rng.randint(1, 4), 3)
         table = existence_table(inst)
         for q in all_queries(inst.ell):
-            assert solve_by_changing(inst, q).exists == _exists_by_oracle(
+            assert solve_by_changing(inst, q).exists == exists_by_oracle(
                 table, q, inst.ell
             )
 
@@ -811,7 +832,7 @@ def test_parameterized_solvers_at_high_layer_counts():
         table = existence_table(inst)
         sym = is_symmetric(inst)
         for q in all_queries(inst.ell):
-            truth = _exists_by_oracle(table, q, inst.ell)
+            truth = exists_by_oracle(table, q, inst.ell)
             assert solve_by_types(inst, q).exists == truth
             if sym:
                 assert solve_by_changing(inst, q).exists == truth
@@ -881,6 +902,6 @@ def test_dispatch_soundness_random():
         for q in rng.sample(all_queries(inst.ell), 5):
             r = dispatch(inst, q)
             assert r.status != "unknown"
-            assert r.exists == _exists_by_oracle(table, q, inst.ell)
+            assert r.exists == exists_by_oracle(table, q, inst.ell)
             if r.exists:
                 assert check(inst, r.matching, q).stable

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from corpus import random_instance, random_matching
 from mlsm.blocking import (
     BASES,
     Matching,
@@ -15,7 +16,6 @@ from mlsm.blocking import (
 from mlsm.errors import AlphaOutOfRange, IdOutOfRange, InvalidQuery
 from mlsm.model import build_instance
 from mlsm.reductions import gen_random
-from mlsm.bench import random_instance, random_matching
 from mlsm.verify import StabilityQuery, all_queries, check
 
 
