@@ -15,14 +15,13 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import _lazy_attrs
 from .blocking import BASES, Matching
 from .errors import InvalidMatching, MalformedDocument, MlsmError
 from .model import MultilayerInstance, _check_shape, _refuse_self_approvals
-from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_all, oracle_solve
-from .solvers import dispatch
 from .verify import AGGREGATIONS, StabilityQuery, check
 
-if TYPE_CHECKING:  # the generators are imported by the subcommand that runs them
+if TYPE_CHECKING:  # each subcommand imports the modules only it runs
     from .reductions import GeneratedInstance
 
 __all__ = [
@@ -36,6 +35,19 @@ __all__ = [
     "matching_to_doc",
     "matching_from_doc",
 ]
+
+# solve and oracle import their stack when they run; these names stay
+# readable here for library callers
+__getattr__ = _lazy_attrs(
+    __name__,
+    {
+        "dispatch": "mlsm.solvers",
+        "OracleBudget": "mlsm.oracle",
+        "DEFAULT_BUDGET": "mlsm.oracle",
+        "oracle_all": "mlsm.oracle",
+        "oracle_solve": "mlsm.oracle",
+    },
+)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +139,10 @@ def _layers_out(layers) -> list[int] | None:
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:  # the decoder's nesting limit, about 1 000 levels
+        raise MalformedDocument(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(doc: dict) -> None:
@@ -160,10 +175,18 @@ def cmd_check(args) -> int:
     return 0 if verdict.stable else 1
 
 
+def _budget(args):
+    from .oracle import OracleBudget
+
+    return OracleBudget() if args.budget is None else OracleBudget(max_agents=args.budget)
+
+
 def cmd_solve(args) -> int:
+    from .solvers import dispatch
+
     inst = instance_from_doc(_load_json(args.instance))
     q = StabilityQuery(args.base, args.agg, args.alpha)
-    budget = OracleBudget(max_agents=args.budget)
+    budget = _budget(args)
     t0 = time.perf_counter()
     result = dispatch(inst, q, budget)
     elapsed = (time.perf_counter() - t0) * 1000
@@ -184,9 +207,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import oracle_all, oracle_solve
+
     inst = instance_from_doc(_load_json(args.instance))
     q = StabilityQuery(args.base, args.agg, args.alpha)
-    budget = OracleBudget(max_agents=args.budget)
+    budget = _budget(args)
     t0 = time.perf_counter()
     if args.all:
         matchings = oracle_all(inst, q, budget)
@@ -304,11 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("solve", help="find a stable matching or report none/unknown")
     p.add_argument("instance")
     _add_query_flags(p)
+    # --budget has no parser default: building the parser, also for check,
+    # must not import the oracle, so _budget falls back to OracleBudget's own
     p.add_argument(
         "--budget",
         type=int,
-        default=DEFAULT_BUDGET.max_agents,
-        help="agent cap of the exhaustive searches: the oracle fallback and the super-pair-fpt kernel",
+        help="agent cap of the exhaustive searches: the oracle fallback and the super-pair-fpt kernel (default: 12)",
     )
     p.set_defaults(fn=cmd_solve)
 
@@ -316,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     _add_query_flags(p)
     p.add_argument("--all", action="store_true", help="list every stable matching")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET.max_agents)
+    p.add_argument("--budget", type=int, help="agent cap of the search (default: 12)")
     p.set_defaults(fn=cmd_oracle)
 
     p = subs.add_parser("gen", help="generate instances")

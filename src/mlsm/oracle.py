@@ -145,32 +145,40 @@ def oracle_solve(
     full = (1 << ell) - 1
     slack = ell - alpha
     masks = inst.approval_masks
-    if q.agg in ("all", "global"):
-        def cost(sa, sb, ha, hb):
-            return block_mask(base, sa, sb, ha, hb, full)
-    else:
-        violates = _violation(q, ell)
-
-        def cost(sa, sb, ha, hb):
-            return full if violates(sa, sb, ha, hb) else 0
-
     partner = [-1] * n
     happy = [0] * n
     free = [True] * n
     decided: list[int] = []
     nodes = 0
 
-    def settle(x: int, blocked: int) -> int | None:
-        """Decide x: OR in its pairs with the decided agents other than its
-        partner, or None once the costs exceed the slack."""
-        row, hx, px = masks[x], happy[x], partner[x]
-        for y in decided:
-            if y != px:
-                blocked |= cost(row.get(y, 0), masks[y].get(x, 0), hx, happy[y])
-                if blocked.bit_count() > slack:
+    if q.agg in ("all", "global"):
+        def settle(x: int, blocked: int) -> int | None:
+            """Decide x: OR in the blocked layers of its pairs with the
+            decided agents other than its partner, or None once they exceed
+            the slack."""
+            row, hx, px = masks[x], happy[x], partner[x]
+            for y in decided:
+                if y != px:
+                    c = block_mask(base, row.get(y, 0), masks[y].get(x, 0), hx, happy[y], full)
+                    if c & ~blocked:
+                        blocked |= c
+                        if blocked.bit_count() > slack:
+                            return None
+            decided.append(x)
+            return blocked
+    else:
+        violates = _violation(q, ell)
+
+        def settle(x: int, blocked: int) -> int | None:
+            """Decide x, or None at its first pair with a decided agent
+            other than its partner that violates the query (a violating
+            pair costs every layer, more than the slack since alpha >= 1)."""
+            row, hx, px = masks[x], happy[x], partner[x]
+            for y in decided:
+                if y != px and violates(row.get(y, 0), masks[y].get(x, 0), hx, happy[y]):
                     return None
-        decided.append(x)
-        return blocked
+            decided.append(x)
+            return blocked
 
     def branch(a: int, b: int, blocked: int) -> Matching | None:
         """Decide a, single (b == -1) or paired with b, and search on."""

@@ -543,16 +543,153 @@ def test_malformed_matching_docs_raise_only_package_errors(doc):
     assert matching_from_doc(inst, matching_to_doc(inst, m)) == m
 
 
-def test_cli_import_loads_no_dataclasses():
-    # a fresh interpreter: the test process itself may have loaded anything.
-    # The value classes on the CLI path are plain classes, so a CLI call pays
-    # for neither dataclasses nor the inspect it imports; the generators
-    # load only in `gen`
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this package: the test process
+    itself may have loaded anything."""
     src = str(Path(mlsm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the value classes on the CLI path are plain classes, so a CLI call pays
+    # for neither dataclasses nor the inspect it imports; the generators
+    # load only in `gen`
     code = (
         "import sys, mlsm.cli; "
         "loaded = {'dataclasses', 'inspect', 'networkx', 'mlsm.reductions'} & set(sys.modules); "
         "assert not loaded, sorted(loaded)"
     )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    _fresh_python(code)
+
+
+# ---------------------------------------------------------------------------
+# cold start: check loads the checker only, solve and oracle their stack
+
+CHECKER = ["mlsm", "mlsm.blocking", "mlsm.cli", "mlsm.errors", "mlsm.model", "mlsm.verify"]
+
+
+def test_cli_import_and_check_load_only_the_checker(ex1_file, m1_file):
+    code = (
+        "import sys, mlsm.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('mlsm'))\n"
+        f"assert loaded() == {CHECKER!r}, loaded()\n"
+        "code = mlsm.cli.main(['check', sys.argv[1], sys.argv[2], '--base', 'weak', '--agg', 'all'])\n"
+        f"assert code == 0 and loaded() == {CHECKER!r}, loaded()\n"
+    )
+    proc = _fresh_python(code, ex1_file, m1_file)
+    assert json.loads(proc.stdout)["stable"] is True
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_solve_and_oracle_load_their_stack(ex1_file, command):
+    code = (
+        "import sys, mlsm.cli\n"
+        "code = mlsm.cli.main([sys.argv[1], sys.argv[2], '--base', 'weak', '--agg', 'all'])\n"
+        "assert code == 0, code\n"
+        "assert 'mlsm.oracle' in sys.modules and 'mlsm.reductions' not in sys.modules\n"
+    )
+    proc = _fresh_python(code, command, ex1_file)
+    assert json.loads(proc.stdout)["exists"] is True
+
+
+def test_solve_and_oracle_documents_and_default_budget(tmp_path, capsys):
+    # the --budget default, 12, comes from OracleBudget: n=12 runs the
+    # oracle, n=13 is over it
+    argv = ["--base", "weak", "--agg", "all"]
+    pairs = [["0", "1"], ["2", "6"], ["3", "4"], ["5", "8"], ["7", "10"], ["9", "11"]]
+    paths = {}
+    for n in (12, 13):
+        paths[n] = str(tmp_path / f"n{n}.json")
+        Path(paths[n]).write_text(json.dumps(instance_to_doc(gen_random(n, 3, 0.8, seed=1))))
+
+    def run(*args):
+        code = main([*args, *argv])
+        out, err = capsys.readouterr()
+        doc = json.loads(out) if out else json.loads(err)
+        doc.pop("elapsed_ms", None)
+        return code, doc
+
+    assert run("solve", paths[12]) == (0, {
+        "exists": True, "status": "exists", "query": "all-layers weak", "algorithm": "oracle",
+        "witness_layers": [1, 2, 3], "matching": pairs, "detail": None,
+    })
+    assert run("oracle", paths[12]) == (0, {
+        "exists": True, "query": "all-layers weak", "algorithm": "oracle", "matching": pairs,
+    })
+    assert run("solve", paths[13]) == (3, {
+        "exists": None, "status": "unknown", "query": "all-layers weak", "algorithm": "none",
+        "witness_layers": None, "matching": None,
+        "detail": "no complete algorithm applies: tau=13 > 3, asymmetric, n=13 > oracle budget 12",
+    })
+    assert run("oracle", paths[13]) == (2, {"error": "13 agents exceed the oracle budget of 12"})
+    default = f"(default: {mlsm.OracleBudget().max_agents})"
+    for command in ("solve", "oracle"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert default in " ".join(capsys.readouterr().out.split())
+
+
+def test_lazy_names_are_the_defining_modules_own():
+    import mlsm.cli as cli
+    from mlsm import oracle, solvers
+
+    for name in mlsm.__all__:
+        obj = getattr(mlsm, name)
+        assert obj.__module__ != "mlsm"
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert cli.dispatch is solvers.dispatch
+    for name in ("OracleBudget", "DEFAULT_BUDGET", "oracle_all", "oracle_solve"):
+        assert getattr(cli, name) is getattr(oracle, name)
+    assert "dispatch" not in vars(cli) and "dispatch" not in vars(mlsm)
+
+
+def test_lazy_names_follow_a_rebinding(monkeypatch):
+    import mlsm.cli as cli
+    from mlsm import solvers
+
+    original = solvers.dispatch
+
+    def replacement(*args):
+        return original(*args)
+
+    monkeypatch.setattr(solvers, "dispatch", replacement)
+    assert cli.dispatch is replacement and mlsm.dispatch is replacement
+    monkeypatch.undo()
+    assert cli.dispatch is original and mlsm.dispatch is original
+
+
+@pytest.mark.parametrize("module", ["mlsm", "mlsm.cli"])
+def test_unknown_attribute_raises(module):
+    mod = sys.modules[module]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mod.no_such_name
+    assert not hasattr(mod, "solve_super_global")
+
+
+def _deep(tmp_path) -> str:
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "DEEP", "EMPTY", "--base", "weak", "--agg", "all"],
+        ["check", "EX1", "DEEP", "--base", "weak", "--agg", "all"],
+        ["solve", "DEEP", "--base", "weak", "--agg", "all"],
+        ["oracle", "DEEP", "--base", "weak", "--agg", "all"],
+    ],
+    ids=["check-instance", "check-matching", "solve", "oracle"],
+)
+def test_deeply_nested_json_exits_two(tmp_path, ex1_file, argv, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"pairs": []}')
+    files = {"DEEP": _deep(tmp_path), "EMPTY": str(empty), "EX1": ex1_file}
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == f"{files['DEEP']}: JSON nested too deeply"
