@@ -25,7 +25,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .errors import IdOutOfRange, InvalidMatching, InvalidQuery, PairIsMatched
-from .model import MultilayerInstance, _immutable
+from .model import MultilayerInstance, _Value
 
 __all__ = [
     "Matching",
@@ -43,12 +43,14 @@ __all__ = [
 BASES = ("weak", "strong", "super")
 
 
-class Matching:
+class Matching(_Value):
     """Disjoint unordered agent pairs with partner lookup.  Equality, hash
     and repr read ``pairs`` only."""
 
     pairs: tuple[tuple[int, int], ...]
     _partner: dict[int, int]
+
+    _fields = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
         partner: dict[int, int] = {}
@@ -60,19 +62,6 @@ class Matching:
             partner[a] = b
             partner[b] = a
         self.__dict__.update(pairs=pairs, _partner=partner)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return f"Matching(pairs={self.pairs!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash((self.pairs,))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Matching":

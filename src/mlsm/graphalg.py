@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .blocking import Matching
 from .errors import IdOutOfRange
-from .model import _immutable
+from .model import _Value
 
 __all__ = [
     "SimpleGraph",
@@ -25,27 +25,16 @@ __all__ = [
 ]
 
 
-class SimpleGraph:
+class SimpleGraph(_Value):
     """A loop-free undirected graph on vertices ``0..n-1``."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
+    _fields = ("n", "edges")
+
     def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
         self.__dict__.update(n=n, edges=edges)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return f"SimpleGraph(n={self.n!r}, edges={self.edges!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.edges) == (other.n, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":

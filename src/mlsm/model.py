@@ -32,16 +32,40 @@ __all__ = [
 ]
 
 
-def _immutable(self, name, value=None):
-    """``__setattr__`` and ``__delattr__`` of the package's value classes.
+class _Value:
+    """Base of the package's immutable value classes.
 
-    Their ``__init__`` stores the fields straight into ``__dict__``, and
-    ``functools.cached_property`` writes there too, so neither passes
-    through here; any other assignment or deletion is refused."""
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+    Each class names its fields in ``_fields``; repr, equality (with the
+    same class only) and hash read them in that order.  ``__init__`` stores
+    the fields straight into ``__dict__``, and ``functools.cached_property``
+    writes there too, so neither passes through ``__setattr__``; any other
+    assignment or deletion is refused.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
-class MultilayerInstance:
+class MultilayerInstance(_Value):
     """n agents with one approval mask per approving ordered pair.
 
     ``approval_masks[a]`` is ``{b: mask}`` over the agents ``a`` approves in
@@ -57,15 +81,11 @@ class MultilayerInstance:
     approval_masks: tuple[dict[int, int], ...]
     names: tuple[str, ...] | None
 
+    _fields = ("n", "ell", "approval_masks", "names")
+
     def __init__(self, n: int, ell: int, approval_masks: tuple[dict[int, int], ...],
                  names: tuple[str, ...] | None = None):
         self.__dict__.update(n=n, ell=ell, approval_masks=approval_masks, names=names)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return (f"MultilayerInstance(n={self.n!r}, ell={self.ell!r}, "
-                f"approval_masks={self.approval_masks!r}, names={self.names!r})")
 
     def __eq__(self, other):
         if not isinstance(other, MultilayerInstance):
@@ -110,46 +130,24 @@ class MultilayerInstance:
         return str(a)
 
 
-class AgentTypePartition:
+class AgentTypePartition(_Value):
     blocks: tuple[tuple[int, ...], ...]
     tau: int
+
+    _fields = ("blocks", "tau")
 
     def __init__(self, blocks: tuple[tuple[int, ...], ...], tau: int):
         self.__dict__.update(blocks=blocks, tau=tau)
 
-    __setattr__ = __delattr__ = _immutable
 
-    def __repr__(self) -> str:
-        return f"AgentTypePartition(blocks={self.blocks!r}, tau={self.tau!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.blocks, self.tau) == (other.blocks, other.tau)
-
-    def __hash__(self) -> int:
-        return hash((self.blocks, self.tau))
-
-
-class ChangingSet:
+class ChangingSet(_Value):
     agents: frozenset[int]
     beta: int
 
+    _fields = ("agents", "beta")
+
     def __init__(self, agents: frozenset[int], beta: int):
         self.__dict__.update(agents=agents, beta=beta)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return f"ChangingSet(agents={self.agents!r}, beta={self.beta!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.agents, self.beta) == (other.agents, other.beta)
-
-    def __hash__(self) -> int:
-        return hash((self.agents, self.beta))
 
 
 def build_instance(

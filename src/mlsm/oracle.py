@@ -3,12 +3,14 @@
 Enumerates every matching of an instance (the telephone-number count T(n))
 and decides arbitrary queries.
 
-``oracle_solve`` is the one search that prunes: a branch and bound over
-partial matchings that returns the first stable matching of the canonical
-order.  ``enumerate_matchings``, ``oracle_all`` and ``existence_table`` visit
-every matching and stay plain, so that they are obviously correct: ``oracle_all`` with ``check`` is the specification the
-tests hold ``oracle_solve`` to.  Solvers and generators are validated against
-this module.
+``oracle_solve`` is the pruned search: a branch and bound over partial
+matchings that returns the first stable matching of the canonical order.
+The super threshold routes run it (``_search``) over their isolated agents,
+with the forced pairs fixed.  ``enumerate_matchings``, ``oracle_all`` and
+``existence_table`` visit every matching and stay plain, so that they are
+obviously correct: ``oracle_all`` with ``check`` is the specification the
+tests hold ``oracle_solve`` to.  Solvers and generators are validated
+against this module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterator
 
 from .blocking import BASES, Matching, block_mask, support_mask
 from .errors import BadParameters, BudgetExceeded
-from .model import MultilayerInstance, _immutable
+from .model import MultilayerInstance, _Value
 from .verify import StabilityQuery, _violation, check
 
 __all__ = [
@@ -31,35 +33,26 @@ __all__ = [
 ]
 
 
-class OracleBudget:
+class OracleBudget(_Value):
     """Size bounds of the exhaustive searches; exceeding one raises
     ``BudgetExceeded``.
 
-    ``max_agents`` bounds n.  ``max_matchings`` bounds the complete matchings
-    that ``enumerate_matchings`` (and so ``oracle_all``) yields, and the
-    search nodes of ``oracle_solve``: the partial matchings it extends.
+    ``max_agents`` bounds the agents a search decides: n, or the free agents
+    when ``_search`` starts from fixed pairs.  ``max_matchings`` bounds the
+    complete matchings that ``enumerate_matchings`` (and so ``oracle_all``)
+    yields, and the search nodes of ``oracle_solve`` and ``_search``: the
+    partial matchings they extend.
     """
 
     max_agents: int
     max_matchings: int | None
 
+    _fields = ("max_agents", "max_matchings")
+
     def __init__(self, max_agents: int = 12, max_matchings: int | None = None):
         self.__dict__.update(max_agents=max_agents, max_matchings=max_matchings)
         if max_agents < 0 or (max_matchings or 0) < 0:
             raise BadParameters(f"negative oracle budget {self}")
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return f"OracleBudget(max_agents={self.max_agents!r}, max_matchings={self.max_matchings!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_agents, self.max_matchings) == (other.max_agents, other.max_matchings)
-
-    def __hash__(self) -> int:
-        return hash((self.max_agents, self.max_matchings))
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -139,8 +132,17 @@ def oracle_solve(
     matching that survives is stable by the definition ``check`` uses, and
     the first one is the first of ``oracle_all``.
     """
+    return _search(inst, q, budget, [])
+
+
+def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
+            fixed: list[tuple[int, int]]) -> Matching | None:
+    """``oracle_solve`` over the matchings that contain the disjoint pairs
+    ``fixed``: the fixed agents start out decided, and only the free agents,
+    whose number ``budget.max_agents`` bounds, are searched.  A pair of two
+    fixed agents is never evaluated, so the caller certifies the result."""
     alpha = q.effective_alpha(inst.ell)
-    _check_budget(inst.n, budget)
+    _check_budget(inst.n - 2 * len(fixed), budget)
     n, ell, base = inst.n, inst.ell, q.base
     full = (1 << ell) - 1
     slack = ell - alpha
@@ -149,6 +151,11 @@ def oracle_solve(
     happy = [0] * n
     free = [True] * n
     decided: list[int] = []
+    for a, b in fixed:
+        partner[a], partner[b] = b, a
+        happy[a], happy[b] = masks[a].get(b, 0), masks[b].get(a, 0)
+        free[a] = free[b] = False
+        decided += (a, b)
     nodes = 0
 
     if q.agg in ("all", "global"):

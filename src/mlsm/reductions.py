@@ -3,8 +3,9 @@
 Each hardness construction ships a certificate mapping source-problem
 solutions to stable matchings (and back where the construction supports it),
 so desk-scale equivalence can be tested: the source answer must equal the
-stable-matching verdict.  The source-problem brute-forcers live here as test
-oracles.
+stable-matching verdict.  ``independent_set_brute_force`` is the one
+source-problem brute-forcer kept here, because the benchmark workloads use
+it too; the others live with the tests.
 
 The gadgets for the remaining hardness proofs (Monotone 3-SAT to all-layers
 strong, 3-SAT to pair strong, Minimum Maximal Matching to all-layers weak)
@@ -41,9 +42,7 @@ __all__ = [
     "reduce_degreepartition_to_pair_super",
     "parse_dimacs",
     "parse_edge_list",
-    "sat_brute_force",
     "independent_set_brute_force",
-    "degree_partition_brute_force",
 ]
 
 
@@ -460,19 +459,7 @@ def parse_edge_list(text: str) -> SimpleGraph:
 
 
 # ---------------------------------------------------------------------------
-# source-problem brute force (test oracles, desk scale only)
-
-
-def sat_brute_force(formula: CnfFormula) -> set[int] | None:
-    """A satisfying assignment as the set of true variables, or None."""
-    for bits in itertools.product((False, True), repeat=formula.num_vars):
-        true_vars = {v + 1 for v, bit in enumerate(bits) if bit}
-        if all(
-            any((lit > 0) == (abs(lit) in true_vars) for lit in clause)
-            for clause in formula.clauses
-        ):
-            return true_vars
-    return None
+# source-problem brute force (a test oracle, desk scale only)
 
 
 def independent_set_brute_force(g: SimpleGraph, k: int) -> set[int] | None:
@@ -481,24 +468,4 @@ def independent_set_brute_force(g: SimpleGraph, k: int) -> set[int] | None:
         chosen = set(combo)
         if all(u not in chosen or v not in chosen for u, v in g.edges):
             return chosen
-    return None
-
-
-def degree_partition_brute_force(
-    g: SimpleGraph,
-) -> tuple[set[int], set[int]] | None:
-    """A bipartition (possibly with an empty side) such that both induced
-    subgraphs are 1-regular, or None."""
-
-    def degrees_ok(part: set[int]) -> bool:
-        return all(
-            sum(1 for u, v in g.edges if u in part and v in part and w in (u, v)) == 1
-            for w in part
-        )
-
-    for mask in range(1 << g.n):
-        first = {v for v in range(g.n) if mask >> v & 1}
-        second = set(range(g.n)) - first
-        if degrees_ok(first) and degrees_ok(second):
-            return first, second
     return None

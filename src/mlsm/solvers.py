@@ -17,8 +17,8 @@ from typing import Callable, Iterator
 from .blocking import Matching, stable_in_layer
 from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, NotSymmetric, UncertifiedWitness
 from .graphalg import SimpleGraph, has_perfect_matching, maximal_matching, maximum_matching, saturating_matching
-from .model import MultilayerInstance, _immutable, agent_types, changing_agents, is_symmetric, mutual_pairs
-from .oracle import DEFAULT_BUDGET, OracleBudget, _check_budget, _iter_partner_arrays, oracle_solve
+from .model import MultilayerInstance, _Value, agent_types, changing_agents, is_symmetric, mutual_pairs
+from .oracle import DEFAULT_BUDGET, OracleBudget, _iter_partner_arrays, _search, oracle_solve
 from .verify import StabilityQuery, Verdict, check
 
 __all__ = [
@@ -46,7 +46,7 @@ BETA_DISPATCH_MAX = 5
 STRONG_GLOBAL_SUBSETS_MAX = 10_000
 
 
-class SolveResult:
+class SolveResult(_Value):
     """exists(M) / not-exists / unknown, tagged with the deciding algorithm.
 
     ``verdict`` is the ``check`` verdict that certified the matching: set by
@@ -61,6 +61,8 @@ class SolveResult:
     detail: str | None
     verdict: Verdict | None
 
+    _fields = ("status", "algorithm", "matching", "witness_layers", "detail", "verdict")
+
     def __init__(
         self,
         status: str,
@@ -72,25 +74,6 @@ class SolveResult:
     ):
         self.__dict__.update(status=status, algorithm=algorithm, matching=matching,
                              witness_layers=witness_layers, detail=detail, verdict=verdict)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def _fields(self) -> tuple:
-        return (self.status, self.algorithm, self.matching,
-                self.witness_layers, self.detail, self.verdict)
-
-    def __repr__(self) -> str:
-        return (f"SolveResult(status={self.status!r}, algorithm={self.algorithm!r}, "
-                f"matching={self.matching!r}, witness_layers={self.witness_layers!r}, "
-                f"detail={self.detail!r}, verdict={self.verdict!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     @classmethod
     def found(cls, alg, m, layers=None) -> "SolveResult":
@@ -288,53 +271,52 @@ def solve_super_global(inst: MultilayerInstance, alpha: int) -> SolveResult:
     return SolveResult.none(tag)
 
 
-def _super_threshold_skeleton(inst: MultilayerInstance, alpha: int):
-    """Forced edges of the (ell - alpha + 1) threshold graph.
+def _solve_super_threshold(inst: MultilayerInstance, q: StabilityQuery, tag: str, most: int,
+                           budget: OracleBudget = DEFAULT_BUDGET) -> SolveResult:
+    """Super stability for a pair or individual query with alpha > ell/2,
+    completed from the forced edges of the (ell - alpha + 1) threshold graph.
 
-    Returns (forced pairs, isolated vertices) or None when some vertex has
-    threshold degree two or more (no stable matching can contain both forced
-    pairs).
+    Every stable matching contains those edges, so an agent with threshold
+    degree two rules one out, and so do more than ``most`` isolated agents.
+    One pruned search (``oracle._search``) with the forced pairs fixed
+    returns the first completion, in canonical order over the isolated
+    agents, on which no pair with an isolated agent breaks the query.  It
+    never evaluates a pair of two forced agents; one ``check`` of its
+    result covers them.  A failure there means no completion passes: such
+    a pair has the same happy masks, so the same pair or individual
+    verdict, in every completion.  The isolated agents count against
+    ``budget.max_agents``.
     """
-    forced = threshold_graph(inst, inst.ell - alpha + 1).sorted_edges()
+    forced = threshold_graph(inst, inst.ell - q.alpha + 1).sorted_edges()
     covered = {v for pair in forced for v in pair}
-    if len(covered) < 2 * len(forced):
-        return None
-    return forced, [v for v in range(inst.n) if v not in covered]
-
-
-def _solve_super_forced(inst: MultilayerInstance, q: StabilityQuery, tag: str) -> SolveResult:
-    """The threshold-graph edges are forced, at most two isolated agents can
-    survive (matched together when exactly two); the single candidate is
-    verified against the checker."""
-    skeleton = _super_threshold_skeleton(inst, q.alpha)
-    if skeleton is None or len(skeleton[1]) >= 3:
+    if len(covered) < 2 * len(forced) or inst.n - len(covered) > most:
         return SolveResult.none(tag)
-    forced, isolated = skeleton
-    m = Matching.from_pairs(forced + [tuple(isolated)] if len(isolated) == 2 else forced)
-    verdict = check(inst, m, q)
-    if verdict.stable:
+    m = _search(inst, q, budget, forced)
+    if m is not None and (verdict := check(inst, m, q)).stable:
         return SolveResult.certified(tag, m, verdict)
     return SolveResult.none(tag)
 
 
 def solve_super_individual_highalpha(inst: MultilayerInstance, alpha: int) -> SolveResult:
-    """alpha-individual super stability for symmetric approvals, alpha > ell/2."""
+    """alpha-individual super stability for symmetric approvals, alpha > ell/2:
+    at most two isolated agents beyond the forced threshold edges."""
     _require_symmetric(inst, "solve_super_individual_highalpha")
     _check_alpha(alpha, inst.ell)
     if 2 * alpha <= inst.ell:
         raise AlphaTooLow(f"alpha={alpha} is not above ell/2={inst.ell / 2}")
     q = StabilityQuery("super", "individual", alpha)
-    return _solve_super_forced(inst, q, "super-individual-highalpha")
+    return _solve_super_threshold(inst, q, "super-individual-highalpha", 2)
 
 
 def solve_super_pair_veryhighalpha(inst: MultilayerInstance, alpha: int) -> SolveResult:
-    """alpha-pair super stability for symmetric approvals, alpha > 2*ell/3."""
+    """alpha-pair super stability for symmetric approvals, alpha > 2*ell/3:
+    at most two isolated agents beyond the forced threshold edges."""
     _require_symmetric(inst, "solve_super_pair_veryhighalpha")
     _check_alpha(alpha, inst.ell)
     if 3 * alpha <= 2 * inst.ell:
         raise AlphaTooLow(f"alpha={alpha} is not above 2*ell/3={2 * inst.ell / 3}")
     q = StabilityQuery("super", "pair", alpha)
-    return _solve_super_forced(inst, q, "super-pair-veryhighalpha")
+    return _solve_super_threshold(inst, q, "super-pair-veryhighalpha", 2)
 
 
 def solve_super_pair_fpt(
@@ -343,33 +325,17 @@ def solve_super_pair_fpt(
     """alpha-pair super stability for symmetric approvals, alpha > ell/2.
 
     Beyond the forced threshold edges, more than 2^(ell+1) isolated agents
-    rule out a solution; otherwise the isolated kernel is matched among
-    itself exhaustively and each completion is verified.  A kernel of more
-    than ``budget.max_agents`` agents raises ``BudgetExceeded`` instead.
+    rule out a solution; otherwise the pruned search matches the isolated
+    kernel among itself (see ``_solve_super_threshold``).  A kernel of more
+    than ``budget.max_agents`` agents, or a search past
+    ``budget.max_matchings`` nodes, raises ``BudgetExceeded`` instead.
     """
     _require_symmetric(inst, "solve_super_pair_fpt")
     _check_alpha(alpha, inst.ell)
     if 2 * alpha <= inst.ell:
         raise AlphaTooLow(f"alpha={alpha} is not above ell/2={inst.ell / 2}")
-    tag = "super-pair-fpt"
-    skeleton = _super_threshold_skeleton(inst, alpha)
-    if skeleton is None:
-        return SolveResult.none(tag)
-    forced, isolated = skeleton
-    if len(isolated) > 2 ** (inst.ell + 1):
-        return SolveResult.none(tag)
-    _check_budget(len(isolated), budget)
     q = StabilityQuery("super", "pair", alpha)
-    for partner in _iter_partner_arrays(len(isolated)):
-        pairs = list(forced)
-        pairs.extend(
-            (isolated[i], isolated[j]) for i, j in enumerate(partner) if j > i
-        )
-        m = Matching.from_pairs(pairs)
-        verdict = check(inst, m, q)
-        if verdict.stable:
-            return SolveResult.certified(tag, m, verdict)
-    return SolveResult.none(tag)
+    return _solve_super_threshold(inst, q, "super-pair-fpt", 2 ** (inst.ell + 1), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +689,7 @@ class InstanceFacts:
         return changing_agents(self.inst).beta
 
 
-class Solver:
+class Solver(_Value):
     """One dispatcher route, named by the ``SolveResult.algorithm`` it emits.
 
     ``applies(facts, q, alpha)`` is the route's query shape, structural
@@ -736,6 +702,8 @@ class Solver:
     applies: Callable[[InstanceFacts, StabilityQuery, int], bool]
     run: Callable[[MultilayerInstance, StabilityQuery, int, OracleBudget], SolveResult]
 
+    _fields = ("name", "applies", "run")
+
     def __init__(
         self,
         name: str,
@@ -743,19 +711,6 @@ class Solver:
         run: Callable[[MultilayerInstance, StabilityQuery, int, OracleBudget], SolveResult],
     ):
         self.__dict__.update(name=name, applies=applies, run=run)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return f"Solver(name={self.name!r}, applies={self.applies!r}, run={self.run!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.applies, self.run) == (other.name, other.applies, other.run)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.applies, self.run))
 
 
 def _run_strong_alllayers(inst: MultilayerInstance, q, alpha, budget) -> SolveResult:

@@ -18,7 +18,7 @@ from .blocking import (
     support_mask,
 )
 from .errors import AlphaOutOfRange, InvalidQuery
-from .model import MultilayerInstance, _immutable
+from .model import MultilayerInstance, _Value
 
 __all__ = [
     "AGGREGATIONS",
@@ -31,12 +31,14 @@ __all__ = [
 AGGREGATIONS = ("all", "global", "pair", "individual")
 
 
-class StabilityQuery:
+class StabilityQuery(_Value):
     """base x aggregation x degree.  ``alpha`` must be None for "all"."""
 
     base: str
     agg: str
     alpha: int | None
+
+    _fields = ("base", "agg", "alpha")
 
     def __init__(self, base: str, agg: str, alpha: int | None = None):
         if base not in BASES:
@@ -51,19 +53,6 @@ class StabilityQuery:
         elif alpha is None:
             raise InvalidQuery(f"{agg} aggregation requires alpha")
         self.__dict__.update(base=base, agg=agg, alpha=alpha)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return f"StabilityQuery(base={self.base!r}, agg={self.agg!r}, alpha={self.alpha!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.agg, self.alpha) == (other.base, other.agg, other.alpha)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.agg, self.alpha))
 
     def effective_alpha(self, ell: int) -> int:
         """Resolve the degree against an instance, validating the range."""
@@ -80,7 +69,7 @@ class StabilityQuery:
         return f"{self.alpha}-{self.agg} {self.base}"
 
 
-class Verdict:
+class Verdict(_Value):
     """Outcome plus a machine-checkable witness.
 
     For global aggregations ``witness_layers`` is the full set of stable
@@ -97,6 +86,8 @@ class Verdict:
     blocking_layers: frozenset[int] | None
     supports: tuple[int, int] | None
 
+    _fields = ("stable", "query", "witness_layers", "violating_pair", "blocking_layers", "supports")
+
     def __init__(
         self,
         stable: bool,
@@ -108,25 +99,6 @@ class Verdict:
     ):
         self.__dict__.update(stable=stable, query=query, witness_layers=witness_layers,
                              violating_pair=violating_pair, blocking_layers=blocking_layers, supports=supports)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def _fields(self) -> tuple:
-        return (self.stable, self.query, self.witness_layers,
-                self.violating_pair, self.blocking_layers, self.supports)
-
-    def __repr__(self) -> str:
-        return (f"Verdict(stable={self.stable!r}, query={self.query!r}, "
-                f"witness_layers={self.witness_layers!r}, violating_pair={self.violating_pair!r}, "
-                f"blocking_layers={self.blocking_layers!r}, supports={self.supports!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
 
 def _violation(q: StabilityQuery, ell: int):

@@ -2,8 +2,10 @@
 
 Random instance and matching generators, the oracle's reading of an
 ``existence_table``, brute-force references (maximum matching, layer
-super-stability, the symmetric per-layer characterizations), and the
-source-against-target equivalence checks of the three reductions.  None of
+super-stability, the symmetric per-layer characterizations, the super
+threshold routes' enumerate-and-check completion, SAT and degree
+partition), and the source-against-target equivalence checks of the three
+reductions.  None of
 it ships in ``mlsm``: the package's own routes are tested against these.
 """
 
@@ -19,13 +21,11 @@ from mlsm.model import MultilayerInstance, build_instance, is_symmetric
 from mlsm.oracle import _iter_partner_arrays, enumerate_matchings, oracle_solve
 from mlsm.reductions import (
     CnfFormula,
-    degree_partition_brute_force,
     gen_random,
     independent_set_brute_force,
     reduce_degreepartition_to_pair_super,
     reduce_is_to_global_strong,
     reduce_sat_to_alllayers_weak,
-    sat_brute_force,
 )
 from mlsm.solvers import solve_strong_global_symmetric
 from mlsm.verify import StabilityQuery, check
@@ -120,6 +120,39 @@ def exists_by_oracle(table, q: StabilityQuery, ell: int) -> bool:
     return ind_min >= alpha
 
 
+def super_threshold_reference(inst: MultilayerInstance, q: StabilityQuery, most: int) -> Matching | None:
+    """The super threshold routes as first written: the first stable
+    completion of the forced pairs, or None.
+
+    Every stable matching contains each pair that approves each other in at
+    least ell - alpha + 1 layers.  With no agent on two such pairs and at
+    most ``most`` agents on none, every matching of those isolated agents,
+    in canonical order, completes the forced pairs and is checked.
+    """
+    k = inst.ell - q.alpha + 1
+    lay = inst.approvals
+
+    def approves(a: int, b: int) -> int:
+        return sum(b in layer[a] for layer in lay)
+
+    forced = [
+        (a, b)
+        for a in range(inst.n)
+        for b in range(a + 1, inst.n)
+        if approves(a, b) >= k and approves(b, a) >= k
+    ]
+    covered = [v for pair in forced for v in pair]
+    isolated = [v for v in range(inst.n) if v not in covered]
+    if len(covered) != len(set(covered)) or len(isolated) > most:
+        return None
+    for partner in _iter_partner_arrays(len(isolated)):
+        extra = [(isolated[i], isolated[j]) for i, j in enumerate(partner) if j > i]
+        m = Matching.from_pairs(forced + extra)
+        if check(inst, m, q).stable:
+            return m
+    return None
+
+
 def brute_force_max_matching(g: SimpleGraph) -> int:
     edges = g.sorted_edges()
 
@@ -172,6 +205,38 @@ def strong_char_check(inst: MultilayerInstance, m: Matching, layer: int) -> bool
 
 # ---------------------------------------------------------------------------
 # reduction equivalence
+
+
+def sat_brute_force(formula: CnfFormula) -> set[int] | None:
+    """A satisfying assignment as the set of true variables, or None."""
+    for bits in itertools.product((False, True), repeat=formula.num_vars):
+        true_vars = {v + 1 for v, bit in enumerate(bits) if bit}
+        if all(
+            any((lit > 0) == (abs(lit) in true_vars) for lit in clause)
+            for clause in formula.clauses
+        ):
+            return true_vars
+    return None
+
+
+def degree_partition_brute_force(
+    g: SimpleGraph,
+) -> tuple[set[int], set[int]] | None:
+    """A bipartition (possibly with an empty side) such that both induced
+    subgraphs are 1-regular, or None."""
+
+    def degrees_ok(part: set[int]) -> bool:
+        return all(
+            sum(1 for u, v in g.edges if u in part and v in part and w in (u, v)) == 1
+            for w in part
+        )
+
+    for mask in range(1 << g.n):
+        first = {v for v in range(g.n) if mask >> v & 1}
+        second = set(range(g.n)) - first
+        if degrees_ok(first) and degrees_ok(second):
+            return first, second
+    return None
 
 
 def sat_corpus() -> list[CnfFormula]:

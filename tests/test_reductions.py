@@ -1,5 +1,6 @@
 import pytest
 
+from corpus import degree_partition_brute_force, sat_brute_force
 from mlsm.blocking import Matching
 from mlsm.errors import AlphaTooHigh, BadParameters, MalformedFormula, OddVertexCount
 from mlsm.graphalg import SimpleGraph
@@ -8,7 +9,6 @@ from mlsm.oracle import existence_table, oracle_all, oracle_solve
 from mlsm.reductions import (
     CnfFormula,
     copy_layers,
-    degree_partition_brute_force,
     gen_random,
     independent_set_brute_force,
     parse_dimacs,
@@ -17,7 +17,6 @@ from mlsm.reductions import (
     reduce_degreepartition_to_pair_super,
     reduce_is_to_global_strong,
     reduce_sat_to_alllayers_weak,
-    sat_brute_force,
 )
 from mlsm.solvers import solve_strong_global_symmetric
 from mlsm.verify import StabilityQuery, check

@@ -7,8 +7,16 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from corpus import exists_by_oracle, lowtau_instance, oracle_layer_superstable, symmetric_lowbeta_instance
+from corpus import (
+    exists_by_oracle,
+    lowtau_instance,
+    oracle_layer_superstable,
+    super_threshold_reference,
+    symmetric_lowbeta_instance,
+)
 import mlsm.solvers as solvers
 from mlsm.errors import AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, MlsmError, NotSymmetric, UncertifiedWitness
 from mlsm.model import agent_types, build_instance, changing_agents
@@ -470,6 +478,53 @@ def test_super_pair_fpt_kernel_over_budget_is_unknown():
         solve_super_pair_fpt(empty, 3)
     small = dispatch(build_instance(8, 5, [[set()] * 8] * 5), q)
     assert (small.status, small.algorithm) == ("not-exists", "super-pair-fpt")
+
+
+def test_super_pair_fpt_empty_kernel_is_one_search(monkeypatch):
+    # 12 isolated agents: T(12) = 140 152 completions, none stable; the
+    # pruned search rules them out with at most one check
+    calls = []
+
+    def counting_check(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(solvers, "check", counting_check)
+    empty = build_instance(12, 5, [[set()] * 12] * 5)
+    t0 = time.perf_counter()
+    r = dispatch(empty, StabilityQuery("super", "pair", 3))
+    assert time.perf_counter() - t0 < 0.5
+    assert (r.status, r.algorithm) == ("not-exists", "super-pair-fpt")
+    assert len(calls) <= 1
+
+
+@given(
+    st.tuples(
+        st.integers(1, 11),
+        st.integers(1, 5),
+        st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6]),
+        st.integers(0, 10_000),
+    )
+)
+@example((8, 5, 0.0, 0))
+@example((9, 3, 0.15, 7))
+@settings(max_examples=150, deadline=None)
+def test_super_threshold_routes_match_the_enumerating_reference(params):
+    # each route returns the first stable completion of the old
+    # enumerate-and-check loop, with the same status and witness
+    n, ell, p, seed = params
+    inst = gen_random(n, ell, p, symmetric=True, seed=seed)
+    for alpha in range(ell // 2 + 1, ell + 1):
+        routes = [
+            (solve_super_individual_highalpha(inst, alpha), "individual", 2),
+            (solve_super_pair_fpt(inst, alpha), "pair", 2 ** (ell + 1)),
+        ]
+        if 3 * alpha > 2 * ell:
+            routes.append((solve_super_pair_veryhighalpha(inst, alpha), "pair", 2))
+        for r, agg, most in routes:
+            want = super_threshold_reference(inst, StabilityQuery("super", agg, alpha), most)
+            assert r.status == ("not-exists" if want is None else "exists")
+            assert r.matching == want
 
 
 # ---------------------------------------------------------------------------
