@@ -85,13 +85,13 @@ class Matching(_Value):
 
 
 def require_ids(inst: MultilayerInstance, agents, layer: int | None = None) -> None:
-    """Raise ``IdOutOfRange`` unless every agent lies in [0, n) and the
-    layer, if given, in [0, ell)."""
-    if layer is not None and not 0 <= layer < inst.ell:
-        raise IdOutOfRange(f"layer {layer} outside [0, {inst.ell})")
+    """Raise ``IdOutOfRange`` unless every agent is an ``int`` in [0, n) and
+    the layer, if given, one in [0, ell); bool is no id."""
+    if layer is not None and (type(layer) is not int or not 0 <= layer < inst.ell):
+        raise IdOutOfRange(f"layer {layer!r} outside [0, {inst.ell})")
     for a in agents:
-        if not 0 <= a < inst.n:
-            raise IdOutOfRange(f"agent {a} outside [0, {inst.n})")
+        if type(a) is not int or not 0 <= a < inst.n:
+            raise IdOutOfRange(f"agent {a!r} outside [0, {inst.n})")
 
 
 def _require_base(base: str) -> None:
@@ -100,6 +100,7 @@ def _require_base(base: str) -> None:
 
 
 def is_happy(inst: MultilayerInstance, m: Matching, a: int, layer: int) -> bool:
+    require_ids(inst, (a,), layer)
     return bool(inst.approval_masks[a].get(m.partner(a), 0) >> layer & 1)
 
 

@@ -10,6 +10,10 @@ and self-approval rules defined here.  The per-layer sets (``approvals``) are
 a view built on first use, for I/O and the readable specifications.
 Instances are immutable and compare by value, so they can be shared freely
 and used as cache keys.
+
+The structural analysis (``is_symmetric``, ``agent_types``,
+``changing_agents``) is cached on the instance: each part is computed on
+first use, at most once per instance object, and is never pickled.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ class _Value:
     same class only) and hash read them in that order.  ``__init__`` stores
     the fields straight into ``__dict__``, and ``functools.cached_property``
     writes there too, so neither passes through ``__setattr__``; any other
-    assignment or deletion is refused.
+    assignment or deletion is refused.  A pickle rebuilds the value from its
+    fields, so cached state (a hash, the structural analysis) never travels.
     """
 
     _fields: tuple[str, ...] = ()
@@ -63,6 +68,9 @@ class _Value:
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class MultilayerInstance(_Value):
@@ -123,6 +131,63 @@ class MultilayerInstance(_Value):
         return all(
             masks[b].get(a, 0) == ab for a, ma in enumerate(masks) for b, ab in ma.items()
         )
+
+    @cached_property
+    def agent_types(self) -> AgentTypePartition:
+        """Partition the agents into maximal blocks of same-type agents.
+
+        Two agents are same-type iff their masks agree towards every third
+        agent, from every third agent, and between the two in both directions.
+        Twins that approve each other nowhere have equal mask rows and columns;
+        twins with a mask m between them have equal rows and columns once each
+        lists itself with m.  Either way twins share the row fingerprint
+        ``(len(row), sum(row.values()))``, since the masks between adjacent
+        twins are mutual-or-absent, so tau is at least the number of distinct
+        row fingerprints; the dispatcher's agent-types gate rejects on that
+        count without computing this.  Each agent is compared only with the
+        earlier classes whose order-free fingerprint of those rows and
+        columns it shares.  Blocks come in order of their least member, members
+        ascending.  Expected time O(n + sum of row lengths); only agents whose
+        fingerprints collide without being twins cost extra comparisons.
+        """
+        masks = self.approval_masks
+        cols: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for a, row in enumerate(masks):
+            for b, m in row.items():
+                cols[b][a] = m
+        label = list(range(self.n))
+        # class representatives, by the fingerprint their twins share
+        apart: dict[tuple, list[int]] = {}
+        adjacent: dict[tuple, list[int]] = {}
+        for a, (row, col) in enumerate(zip(masks, cols)):
+            reps = apart.setdefault((_fingerprint(row, 0), _fingerprint(col, 0)), [])
+            twin = next((b for b in reps if row == masks[b] and col == cols[b]), None)
+            if twin is None:
+                near = adjacent.setdefault((_fingerprint(row, a), _fingerprint(col, a)), [])
+                for b in near:
+                    m = row.get(b)
+                    if m and {**row, a: m} == {**masks[b], b: m} and {**col, a: m} == {**cols[b], b: m}:
+                        twin = b
+                        break
+                else:
+                    reps.append(a)
+                    near.append(a)
+            if twin is not None:
+                label[a] = twin
+        groups: dict[int, list[int]] = {}
+        for a, key in enumerate(label):
+            groups.setdefault(key, []).append(a)
+        return AgentTypePartition(tuple(tuple(b) for b in groups.values()), len(groups))
+
+    @cached_property
+    def changing_agents(self) -> ChangingSet:
+        """Agents whose approval set differs between some pair of layers: those
+        with a mask towards some agent that is neither empty nor full."""
+        full = (1 << self.ell) - 1
+        changing = frozenset(
+            a for a, row in enumerate(self.approval_masks) if any(m != full for m in row.values())
+        )
+        return ChangingSet(changing, len(changing))
 
     def name_of(self, a: int) -> str:
         if self.names is not None:
@@ -254,57 +319,12 @@ def _fingerprint(masks: dict[int, int], own: int) -> tuple[int, int, int]:
 
 
 def agent_types(inst: MultilayerInstance) -> AgentTypePartition:
-    """Partition the agents into maximal blocks of same-type agents.
-
-    Two agents are same-type iff their masks agree towards every third
-    agent, from every third agent, and between the two in both directions.
-    Twins that approve each other nowhere have equal mask rows and columns;
-    twins with a mask m between them have equal rows and columns once each
-    lists itself with m.  Either way twins share the row fingerprint
-    ``(len(row), sum(row.values()))``, since the masks between adjacent
-    twins are mutual-or-absent, so tau is at least the number of distinct
-    row fingerprints; the dispatcher's agent-types gate rejects on that
-    count without calling this.  Each agent is compared only with the earlier
-    classes whose order-free fingerprint of those rows and columns it
-    shares.  Blocks come in order of their least member, members
-    ascending.  Expected time O(n + sum of row lengths); only agents whose
-    fingerprints collide without being twins cost extra comparisons.
-    """
-    masks = inst.approval_masks
-    cols: list[dict[int, int]] = [{} for _ in range(inst.n)]
-    for a, row in enumerate(masks):
-        for b, m in row.items():
-            cols[b][a] = m
-    label = list(range(inst.n))
-    # class representatives, by the fingerprint their twins share
-    apart: dict[tuple, list[int]] = {}
-    adjacent: dict[tuple, list[int]] = {}
-    for a, (row, col) in enumerate(zip(masks, cols)):
-        reps = apart.setdefault((_fingerprint(row, 0), _fingerprint(col, 0)), [])
-        twin = next((b for b in reps if row == masks[b] and col == cols[b]), None)
-        if twin is None:
-            near = adjacent.setdefault((_fingerprint(row, a), _fingerprint(col, a)), [])
-            for b in near:
-                m = row.get(b)
-                if m and {**row, a: m} == {**masks[b], b: m} and {**col, a: m} == {**cols[b], b: m}:
-                    twin = b
-                    break
-            else:
-                reps.append(a)
-                near.append(a)
-        if twin is not None:
-            label[a] = twin
-    groups: dict[int, list[int]] = {}
-    for a, key in enumerate(label):
-        groups.setdefault(key, []).append(a)
-    return AgentTypePartition(tuple(tuple(b) for b in groups.values()), len(groups))
+    """Partition the agents into maximal blocks of same-type agents
+    (computed once per instance, see ``MultilayerInstance.agent_types``)."""
+    return inst.agent_types
 
 
 def changing_agents(inst: MultilayerInstance) -> ChangingSet:
-    """Agents whose approval set differs between some pair of layers: those
-    with a mask towards some agent that is neither empty nor full."""
-    full = (1 << inst.ell) - 1
-    changing = frozenset(
-        a for a, row in enumerate(inst.approval_masks) if any(m != full for m in row.values())
-    )
-    return ChangingSet(changing, len(changing))
+    """Agents whose approval set differs between some pair of layers
+    (computed once per instance, see ``MultilayerInstance.changing_agents``)."""
+    return inst.changing_agents

@@ -9,17 +9,17 @@ scale, reporting unknown rather than guessing.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from math import comb
 from operator import or_
 from typing import Callable, Iterator
 
 from .blocking import Matching, stable_in_layer
-from .errors import AlphaOutOfRange, AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, NotSymmetric, UncertifiedWitness
+from .errors import AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, NotSymmetric, UncertifiedWitness
 from .graphalg import SimpleGraph, has_perfect_matching, maximal_matching, maximum_matching, saturating_matching
 from .model import MultilayerInstance, _Value, agent_types, changing_agents, is_symmetric, mutual_pairs
 from .oracle import DEFAULT_BUDGET, OracleBudget, _iter_partner_arrays, _search, oracle_solve
-from .verify import StabilityQuery, Verdict, check
+from .verify import StabilityQuery, Verdict, _require_alpha, check
 
 __all__ = [
     "SolveResult",
@@ -34,7 +34,6 @@ __all__ = [
     "solve_super_pair_fpt",
     "solve_by_types",
     "solve_by_changing",
-    "InstanceFacts",
     "Solver",
     "SOLVERS",
     "dispatch",
@@ -101,11 +100,6 @@ def _require_symmetric(inst: MultilayerInstance, what: str) -> None:
         raise NotSymmetric(f"{what} requires symmetric approvals")
 
 
-def _check_alpha(alpha: int, ell: int) -> None:
-    if not 1 <= alpha <= ell:
-        raise AlphaOutOfRange(f"alpha={alpha} outside [1, {ell}]")
-
-
 def threshold_graph(inst: MultilayerInstance, k: int) -> SimpleGraph:
     """Graph with an edge {a, b} where a approves b in at least ``k`` layers
     and b approves a in at least ``k`` layers.
@@ -136,7 +130,7 @@ def solve_weak_lowalpha(inst: MultilayerInstance, alpha: int) -> Matching:
     matching of the graph whose edges are the pairs approving each other in
     at least ell - alpha + 1 layers (per direction).
     """
-    _check_alpha(alpha, inst.ell)
+    _require_alpha(alpha, inst.ell)
     if alpha > (inst.ell + 1) // 2:
         raise AlphaTooHigh(
             f"alpha={alpha} exceeds ceil(ell/2)={(inst.ell + 1) // 2}"
@@ -200,7 +194,7 @@ def solve_strong_alllayers_symmetric(inst: MultilayerInstance) -> Matching | Non
 def solve_strong_global_symmetric(inst: MultilayerInstance, alpha: int) -> SolveResult:
     """Try every size-alpha layer subset through the all-layers algorithm."""
     _require_symmetric(inst, "solve_strong_global_symmetric")
-    _check_alpha(alpha, inst.ell)
+    _require_alpha(alpha, inst.ell)
     tag = "strong-global-symmetric"
     for subset in itertools.combinations(range(inst.ell), alpha):
         m = _strong_matching(inst, sum(1 << i for i in subset))
@@ -256,7 +250,7 @@ def solve_super_global(inst: MultilayerInstance, alpha: int) -> SolveResult:
     first that passes is returned with its verdict.  Complete for arbitrary
     (also asymmetric) approvals.
     """
-    _check_alpha(alpha, inst.ell)
+    _require_alpha(alpha, inst.ell)
     tag = "super-global"
     listed: dict[tuple[tuple[int, int], ...], int] = {}  # candidate -> layers listing it
     for forced in mutual_pairs(inst, (1 << inst.ell) - 1):
@@ -301,7 +295,7 @@ def solve_super_individual_highalpha(inst: MultilayerInstance, alpha: int) -> So
     """alpha-individual super stability for symmetric approvals, alpha > ell/2:
     at most two isolated agents beyond the forced threshold edges."""
     _require_symmetric(inst, "solve_super_individual_highalpha")
-    _check_alpha(alpha, inst.ell)
+    _require_alpha(alpha, inst.ell)
     if 2 * alpha <= inst.ell:
         raise AlphaTooLow(f"alpha={alpha} is not above ell/2={inst.ell / 2}")
     q = StabilityQuery("super", "individual", alpha)
@@ -312,7 +306,7 @@ def solve_super_pair_veryhighalpha(inst: MultilayerInstance, alpha: int) -> Solv
     """alpha-pair super stability for symmetric approvals, alpha > 2*ell/3:
     at most two isolated agents beyond the forced threshold edges."""
     _require_symmetric(inst, "solve_super_pair_veryhighalpha")
-    _check_alpha(alpha, inst.ell)
+    _require_alpha(alpha, inst.ell)
     if 3 * alpha <= 2 * inst.ell:
         raise AlphaTooLow(f"alpha={alpha} is not above 2*ell/3={2 * inst.ell / 3}")
     q = StabilityQuery("super", "pair", alpha)
@@ -331,7 +325,7 @@ def solve_super_pair_fpt(
     ``budget.max_matchings`` nodes, raises ``BudgetExceeded`` instead.
     """
     _require_symmetric(inst, "solve_super_pair_fpt")
-    _check_alpha(alpha, inst.ell)
+    _require_alpha(alpha, inst.ell)
     if 2 * alpha <= inst.ell:
         raise AlphaTooLow(f"alpha={alpha} is not above ell/2={inst.ell / 2}")
     q = StabilityQuery("super", "pair", alpha)
@@ -453,24 +447,26 @@ def _usage_vectors(sizes, edges):
 @lru_cache(maxsize=64)
 def _types_tables(inst: MultilayerInstance):
     """Per usage pattern: the reduced two-agents-per-profile instance and a
-    witness matching of the (dummy-padded) instance.
+    witness matching of the instance (odd n padded with a dummy agent ``n``
+    whose pair the witness drops).
 
     A pattern records, per type pair, whether it is matched zero times, once,
     or at least twice; stability of a compatible perfect matching depends
     only on that signature, so one reduced check per pattern decides all of
-    them.  Returns the entries, in signature order, as a ``_Lazy`` sequence
-    (the types and patterns are found on the first pull, each entry is
-    built when first reached), and whether a dummy agent pads odd n.
+    them.  Returns the entries, in signature order, as a ``_Lazy`` sequence:
+    the patterns are found on the first pull from the ``agent_types`` of the
+    instance (of its padded copy when n is odd), and each entry is built
+    when first reached.
     """
-    return _Lazy(lambda: _types_entries(inst)), inst.n % 2 == 1
+    return _Lazy(lambda: _types_entries(inst))
 
 
 def _types_entries(inst: MultilayerInstance):
     """The entries of ``_types_tables``, one pattern at a time."""
+    n = inst.n
     padded = inst
-    dummy = inst.n % 2 == 1
-    if dummy:
-        padded = MultilayerInstance(inst.n + 1, inst.ell, inst.approval_masks + ({},))
+    if n % 2:
+        padded = MultilayerInstance(n + 1, inst.ell, inst.approval_masks + ({},))
     blocks = agent_types(padded).blocks
     table = _type_approval_table(padded, blocks)
     sizes = [len(b) for b in blocks]
@@ -506,11 +502,8 @@ def _types_entries(inst: MultilayerInstance):
         pairs = []
         for idx, (t, u) in enumerate(edges):
             for _ in range(usage[idx]):
-                if t == u:
-                    pairs.append((queues[t].pop(0), queues[t].pop(0)))
-                else:
-                    pairs.append((queues[t].pop(0), queues[u].pop(0)))
-        witness = Matching.from_pairs(pairs)
+                pairs.append((queues[t].pop(0), queues[u].pop(0)))
+        witness = Matching.from_pairs(pair for pair in pairs if n not in pair)
         yield j_inst, j_match, witness
 
 
@@ -527,18 +520,12 @@ def solve_by_types(inst: MultilayerInstance, q: StabilityQuery) -> SolveResult:
     """
     q.effective_alpha(inst.ell)
     tag = "agent-types"
-    entries, dummy = _types_tables(inst)
-    for j_inst, j_match, witness in entries:
+    for j_inst, j_match, witness in _types_tables(inst):
         if not check(j_inst, j_match, q).stable:
             continue
-        m = witness
-        if dummy:
-            m = Matching.from_pairs(
-                (a, b) for a, b in witness.pairs if b != inst.n
-            )
-        verdict = check(inst, m, q)
+        verdict = check(inst, witness, q)
         if verdict.stable:
-            return SolveResult.certified(tag, m, verdict)
+            return SolveResult.certified(tag, witness, verdict)
     return SolveResult.none(tag)
 
 
@@ -650,56 +637,32 @@ def solve_by_changing(inst: MultilayerInstance, q: StabilityQuery) -> SolveResul
 # dispatcher
 
 
-class InstanceFacts:
-    """The structural analysis the dispatcher gates read, each part computed
-    on first use and at most once per instance.
-
-    The agent-types gate asks ``tau_at_most``, which rejects most instances
-    from the mask rows alone; the exact ``tau`` (``agent_types``) is
-    computed only when that scan cannot reject, or for the detail of an
-    ``unknown``.
-    """
-
-    def __init__(self, inst: MultilayerInstance):
-        self.inst = inst
-        self.ell = inst.ell
-
-    @cached_property
-    def symmetric(self) -> bool:
-        return is_symmetric(self.inst)
-
-    @cached_property
-    def tau(self) -> int:
-        return agent_types(self.inst).tau
-
-    def tau_at_most(self, k: int) -> bool:
-        """tau <= k.  Same-type agents share ``(len(row), sum(row.values()))``
-        (see ``agent_types``), so more than k distinct ones mean tau > k: the
-        scan stops at the (k+1)-th, and only a scan that cannot reject
-        computes tau."""
-        seen = set()
-        for row in self.inst.approval_masks:
-            seen.add((len(row), sum(row.values())))
-            if len(seen) > k:
-                return False
-        return self.tau <= k
-
-    @cached_property
-    def beta(self) -> int:
-        return changing_agents(self.inst).beta
+def _tau_at_most(inst: MultilayerInstance, k: int) -> bool:
+    """tau <= k.  Same-type agents share ``(len(row), sum(row.values()))``
+    (see ``MultilayerInstance.agent_types``), so more than k distinct ones
+    mean tau > k: the scan stops at the (k+1)-th, and only a scan that
+    cannot reject computes tau."""
+    seen = set()
+    for row in inst.approval_masks:
+        seen.add((len(row), sum(row.values())))
+        if len(seen) > k:
+            return False
+    return agent_types(inst).tau <= k
 
 
 class Solver(_Value):
     """One dispatcher route, named by the ``SolveResult.algorithm`` it emits.
 
-    ``applies(facts, q, alpha)`` is the route's query shape, structural
-    precondition and cost gate; it tests the query, then alpha, and only then
-    ``facts``.  ``run(inst, q, alpha, budget)`` decides the query; a route
-    with an exhaustive step raises ``BudgetExceeded`` past the budget.
+    ``applies(inst, q, alpha)`` is the route's query shape, structural
+    precondition and cost gate; it tests the query, then alpha, and only
+    then the instance's structure (``is_symmetric``, ``agent_types``,
+    ``changing_agents``, each computed at most once per instance).
+    ``run(inst, q, alpha, budget)`` decides the query; a route with an
+    exhaustive step raises ``BudgetExceeded`` past the budget.
     """
 
     name: str
-    applies: Callable[[InstanceFacts, StabilityQuery, int], bool]
+    applies: Callable[[MultilayerInstance, StabilityQuery, int], bool]
     run: Callable[[MultilayerInstance, StabilityQuery, int, OracleBudget], SolveResult]
 
     _fields = ("name", "applies", "run")
@@ -707,7 +670,7 @@ class Solver(_Value):
     def __init__(
         self,
         name: str,
-        applies: Callable[[InstanceFacts, StabilityQuery, int], bool],
+        applies: Callable[[MultilayerInstance, StabilityQuery, int], bool],
         run: Callable[[MultilayerInstance, StabilityQuery, int, OracleBudget], SolveResult],
     ):
         self.__dict__.update(name=name, applies=applies, run=run)
@@ -729,32 +692,32 @@ def _run_oracle(inst: MultilayerInstance, q, alpha, budget) -> SolveResult:
 # module-level name at call time, so rebinding a solver reaches dispatch too.
 SOLVERS = (
     Solver("weak-lowalpha",
-           lambda f, q, a: q.base == "weak" and q.agg in ("pair", "individual") and 2 * a <= f.ell + 1,
+           lambda inst, q, a: q.base == "weak" and q.agg in ("pair", "individual") and 2 * a <= inst.ell + 1,
            lambda inst, q, a, b: SolveResult.found("weak-lowalpha", solve_weak_lowalpha(inst, a))),
     Solver("super-global",
-           lambda f, q, a: q.base == "super" and q.agg in ("all", "global"),
+           lambda inst, q, a: q.base == "super" and q.agg in ("all", "global"),
            lambda inst, q, a, b: solve_super_global(inst, a)),
     Solver("strong-alllayers-symmetric",
-           lambda f, q, a: q.base == "strong" and q.agg in ("all", "global") and a == f.ell and f.symmetric,
+           lambda inst, q, a: q.base == "strong" and q.agg in ("all", "global") and a == inst.ell and is_symmetric(inst),
            _run_strong_alllayers),
     Solver("strong-global-symmetric",
-           lambda f, q, a: q.base == "strong" and q.agg in ("all", "global")
-           and comb(f.ell, a) <= STRONG_GLOBAL_SUBSETS_MAX and f.symmetric,
+           lambda inst, q, a: q.base == "strong" and q.agg in ("all", "global")
+           and comb(inst.ell, a) <= STRONG_GLOBAL_SUBSETS_MAX and is_symmetric(inst),
            lambda inst, q, a, b: solve_strong_global_symmetric(inst, a)),
     Solver("super-individual-highalpha",
-           lambda f, q, a: q.base == "super" and q.agg == "individual" and 2 * a > f.ell and f.symmetric,
+           lambda inst, q, a: q.base == "super" and q.agg == "individual" and 2 * a > inst.ell and is_symmetric(inst),
            lambda inst, q, a, b: solve_super_individual_highalpha(inst, a)),
     Solver("super-pair-veryhighalpha",
-           lambda f, q, a: q.base == "super" and q.agg == "pair" and 3 * a > 2 * f.ell and f.symmetric,
+           lambda inst, q, a: q.base == "super" and q.agg == "pair" and 3 * a > 2 * inst.ell and is_symmetric(inst),
            lambda inst, q, a, b: solve_super_pair_veryhighalpha(inst, a)),
     Solver("super-pair-fpt",
-           lambda f, q, a: q.base == "super" and q.agg == "pair" and 2 * a > f.ell and f.symmetric,
+           lambda inst, q, a: q.base == "super" and q.agg == "pair" and 2 * a > inst.ell and is_symmetric(inst),
            lambda inst, q, a, b: solve_super_pair_fpt(inst, a, b)),
     Solver("agent-types",
-           lambda f, q, a: f.tau_at_most(TAU_DISPATCH_MAX),
+           lambda inst, q, a: _tau_at_most(inst, TAU_DISPATCH_MAX),
            lambda inst, q, a, b: solve_by_types(inst, q)),
     Solver("changing-agents",
-           lambda f, q, a: f.symmetric and f.beta <= BETA_DISPATCH_MAX,
+           lambda inst, q, a: is_symmetric(inst) and changing_agents(inst).beta <= BETA_DISPATCH_MAX,
            lambda inst, q, a, b: solve_by_changing(inst, q)),
 )
 
@@ -770,23 +733,25 @@ def dispatch(
     or oracle search stopped by the budget is unknown too, tagged with the
     route's name.
 
-    Every ``exists`` witness passes ``check`` before it is returned, else
-    ``UncertifiedWitness`` is raised; a route's own verdict for the same
-    notion is reused, not repeated, and returned with ``query`` set to q.
-    All-layers is the same notion as global(ell), as ``check`` reads it.
+    The gates and an unknown's detail read the instance's own structural
+    analysis, so the queries on one instance object compute each part of
+    it at most once.  Every ``exists`` witness passes ``check`` before it
+    is returned, else ``UncertifiedWitness`` is raised; a route's own
+    verdict for the same notion is reused, not repeated, and returned with
+    ``query`` set to q.  All-layers is the same notion as global(ell), as
+    ``check`` reads it.
     """
     alpha = q.effective_alpha(inst.ell)
-    facts = InstanceFacts(inst)
     for solver in SOLVERS:
-        if solver.applies(facts, q, alpha):
+        if solver.applies(inst, q, alpha):
             name, run = solver.name, solver.run
             break
     else:
         if inst.n > budget.max_agents:
-            changing = f"beta={facts.beta} > {BETA_DISPATCH_MAX}" if facts.symmetric else "asymmetric"
+            changing = f"beta={changing_agents(inst).beta} > {BETA_DISPATCH_MAX}" if is_symmetric(inst) else "asymmetric"
             return SolveResult.undecided(
                 "none",
-                f"no complete algorithm applies: tau={facts.tau} > {TAU_DISPATCH_MAX}, "
+                f"no complete algorithm applies: tau={agent_types(inst).tau} > {TAU_DISPATCH_MAX}, "
                 f"{changing}, n={inst.n} > oracle budget {budget.max_agents}",
             )
         name, run = "oracle", _run_oracle

@@ -31,8 +31,18 @@ __all__ = [
 AGGREGATIONS = ("all", "global", "pair", "individual")
 
 
+def _require_alpha(alpha, ell: int | None = None) -> None:
+    """The alpha rule: an ``int`` (bool is none), within [1, ell] once the
+    instance's ``ell`` is known."""
+    if type(alpha) is not int:
+        raise InvalidQuery(f"alpha must be an int, got {alpha!r}")
+    if ell is not None and not 1 <= alpha <= ell:
+        raise AlphaOutOfRange(f"alpha={alpha} outside [1, {ell}]")
+
+
 class StabilityQuery(_Value):
-    """base x aggregation x degree.  ``alpha`` must be None for "all"."""
+    """base x aggregation x degree.  ``alpha`` must be None for "all", else
+    an ``int``."""
 
     base: str
     agg: str
@@ -52,15 +62,15 @@ class StabilityQuery(_Value):
                 raise InvalidQuery("all-layers takes no alpha")
         elif alpha is None:
             raise InvalidQuery(f"{agg} aggregation requires alpha")
+        else:
+            _require_alpha(alpha)
         self.__dict__.update(base=base, agg=agg, alpha=alpha)
 
     def effective_alpha(self, ell: int) -> int:
         """Resolve the degree against an instance, validating the range."""
         if self.agg == "all":
             return ell
-        assert self.alpha is not None
-        if not 1 <= self.alpha <= ell:
-            raise AlphaOutOfRange(f"alpha={self.alpha} outside [1, {ell}]")
+        _require_alpha(self.alpha, ell)
         return self.alpha
 
     def describe(self) -> str:

@@ -32,7 +32,6 @@ from mlsm.oracle import DEFAULT_BUDGET, enumerate_matchings, existence_table
 from mlsm.reductions import gen_random
 from mlsm.solvers import (
     SOLVERS,
-    InstanceFacts,
     dispatch,
     layer_superstable_set,
     solve_by_changing,
@@ -187,14 +186,13 @@ def test_criterion_4_solver_vs_oracle():
     failures = []
     for _ in range(trials):
         inst = random_instance(rng)
-        facts = InstanceFacts(inst)
         table = existence_table(inst)
         queries = all_queries(inst.ell)
         for q in queries:
             truth = exists_by_oracle(table, q, inst.ell)
             alpha = q.effective_alpha(inst.ell)
             for solver in SOLVERS:
-                if solver.applies(facts, q, alpha):
+                if solver.applies(inst, q, alpha):
                     res = solver.run(inst, q, alpha, DEFAULT_BUDGET)
                     _score(failures, solver.name, res, truth, inst, q)
         for q in rng.sample(queries, min(6, len(queries))):

@@ -153,6 +153,13 @@ def test_is_happy(ex1, m1):
     assert not is_happy(ex1, m1, 2, 1)  # c approves only b in layer two
 
 
+@pytest.mark.parametrize("agent, layer", [(7, 0), (True, 0), (1.5, 0), (0, True), (0, 3)])
+def test_is_happy_rejects_bad_ids(ex1, m1, agent, layer):
+    # True read as agent 1, 7 raised IndexError and 1.5 a bare TypeError
+    with pytest.raises(IdOutOfRange):
+        is_happy(ex1, m1, agent, layer)
+
+
 def test_blocks_fixture_claims(ex1, m1, m2):
     for layer in range(3):
         assert blocks(ex1, m2, (0, 1), layer, "super")

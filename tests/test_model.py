@@ -1,7 +1,14 @@
+import os
 import pickle
 import random
+import subprocess
+import sys
+from functools import cached_property
+from pathlib import Path
 
 import pytest
+
+import mlsm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -281,6 +288,50 @@ def test_value_classes(make, make_equal, make_other, text, field):
     assert pickle.loads(pickle.dumps(a)) == a
 
 
+@pytest.mark.parametrize("make", [case[0] for case in _VALUES], ids=[case[3].split("(")[0] for case in _VALUES])
+def test_pickle_carries_the_fields_only(make):
+    # cached state (a hash, the structural analysis, a graph's adjacency)
+    # built before pickling is rebuilt on demand after loading, not carried
+    value = make()
+    hash(value)
+    for klass in type(value).__mro__:
+        for name, attr in vars(klass).items():
+            if isinstance(attr, cached_property):
+                getattr(value, name)
+    loaded = pickle.loads(pickle.dumps(value))
+    assert loaded == value and vars(loaded) == vars(make())
+    assert set(vars(loaded)) - {"_partner"} == set(type(value)._fields)
+
+
+_PICKLE_HASH = """
+import pickle, sys
+from mlsm.model import build_instance
+names = None if sys.argv[2] == "-" else ["a", "b", "c"]
+inst = build_instance(3, 2, [[{1}, {0}, set()], [{2}, set(), {0}]], names=names)
+if sys.argv[1] == "dump":
+    hash(inst)
+    sys.stdout.write(pickle.dumps(inst).hex())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    assert loaded == inst and hash(loaded) == hash(inst) and {inst: 1}.get(loaded) == 1
+"""
+
+
+@pytest.mark.parametrize("names", ["abc", "-"])
+def test_pickled_instance_hashes_like_a_fresh_one_in_another_process(names):
+    # the hash of names depends on PYTHONHASHSEED, and on Python 3.11 that of
+    # None on its address, so a hash cached before pickling is stale elsewhere
+    src = str(Path(mlsm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    text = ""
+    for step, seed in (("dump", "1"), ("load", "2")):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _PICKLE_HASH, step, names], env=env, input=text,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        text = proc.stdout
+
+
 def test_value_class_validation_text():
     # the budget error embeds the budget's repr
     with pytest.raises(BadParameters, match=r"^negative oracle budget OracleBudget\(max_agents=-1, max_matchings=None\)$"):
@@ -302,7 +353,8 @@ _FIELDS = {"n", "ell", "approval_masks", "names"}
 
 def test_check_never_builds_the_approval_sets():
     # on a freshly parsed instance, check builds nothing but the masks and
-    # dispatch at most the symmetry flag: no pair table, no approvals view
+    # dispatch at most the structural analysis: no pair table, no approvals
+    # view
     rng = random.Random(8)
     algorithms = set()
     for seed in range(6):
@@ -315,7 +367,7 @@ def test_check_never_builds_the_approval_sets():
             inst = instance_from_doc(doc)
             res = dispatch(inst, q)
             algorithms.add(res.algorithm)
-            assert set(vars(inst)) <= _FIELDS | {"symmetric"}, res.algorithm
+            assert set(vars(inst)) <= _FIELDS | {"symmetric", "agent_types", "changing_agents"}, res.algorithm
     assert {"oracle", "super-global", "weak-lowalpha", "strong-alllayers-symmetric"} <= algorithms
     assert inst.approvals and "approvals" in inst.__dict__  # the view is lazy, not gone
 

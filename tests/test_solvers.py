@@ -17,8 +17,19 @@ from corpus import (
     super_threshold_reference,
     symmetric_lowbeta_instance,
 )
+import mlsm.model as model
 import mlsm.solvers as solvers
-from mlsm.errors import AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, MlsmError, NotSymmetric, UncertifiedWitness
+from mlsm.errors import (
+    AlphaOutOfRange,
+    AlphaTooHigh,
+    AlphaTooLow,
+    BadParameters,
+    BudgetExceeded,
+    InvalidQuery,
+    MlsmError,
+    NotSymmetric,
+    UncertifiedWitness,
+)
 from mlsm.model import agent_types, build_instance, changing_agents
 from mlsm.oracle import OracleBudget, _iter_partner_arrays, existence_table
 from mlsm.reductions import gen_random, reduce_is_to_global_strong
@@ -427,6 +438,17 @@ def test_super_alpha_guards(ex2):
         )
 
 
+@pytest.mark.parametrize("alpha", [True, 1.5])
+def test_solvers_apply_the_alpha_rule_of_queries(ex2, alpha):
+    # the rule and its messages live in verify; the named solvers reuse them
+    for solve in (solve_weak_lowalpha, solve_strong_global_symmetric, solve_super_global,
+                  solve_super_individual_highalpha, solve_super_pair_veryhighalpha, solve_super_pair_fpt):
+        with pytest.raises(InvalidQuery, match=r"^alpha must be an int, got "):
+            solve(ex2, alpha)
+        with pytest.raises(AlphaOutOfRange, match=r"^alpha=3 outside \[1, 2\]$"):
+            solve(ex2, 3)
+
+
 def test_super_pair_single_layer_equals_layer_set():
     rng = random.Random(23)
     for _ in range(40):
@@ -805,9 +827,42 @@ def test_row_fingerprints_bound_tau():
         rows = inst.approval_masks
         assert len({(len(row), sum(row.values())) for row in rows}) <= tau
         adjacent += any(a in rows[b] for block in agent_types(inst).blocks for a in block for b in block)
-        facts = solvers.InstanceFacts(inst)
-        assert [facts.tau_at_most(k) for k in range(6)] == [tau <= k for k in range(6)]
+        assert [solvers._tau_at_most(inst, k) for k in range(6)] == [tau <= k for k in range(6)]
     assert adjacent >= 10
+
+
+def _count_made(monkeypatch, name):
+    """Count the values of the ``model`` class ``name`` built from now on."""
+    made = []
+    real = getattr(model, name)
+
+    class Counted(real):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(model, name, Counted)
+    return made
+
+
+@pytest.mark.parametrize("case", ["agent-types", "unknown"])
+def test_dispatch_analyses_an_instance_once(monkeypatch, case):
+    # every query on one instance object: the gates, the agent-types tables
+    # and an unknown's detail share one partition and one changing set,
+    # however many queries read them; odd n types its padded copy once more
+    partitions = _count_made(monkeypatch, "AgentTypePartition")
+    changing_sets = _count_made(monkeypatch, "ChangingSet")
+    solvers._types_tables.cache_clear()
+    if case == "agent-types":
+        inst, budget = lowtau_instance(random.Random(31), 11, 3, 3), OracleBudget()
+    else:
+        inst, budget = gen_random(31, 2, 0.3, symmetric=True, seed=13), OracleBudget(max_agents=8)
+    routes = [dispatch(inst, q, budget).algorithm for q in all_queries(inst.ell)]
+    assert routes.count(case if case != "unknown" else "none") >= 3, routes
+    covered = [sum(map(len, blocks)) for blocks, _ in partitions]
+    assert covered.count(inst.n) == 1
+    assert covered.count(inst.n + 1) == (case == "agent-types")
+    assert len(changing_sets) == (case == "unknown")
 
 
 def test_agent_types_gate_rejects_dense_instances_from_fingerprints(monkeypatch):

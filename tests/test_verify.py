@@ -37,6 +37,14 @@ def test_alpha_range_checked_against_instance(ex1, m1):
         check(ex1, m1, StabilityQuery("weak", "pair", 0))
 
 
+@pytest.mark.parametrize("alpha", [1.5, True, "2"])
+def test_alpha_must_be_an_int(alpha):
+    # 1.5 was accepted and True described itself as "True-pair weak"
+    for agg in ("global", "pair", "individual"):
+        with pytest.raises(InvalidQuery, match=r"^alpha must be an int, got "):
+            StabilityQuery("weak", agg, alpha)
+
+
 def test_all_layers_equals_full_global(ex1, m1):
     for base in ("weak", "strong", "super"):
         assert (
@@ -90,6 +98,18 @@ def test_check_rejects_out_of_range_matching(triangle):
         check(triangle, Matching.from_pairs([(0, 7)]), StabilityQuery("weak", "all"))
     with pytest.raises(IdOutOfRange):
         check(triangle, Matching.from_pairs([(-1, 2)]), StabilityQuery("weak", "pair", 1))
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5])
+def test_check_rejects_agent_ids_that_are_not_ints(triangle, bad):
+    # True read as agent 1, and a float failed with a bare TypeError
+    for q in (StabilityQuery("weak", "all"), StabilityQuery("super", "pair", 1)):
+        with pytest.raises(IdOutOfRange, match=rf"^agent {bad!r} outside \[0, 3\)$"):
+            check(triangle, Matching.from_pairs([(bad, 2)]), q)
+    with pytest.raises(IdOutOfRange):
+        blocks(triangle, Matching(()), (0, bad), 0, "weak")
+    with pytest.raises(IdOutOfRange, match=rf"^layer {bad!r} outside"):
+        stable_in_layer(triangle, Matching(()), bad, "weak")
 
 
 def test_unstable_witnesses_reverify(ex1, m2):
