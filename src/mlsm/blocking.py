@@ -68,6 +68,12 @@ class Matching(_Value):
         canon = sorted((min(a, b), max(a, b)) for a, b in pairs)
         return cls(tuple(canon))
 
+    @classmethod
+    def from_partners(cls, partner) -> "Matching":
+        """The matching of a partner array: ``partner[a]`` is a's partner,
+        -1 when a is single.  The pairs come out in ascending order."""
+        return cls(tuple((a, b) for a, b in enumerate(partner) if b > a))
+
     def partner(self, a: int) -> int | None:
         return self._partner.get(a)
 

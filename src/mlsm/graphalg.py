@@ -10,7 +10,7 @@ neighbours in ascending order, so each result depends on the graph alone.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Container, Iterable, Sequence
 
 from .blocking import Matching
 from .errors import IdOutOfRange
@@ -42,8 +42,8 @@ class SimpleGraph(_Value):
         for u, v in edges:
             if u == v:
                 raise IdOutOfRange(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise IdOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise IdOutOfRange(f"edge ({u!r}, {v!r}) outside [0, {n})")
             canon.add((min(u, v), max(u, v)))
         return cls(n, frozenset(canon))
 
@@ -73,7 +73,7 @@ def _greedy(adj, mate: list[int]) -> None:
                     break
 
 
-def _search(adj, mate: list[int], root: int, cover: set[int] | None = None) -> bool:
+def _search(adj, mate: list[int], root: int, cover: Container[int] | None = None) -> bool:
     """Grow an alternating tree from the exposed vertex ``root``.
 
     Returns True after rematching ``mate`` along an augmenting path, which
@@ -160,25 +160,6 @@ def _search(adj, mate: list[int], root: int, cover: set[int] | None = None) -> b
     return False
 
 
-def _blossom(g: SimpleGraph, perfect: bool = False) -> list[int] | None:
-    """The mate array of a maximum matching: the greedy start, then one
-    search from each exposed vertex in ascending order.  A vertex with no
-    augmenting path keeps none after later augmentations, so one pass
-    suffices.  With ``perfect``, the first failed search returns None:
-    a perfect matching would give that vertex an augmenting path."""
-    adj = g._adj
-    mate = [-1] * g.n
-    _greedy(adj, mate)
-    for root in range(g.n):
-        if mate[root] < 0 and not _search(adj, mate, root) and perfect:
-            return None
-    return mate
-
-
-def _matching(mate: list[int]) -> Matching:
-    return Matching(tuple((v, w) for v, w in enumerate(mate) if v < w))
-
-
 def maximal_matching(g: SimpleGraph) -> Matching:
     """The greedy matching over the edges in lexicographic order.
 
@@ -186,12 +167,33 @@ def maximal_matching(g: SimpleGraph) -> Matching:
     """
     mate = [-1] * g.n
     _greedy(g._adj, mate)
-    return _matching(mate)
+    return Matching.from_partners(mate)
 
 
 def maximum_matching(g: SimpleGraph) -> Matching:
-    """A maximum-cardinality matching (general graphs, blossom-based)."""
-    return _matching(_blossom(g))
+    """A maximum-cardinality matching (general graphs, blossom-based): the
+    greedy start, then one search from each exposed vertex in ascending
+    order.  A vertex with no augmenting path keeps none after later
+    augmentations, so one pass suffices."""
+    adj = g._adj
+    mate = [-1] * g.n
+    _greedy(adj, mate)
+    for root in range(g.n):
+        if mate[root] < 0:
+            _search(adj, mate, root)
+    return Matching.from_partners(mate)
+
+
+def _saturate(g: SimpleGraph, cover: Collection[int]) -> Matching | None:
+    """``saturating_matching`` on a valid cover, a set or ``range(g.n)``."""
+    adj = g._adj
+    mate = [-1] * g.n
+    _greedy(adj, mate)
+    for root in sorted(cover):
+        if mate[root] < 0 and not _search(adj, mate, root, cover):
+            return None
+    _greedy(adj, mate)
+    return Matching.from_partners(mate)
 
 
 def saturating_matching(g: SimpleGraph, cover: Iterable[int]) -> Matching | None:
@@ -210,25 +212,20 @@ def saturating_matching(g: SimpleGraph, cover: Iterable[int]) -> Matching | None
     stays covered, r joins them) or at an outer non-cover vertex (flip the
     even path: r is covered and only w is uncovered).  If it finds
     neither, no matching covers T + r and hence none covers the cover.
-    A final greedy pass makes the result maximal.
+    A final greedy pass makes the result maximal.  A cover vertex that is
+    not an ``int`` in [0, n) raises ``IdOutOfRange``.
     """
     want = set(cover)
     for v in want:
-        if not 0 <= v < g.n:
-            raise IdOutOfRange(f"cover vertex {v} outside [0, {g.n})")
-    adj = g._adj
-    mate = [-1] * g.n
-    _greedy(adj, mate)
-    for root in sorted(want):
-        if mate[root] < 0 and not _search(adj, mate, root, want):
-            return None
-    _greedy(adj, mate)
-    return _matching(mate)
+        if type(v) is not int or not 0 <= v < g.n:
+            raise IdOutOfRange(f"cover vertex {v!r} outside [0, {g.n})")
+    return _saturate(g, want)
 
 
 def has_perfect_matching(g: SimpleGraph) -> Matching | None:
-    """A perfect matching if one exists, else None (exact)."""
+    """A perfect matching if one exists, else None (exact): the cover search
+    of ``saturating_matching`` with every vertex in the cover, where each
+    search can only augment and the final greedy pass changes nothing."""
     if g.n % 2 != 0:
         return None
-    mate = _blossom(g, perfect=True)
-    return None if mate is None else _matching(mate)
+    return _saturate(g, range(g.n))

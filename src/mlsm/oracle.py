@@ -34,8 +34,8 @@ __all__ = [
 
 
 class OracleBudget(_Value):
-    """Size bounds of the exhaustive searches; exceeding one raises
-    ``BudgetExceeded``.
+    """Size bounds of the exhaustive searches, as ints (bool excluded);
+    exceeding one raises ``BudgetExceeded``.
 
     ``max_agents`` bounds the agents a search decides: n, or the free agents
     when ``_search`` starts from fixed pairs.  ``max_matchings`` bounds the
@@ -51,6 +51,8 @@ class OracleBudget(_Value):
 
     def __init__(self, max_agents: int = 12, max_matchings: int | None = None):
         self.__dict__.update(max_agents=max_agents, max_matchings=max_matchings)
+        if type(max_agents) is not int or not (max_matchings is None or type(max_matchings) is int):
+            raise BadParameters(f"oracle budget fields must be ints, got {self}")
         if max_agents < 0 or (max_matchings or 0) < 0:
             raise BadParameters(f"negative oracle budget {self}")
 
@@ -94,12 +96,6 @@ def _iter_partner_arrays(n: int) -> Iterator[list[int]]:
     return rec(0)
 
 
-def _to_matching(partner: list[int]) -> Matching:
-    return Matching(
-        tuple((a, b) for a, b in enumerate(partner) if b > a)
-    )
-
-
 def enumerate_matchings(
     n: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> Iterator[Matching]:
@@ -112,7 +108,7 @@ def enumerate_matchings(
             raise BudgetExceeded(
                 f"visited more than {budget.max_matchings} matchings"
             )
-        yield _to_matching(partner)
+        yield Matching.from_partners(partner)
 
 
 def oracle_solve(
@@ -202,7 +198,7 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
         while a < n and not free[a]:
             a += 1
         if a == n:
-            return _to_matching(partner)
+            return Matching.from_partners(partner)
         nodes += 1
         if budget.max_matchings is not None and nodes > budget.max_matchings:
             raise BudgetExceeded(

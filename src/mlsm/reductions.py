@@ -269,13 +269,13 @@ def pad_global_weak(
 def copy_layers(
     inst: MultilayerInstance, multiplicities: list[int]
 ) -> MultilayerInstance:
-    """Repeat layer i multiplicities[i] times, order preserved."""
+    """Repeat layer i multiplicities[i] times (ints, bool excluded), order preserved."""
     if len(multiplicities) != inst.ell:
         raise BadParameters(
             f"expected {inst.ell} multiplicities, got {len(multiplicities)}"
         )
-    if any(m < 0 for m in multiplicities) or sum(multiplicities) < 1:
-        raise BadParameters("multiplicities must be nonnegative with positive sum")
+    if any(type(m) is not int or m < 0 for m in multiplicities) or sum(multiplicities) < 1:
+        raise BadParameters(f"multiplicities must be nonnegative ints with positive sum, got {multiplicities!r}")
     rows = []
     for i, mult in enumerate(multiplicities):
         rows.extend([inst.approvals[i]] * mult)

@@ -48,9 +48,10 @@ STRONG_GLOBAL_SUBSETS_MAX = 10_000
 class SolveResult(_Value):
     """exists(M) / not-exists / unknown, tagged with the deciding algorithm.
 
+    ``found`` reports a route's matching, or not-exists for None.
     ``verdict`` is the ``check`` verdict that certified the matching: set by
-    the routes that check their own candidate, and by ``dispatch`` on every
-    ``exists`` it returns.
+    ``_first_stable`` for the routes that certify their own candidates, and
+    by ``dispatch`` on every ``exists`` it returns.
     """
 
     status: str
@@ -76,23 +77,24 @@ class SolveResult(_Value):
 
     @classmethod
     def found(cls, alg, m, layers=None) -> "SolveResult":
-        return cls("exists", alg, m, layers)
-
-    @classmethod
-    def certified(cls, alg, m, verdict: Verdict) -> "SolveResult":
-        return cls("exists", alg, m, verdict.witness_layers, verdict=verdict)
-
-    @classmethod
-    def none(cls, alg) -> "SolveResult":
-        return cls("not-exists", alg)
-
-    @classmethod
-    def undecided(cls, alg, detail) -> "SolveResult":
-        return cls("unknown", alg, detail=detail)
+        """exists(m) with witness layers ``layers``; not-exists when m is None."""
+        return cls("not-exists", alg) if m is None else cls("exists", alg, m, layers)
 
     @property
     def exists(self) -> bool:
         return self.status == "exists"
+
+
+def _first_stable(tag: str, inst: MultilayerInstance, q: StabilityQuery, candidates) -> SolveResult:
+    """The first of ``candidates`` that passes ``check`` against q, as an
+    exists carrying that verdict, else not-exists.  Candidates are pulled
+    one at a time, so a lazy family builds only those up to the witness,
+    and each is checked once."""
+    for m in candidates:
+        verdict = check(inst, m, q)
+        if verdict.stable:
+            return SolveResult("exists", tag, m, verdict.witness_layers, verdict=verdict)
+    return SolveResult.found(tag, None)
 
 
 def _require_symmetric(inst: MultilayerInstance, what: str) -> None:
@@ -200,7 +202,7 @@ def solve_strong_global_symmetric(inst: MultilayerInstance, alpha: int) -> Solve
         m = _strong_matching(inst, sum(1 << i for i in subset))
         if m is not None:
             return SolveResult.found(tag, m, frozenset(subset))
-    return SolveResult.none(tag)
+    return SolveResult.found(tag, None)
 
 
 # ---------------------------------------------------------------------------
@@ -245,24 +247,19 @@ def solve_super_global(inst: MultilayerInstance, alpha: int) -> SolveResult:
     A matching super stable in a layer is one of that layer's at most three
     candidates (``_layer_candidates``), so one super stable in at least
     alpha layers is listed by at least alpha layers.  One pass over the
-    masks finds every layer's mutual pairs; each distinct candidate listed
-    often enough gets one global ``check``, in candidate order, and the
-    first that passes is returned with its verdict.  Complete for arbitrary
-    (also asymmetric) approvals.
+    masks finds every layer's mutual pairs; the distinct candidates listed
+    often enough go to ``_first_stable`` in candidate order, so each gets
+    at most one global ``check``.  Complete for arbitrary (also asymmetric)
+    approvals.
     """
     _require_alpha(alpha, inst.ell)
-    tag = "super-global"
     listed: dict[tuple[tuple[int, int], ...], int] = {}  # candidate -> layers listing it
     for forced in mutual_pairs(inst, (1 << inst.ell) - 1):
         for pairs in _layer_candidates(inst.n, forced):
             listed[pairs] = listed.get(pairs, 0) + 1
     q = StabilityQuery("super", "global", alpha)
-    for pairs in sorted(pairs for pairs, k in listed.items() if k >= alpha):
-        m = Matching(pairs)
-        verdict = check(inst, m, q)
-        if verdict.stable:
-            return SolveResult.certified(tag, m, verdict)
-    return SolveResult.none(tag)
+    candidates = sorted(pairs for pairs, k in listed.items() if k >= alpha)
+    return _first_stable("super-global", inst, q, map(Matching, candidates))
 
 
 def _solve_super_threshold(inst: MultilayerInstance, q: StabilityQuery, tag: str, most: int,
@@ -275,20 +272,18 @@ def _solve_super_threshold(inst: MultilayerInstance, q: StabilityQuery, tag: str
     One pruned search (``oracle._search``) with the forced pairs fixed
     returns the first completion, in canonical order over the isolated
     agents, on which no pair with an isolated agent breaks the query.  It
-    never evaluates a pair of two forced agents; one ``check`` of its
-    result covers them.  A failure there means no completion passes: such
-    a pair has the same happy masks, so the same pair or individual
-    verdict, in every completion.  The isolated agents count against
-    ``budget.max_agents``.
+    never evaluates a pair of two forced agents; ``_first_stable`` checks
+    that one candidate, if any, and that covers them.  A failure there means
+    no completion passes: such a pair has the same happy masks, so the same
+    pair or individual verdict, in every completion.  The isolated agents
+    count against ``budget.max_agents``.
     """
     forced = threshold_graph(inst, inst.ell - q.alpha + 1).sorted_edges()
     covered = {v for pair in forced for v in pair}
     if len(covered) < 2 * len(forced) or inst.n - len(covered) > most:
-        return SolveResult.none(tag)
+        return SolveResult.found(tag, None)
     m = _search(inst, q, budget, forced)
-    if m is not None and (verdict := check(inst, m, q)).stable:
-        return SolveResult.certified(tag, m, verdict)
-    return SolveResult.none(tag)
+    return _first_stable(tag, inst, q, () if m is None else (m,))
 
 
 def solve_super_individual_highalpha(inst: MultilayerInstance, alpha: int) -> SolveResult:
@@ -514,19 +509,14 @@ def solve_by_types(inst: MultilayerInstance, q: StabilityQuery) -> SolveResult:
     Iterates usage patterns of type pairs (odd n padded with a dummy agent
     approving and approved by nobody); a pattern is accepted when its reduced
     instance passes the checker, and any accepted pattern yields a concrete
-    stable matching.  The patterns are taken in ``_types_tables`` order and
-    the walk stops at the first stable witness, so only the entries up to it
-    are built; a later query on the same instance reuses them.
+    stable matching.  The witnesses of the accepted patterns, in
+    ``_types_tables`` order, are the candidates of ``_first_stable``, so the
+    walk stops at the first stable one and only the entries up to it are
+    built; a later query on the same instance reuses them.
     """
     q.effective_alpha(inst.ell)
-    tag = "agent-types"
-    for j_inst, j_match, witness in _types_tables(inst):
-        if not check(j_inst, j_match, q).stable:
-            continue
-        verdict = check(inst, witness, q)
-        if verdict.stable:
-            return SolveResult.certified(tag, witness, verdict)
-    return SolveResult.none(tag)
+    accepted = (witness for j_inst, j_match, witness in _types_tables(inst) if check(j_inst, j_match, q).stable)
+    return _first_stable("agent-types", inst, q, accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +607,15 @@ def solve_by_changing(inst: MultilayerInstance, q: StabilityQuery) -> SolveResul
     """Complete decision for symmetric approvals, exponential only in the
     number of agents whose approvals differ between layers.
 
-    Checks the query's candidate family of ``_changing_candidates`` in order
-    and stops at the first stable one, so an ``exists`` builds only the
-    candidates up to its witness; a later query on the same instance
-    resumes from the stored ones.
+    The query's lazy candidate family of ``_changing_candidates`` goes to
+    ``_first_stable``, so an ``exists`` builds only the candidates up to its
+    witness; a later query on the same instance resumes from the stored
+    ones.
     """
     _require_symmetric(inst, "solve_by_changing")
     q.effective_alpha(inst.ell)
-    tag = "changing-agents"
     weak_cands, mcm_cands = _changing_candidates(inst)
-    for cand in weak_cands if q.base == "weak" else mcm_cands:
-        verdict = check(inst, cand, q)
-        if verdict.stable:
-            return SolveResult.certified(tag, cand, verdict)
-    return SolveResult.none(tag)
+    return _first_stable("changing-agents", inst, q, weak_cands if q.base == "weak" else mcm_cands)
 
 
 # ---------------------------------------------------------------------------
@@ -676,18 +661,6 @@ class Solver(_Value):
         self.__dict__.update(name=name, applies=applies, run=run)
 
 
-def _run_strong_alllayers(inst: MultilayerInstance, q, alpha, budget) -> SolveResult:
-    m = solve_strong_alllayers_symmetric(inst)
-    if m is None:
-        return SolveResult.none("strong-alllayers-symmetric")
-    return SolveResult.found("strong-alllayers-symmetric", m, frozenset(range(inst.ell)))
-
-
-def _run_oracle(inst: MultilayerInstance, q, alpha, budget) -> SolveResult:
-    m = oracle_solve(inst, q, budget)
-    return SolveResult.none("oracle") if m is None else SolveResult.found("oracle", m)
-
-
 # Every route, in order of precedence.  Each ``run`` looks its solver up by
 # module-level name at call time, so rebinding a solver reaches dispatch too.
 SOLVERS = (
@@ -699,7 +672,8 @@ SOLVERS = (
            lambda inst, q, a, b: solve_super_global(inst, a)),
     Solver("strong-alllayers-symmetric",
            lambda inst, q, a: q.base == "strong" and q.agg in ("all", "global") and a == inst.ell and is_symmetric(inst),
-           _run_strong_alllayers),
+           lambda inst, q, a, b: SolveResult.found("strong-alllayers-symmetric", solve_strong_alllayers_symmetric(inst),
+                                                   frozenset(range(inst.ell)))),
     Solver("strong-global-symmetric",
            lambda inst, q, a: q.base == "strong" and q.agg in ("all", "global")
            and comb(inst.ell, a) <= STRONG_GLOBAL_SUBSETS_MAX and is_symmetric(inst),
@@ -749,16 +723,14 @@ def dispatch(
     else:
         if inst.n > budget.max_agents:
             changing = f"beta={changing_agents(inst).beta} > {BETA_DISPATCH_MAX}" if is_symmetric(inst) else "asymmetric"
-            return SolveResult.undecided(
-                "none",
-                f"no complete algorithm applies: tau={agent_types(inst).tau} > {TAU_DISPATCH_MAX}, "
-                f"{changing}, n={inst.n} > oracle budget {budget.max_agents}",
-            )
-        name, run = "oracle", _run_oracle
+            detail = (f"no complete algorithm applies: tau={agent_types(inst).tau} > {TAU_DISPATCH_MAX}, "
+                      f"{changing}, n={inst.n} > oracle budget {budget.max_agents}")
+            return SolveResult("unknown", "none", detail=detail)
+        name, run = "oracle", lambda inst, q, a, b: SolveResult.found("oracle", oracle_solve(inst, q, b))
     try:
         res = run(inst, q, alpha, budget)
     except BudgetExceeded as exc:
-        return SolveResult.undecided(name, f"{name} budget exceeded: {exc}")
+        return SolveResult("unknown", name, detail=f"{name} budget exceeded: {exc}")
     if not res.exists:
         return res
     verdict = res.verdict

@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import brute_force_max_matching
+from mlsm.errors import IdOutOfRange
 from mlsm.graphalg import (
     SimpleGraph,
     has_perfect_matching,
@@ -125,6 +127,20 @@ def test_saturating_matches_brute_force():
             _assert_edges(g, m)
             assert cover <= {v for pair in m.pairs for v in pair}
             assert _brute_saturates(g, cover)
+
+
+@pytest.mark.parametrize("edge", [(True, 2), (0.0, 2), (2, 1.0), (0, 3), (-1, 2), (1, 1)])
+def test_from_edges_rejects_vertices_that_are_not_ints_in_range(edge):
+    # bool is no vertex: True would read as vertex 1
+    with pytest.raises(IdOutOfRange):
+        SimpleGraph.from_edges(3, [edge])
+
+
+@pytest.mark.parametrize("cover", [[True], [1.0], [3], [-1]])
+def test_saturating_rejects_cover_vertices_that_are_not_ints_in_range(cover):
+    g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(IdOutOfRange):
+        saturating_matching(g, cover)
 
 
 def test_perfect_single_edge():

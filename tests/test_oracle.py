@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import exists_by_oracle, oracle_layer_superstable, weak_char_check
-from mlsm.errors import BudgetExceeded
+from mlsm.errors import BadParameters, BudgetExceeded
 from mlsm.model import build_instance
 from mlsm.oracle import (
     OracleBudget,
@@ -46,6 +46,17 @@ def test_enumeration_budget():
         list(enumerate_matchings(20))
     with pytest.raises(BudgetExceeded):
         list(enumerate_matchings(6, OracleBudget(max_matchings=10)))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"max_agents": True}, {"max_agents": 2.5}, {"max_matchings": 10.0}, {"max_matchings": False}],
+    ids=["agents-bool", "agents-float", "matchings-float", "matchings-bool"],
+)
+def test_budget_fields_must_be_ints(fields):
+    with pytest.raises(BadParameters, match="must be ints"):
+        OracleBudget(**fields)
+    assert OracleBudget(max_agents=3, max_matchings=None).max_matchings is None
 
 
 def test_oracle_solve_budget_counts_search_nodes():

@@ -153,6 +153,13 @@ def test_copy_layers_validates(ex1):
         copy_layers(ex1, [0, 0, 0])
 
 
+@pytest.mark.parametrize("multiplicities", [[1.5, 1, 1], [True, 1, 1], [1, 1, 2.0]])
+def test_copy_layers_rejects_multiplicities_that_are_not_ints(ex1, multiplicities):
+    # True would read as 1, and a float multiplicity cannot repeat a layer
+    with pytest.raises(BadParameters, match="ints"):
+        copy_layers(ex1, multiplicities)
+
+
 def test_copy_layers_weak_verdicts_survive_empty_layer(ex2):
     # appending an all-empty layer cannot create or destroy weak blocking
     padded = copy_layers(

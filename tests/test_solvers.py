@@ -754,6 +754,7 @@ def test_dispatch_routes_strong_symmetric(ex2):
 
 
 _PATH6 = [{1}, {0, 2}, {1, 3}, {2, 4}, {3, 5}, {4}]  # six types, no changing agent
+_PAIRS4 = build_instance(4, 5, [[{1}, {0}, {3}, {2}]] * 5)  # a-b and c-d mutual in every layer
 ROUTE_CASES = [
     ("weak-lowalpha", "ex1", StabilityQuery("weak", "pair", 2)),
     ("super-global", "ex1", StabilityQuery("super", "global", 1)),
@@ -761,8 +762,7 @@ ROUTE_CASES = [
     ("strong-global-symmetric", "ex2", StabilityQuery("strong", "global", 1)),
     ("super-individual-highalpha", "ex2", StabilityQuery("super", "individual", 2)),
     ("super-pair-veryhighalpha", "ex2", StabilityQuery("super", "pair", 2)),
-    ("super-pair-fpt", build_instance(4, 5, [[{1}, {0}, {3}, {2}]] * 5),
-     StabilityQuery("super", "pair", 3)),
+    ("super-pair-fpt", _PAIRS4, StabilityQuery("super", "pair", 3)),
     ("agent-types", "ex2", StabilityQuery("weak", "all")),
     ("changing-agents", build_instance(6, 2, [_PATH6] * 2), StabilityQuery("weak", "all")),
     ("oracle", "ex1", StabilityQuery("weak", "all")),
@@ -784,6 +784,71 @@ def test_dispatch_route(name, inst, q, request):
     assert (r.status == "unknown") == (name == "none")
     if r.exists:
         assert check(inst, r.matching, q).stable
+
+
+def _planted_super_instance(rng: random.Random, n: int, ell: int):
+    """Symmetric: a random perfect matching, mutual in every layer; the last
+    two layers add n // 8 random mutual pairs each.  The matching is super
+    stable in the other layers, so super-global and the super threshold
+    routes answer exists at some alpha."""
+    agents = list(range(n))
+    rng.shuffle(agents)
+    layers = [[set() for _ in range(n)] for _ in range(ell)]
+    for a, b in zip(agents[0::2], agents[1::2]):
+        for layer in layers:
+            layer[a].add(b)
+            layer[b].add(a)
+    for layer in layers[-2:]:
+        for _ in range(n // 8):
+            a, b = rng.sample(range(n), 2)
+            layer[a].add(b)
+            layer[b].add(a)
+    return build_instance(n, ell, layers)
+
+
+def _relabelled(inst, rng: random.Random):
+    """A copy of inst with its agents and its layers permuted, and per agent
+    of the copy its id in inst."""
+    new_id = list(range(inst.n))
+    rng.shuffle(new_id)
+    order = list(range(inst.ell))
+    rng.shuffle(order)
+    layers = [[set() for _ in range(inst.n)] for _ in range(inst.ell)]
+    for j, i in enumerate(order):
+        for a, approved in enumerate(inst.approvals[i]):
+            layers[j][new_id[a]] = {new_id[b] for b in approved}
+    old_id = [0] * inst.n
+    for a, b in enumerate(new_id):
+        old_id[b] = a
+    return build_instance(inst.n, inst.ell, layers), old_id
+
+
+def test_dispatch_is_invariant_under_relabelling():
+    # full size, beyond the oracle: the gates read symmetry, tau and beta,
+    # which a permutation of agents and layers keeps, so route and status
+    # stay; a witness of the copy, mapped back, is stable on the original
+    rng = random.Random(7)
+    seen = set()
+    for n in (80, 114, 160):
+        family = [
+            gen_random(n, 5, 1.5 / n, symmetric=True, seed=rng.getrandbits(30)),
+            gen_random(n, 5, 1.5 / n, seed=rng.getrandbits(30)),
+            lowtau_instance(rng, n, 5, 2),
+            symmetric_lowbeta_instance(rng, n, 5, 3),
+            _planted_super_instance(rng, n, 5),
+        ]
+        for inst in family:
+            copy, old_id = _relabelled(inst, rng)
+            for q in all_queries(5):
+                r, s = dispatch(inst, q), dispatch(copy, q)
+                assert (s.algorithm, s.status) == (r.algorithm, r.status), (n, q)
+                seen.add((r.algorithm, r.status))
+                if s.exists:
+                    m = Matching.from_pairs((old_id[a], old_id[b]) for a, b in s.matching)
+                    assert check(inst, m, q).stable, (n, q)
+    assert {solver.name for solver in SOLVERS} <= {name for name, _ in seen}
+    planted = ["super-global", "super-individual-highalpha", "super-pair-veryhighalpha", "super-pair-fpt"]
+    assert {(name, "exists") for name in planted} <= seen
 
 
 def test_dispatch_unknown_when_out_of_reach():
@@ -879,23 +944,33 @@ def test_agent_types_gate_rejects_dense_instances_from_fingerprints(monkeypatch)
     [
         ("weak-lowalpha", "solve_weak_lowalpha", StabilityQuery("weak", "pair", 2)),
         ("oracle", "oracle_solve", StabilityQuery("weak", "all")),
+        ("strong-alllayers-symmetric", "solve_strong_alllayers_symmetric", StabilityQuery("strong", "all")),
+        ("strong-global-symmetric", "_strong_matching", StabilityQuery("strong", "global", 1)),
     ],
 )
-def test_dispatch_rejects_uncertified_witness(ex1, monkeypatch, route, solver, q):
-    # the empty matching leaves ex1's pair a-b weakly blocking in every layer
-    assert not check(ex1, Matching(()), q).stable
+def test_dispatch_rejects_uncertified_witness(monkeypatch, request, route, solver, q):
+    # the empty matching leaves ex1's pair a-b weakly blocking in every
+    # layer, and ex2's mutual pairs strongly blocking in theirs
+    inst = request.getfixturevalue("ex2" if q.base == "strong" else "ex1")
+    assert not check(inst, Matching(()), q).stable
     monkeypatch.setattr(solvers, solver, lambda *args: Matching(()))
     with pytest.raises(UncertifiedWitness, match=f"{route} .* {q.describe()}"):
-        dispatch(ex1, q)
+        dispatch(inst, q)
     assert not issubclass(UncertifiedWitness, MlsmError)
 
 
 @pytest.mark.parametrize(
-    "name", ["super-pair-veryhighalpha", "super-pair-fpt", "agent-types", "changing-agents"]
+    "name",
+    ["super-global", "super-individual-highalpha", "super-pair-veryhighalpha", "super-pair-fpt", "agent-types",
+     "changing-agents"],
 )
 def test_dispatch_certifies_each_witness_once(name, monkeypatch, request):
-    # these routes check their own candidate; dispatch reuses that verdict
-    _, inst, q = next(case for case in ROUTE_CASES if case[0] == name)
+    # these routes check their own candidates (``_first_stable``); dispatch
+    # reuses that verdict.  The highalpha case of ROUTE_CASES is a not-exists
+    if name == "super-individual-highalpha":
+        inst, q = _PAIRS4, StabilityQuery("super", "individual", 3)
+    else:
+        _, inst, q = next(case for case in ROUTE_CASES if case[0] == name)
     if isinstance(inst, str):
         inst = request.getfixturevalue(inst)
     calls = []
