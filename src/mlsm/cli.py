@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from . import _lazy_attrs
 from .blocking import BASES, Matching
 from .errors import InvalidMatching, MalformedDocument, MlsmError
-from .model import MultilayerInstance, _check_shape, _refuse_self_approvals
+from .model import MultilayerInstance, _check_names, _check_shape, _refuse_self_approvals
 from .verify import AGGREGATIONS, StabilityQuery, check
 
 if TYPE_CHECKING:  # each subcommand imports the modules only it runs
@@ -79,10 +79,7 @@ def _expect(value, kind: type, what: str):
 def instance_from_doc(doc: dict) -> MultilayerInstance:
     _expect(doc, dict, "an instance document")
     names = _expect(doc.get("agents"), list, '"agents"')
-    if not all(isinstance(name, str) for name in names):
-        raise MalformedDocument('"agents" must list agent names as strings')
-    if len(set(names)) != len(names):
-        raise MalformedDocument("agent names must be unique")
+    _check_names(names, MalformedDocument)
     layers = _expect(doc.get("layers"), list, '"layers"')
     ell = len(layers)
     names = _check_shape(len(names), ell, ell, names)

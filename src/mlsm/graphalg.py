@@ -38,6 +38,11 @@ class SimpleGraph(_Value):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
+        """The graph on ``n >= 0`` vertices with the given edges, each an
+        ``int`` pair in range, no loop; a repeated edge, in either order,
+        counts once.  Anything else raises ``IdOutOfRange``."""
+        if n < 0:
+            raise IdOutOfRange(f"vertex count must be nonnegative, got {n}")
         canon = set()
         for u, v in edges:
             if u == v:

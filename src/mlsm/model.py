@@ -225,9 +225,12 @@ def build_instance(
 
     ``approvals`` is indexed ``[layer][agent]``; missing trailing agents in a
     layer are treated as approving nobody.  Duplicate ids are merged
-    silently; self-approvals and out-of-range ids are rejected.
+    silently; self-approvals and out-of-range ids are rejected, and so are
+    names that break ``_check_names``.
     """
     frozen_names = _check_shape(n, ell, len(approvals), names)
+    if frozen_names is not None:
+        _check_names(frozen_names, IdOutOfRange)
     masks: list[dict[int, int]] = [{} for _ in range(n)]
     for i, layer in enumerate(approvals):
         if len(layer) > n:
@@ -255,6 +258,16 @@ def _check_shape(n: int, ell: int, layers: int, names: Sequence[str] | None) -> 
     if names is not None and len(names) != n:
         raise IdOutOfRange(f"expected {n} names, got {len(names)}")
     return None if names is None else tuple(names)
+
+
+def _check_names(names: Sequence, error: type[Exception]) -> None:
+    """The name rules of every instance builder: each name a ``str``, no
+    name twice, so the document written from an instance reads back as it.
+    A broken rule raises ``error``."""
+    if not all(isinstance(name, str) for name in names):
+        raise error('"agents" must list agent names as strings')
+    if len(set(names)) != len(names):
+        raise error("agent names must be unique")
 
 
 def _refuse_self_approvals(masks: list[dict[int, int]], layer: int, names: Sequence[str] | None) -> None:

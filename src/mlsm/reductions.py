@@ -407,19 +407,23 @@ def _ints(tokens: list[str], error: type, lineno: int, line: str) -> list[int]:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """DIMACS CNF: comment lines, a "p cnf VARS CLAUSES" header, and clauses
-    terminated by 0 (possibly spanning lines)."""
-    num_vars = None
+    terminated by 0 (possibly spanning lines).  A line starting with "%"
+    ends the clause list, as in the SATLIB files.  A clause count other than
+    the header's raises ``MalformedFormula`` naming both counts."""
+    header = None
     literals: list[int] = []
     clauses: list[tuple[int, ...]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith(("c", "%")):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise MalformedFormula(f"line {lineno}: bad problem line {line!r}")
-            num_vars = _ints(parts[2:], MalformedFormula, lineno, line)[0]
+            header = _ints(parts[2:], MalformedFormula, lineno, line)
             continue
         for lit in _ints(line.split(), MalformedFormula, lineno, line):
             if lit == 0:
@@ -429,14 +433,19 @@ def parse_dimacs(text: str) -> CnfFormula:
                 literals.append(lit)
     if literals:
         clauses.append(tuple(literals))
-    if num_vars is None:
+    if header is None:
         raise MalformedFormula("missing 'p cnf' header")
+    num_vars, num_clauses = header
+    if len(clauses) != num_clauses:
+        raise MalformedFormula(f"header declares {num_clauses} clauses, found {len(clauses)}")
     return CnfFormula(num_vars, tuple(clauses))
 
 
 def parse_edge_list(text: str) -> SimpleGraph:
-    """Plain graph text: an "n m" header, then one "u v" line per edge,
-    1-indexed vertices."""
+    """Plain graph text: an "n m" header, then exactly m "u v" lines, one per
+    edge, 1-indexed vertices; lines starting with "#" are comments.  A line
+    with other than two integers, a negative n, or an edge line too many or
+    too few raises ``BadParameters``."""
     lines = [
         (lineno, ln)
         for lineno, ln in enumerate(text.splitlines(), 1)
@@ -446,13 +455,15 @@ def parse_edge_list(text: str) -> SimpleGraph:
         raise BadParameters("empty graph text")
 
     def pair(lineno: int, ln: str) -> list[int]:
-        row = _ints(ln.split()[:2], BadParameters, lineno, ln)
+        row = _ints(ln.split(), BadParameters, lineno, ln)
         if len(row) != 2:
             raise BadParameters(f"line {lineno}: expected two integers, got {ln!r}")
         return row
 
     n, m = pair(*lines[0])
-    edges = [(u - 1, v - 1) for u, v in (pair(*x) for x in lines[1 : m + 1])]
+    if n < 0:
+        raise BadParameters(f"line {lines[0][0]}: vertex count must be nonnegative, got {n}")
+    edges = [(u - 1, v - 1) for u, v in (pair(*x) for x in lines[1:])]
     if len(edges) != m:
         raise BadParameters(f"expected {m} edges, found {len(edges)}")
     return SimpleGraph.from_edges(n, edges)

@@ -374,25 +374,6 @@ class _Lazy:
 # few agent types
 
 
-def _type_approval_table(inst: MultilayerInstance, blocks):
-    """type-level approval: the layers in which (an agent of) type t
-    approves type u, as a mask.
-
-    Within a singleton type the relation has no witness pair; those entries
-    stay None and are never consulted for feasible usage patterns.
-    """
-    masks = inst.approval_masks
-    table = {}
-    for t, bt in enumerate(blocks):
-        for u, bu in enumerate(blocks):
-            if t == u and len(bt) < 2:
-                table[(t, u)] = None
-                continue
-            b = bu[0] if u != t else bt[1]
-            table[(t, u)] = masks[bt[0]].get(b, 0)
-    return table
-
-
 def _usage_vectors(sizes, edges):
     """All exact per-edge pair counts matching every type's block size.
 
@@ -418,21 +399,16 @@ def _usage_vectors(sizes, edges):
             top = min(remaining[t], remaining[u])
         for c in range(top + 1):
             counts[idx] = c
-            if t == u:
-                remaining[t] -= 2 * c
-            else:
-                remaining[t] -= c
-                remaining[u] -= c
+            # a loop (t == u) takes c agents twice from the same block
+            remaining[t] -= c
+            remaining[u] -= c
             dead = (last_touch[t] == idx and remaining[t] != 0) or (
                 last_touch[u] == idx and remaining[u] != 0
             )
             if not dead:
                 rec(idx + 1)
-            if t == u:
-                remaining[t] += 2 * c
-            else:
-                remaining[t] += c
-                remaining[u] += c
+            remaining[t] += c
+            remaining[u] += c
         counts[idx] = 0
 
     rec(0)
@@ -441,63 +417,55 @@ def _usage_vectors(sizes, edges):
 
 @lru_cache(maxsize=64)
 def _types_tables(inst: MultilayerInstance):
-    """Per usage pattern: the reduced two-agents-per-profile instance and a
+    """Per usage pattern: a reduced instance with its matching, and a
     witness matching of the instance (odd n padded with a dummy agent ``n``
     whose pair the witness drops).
 
     A pattern records, per type pair, whether it is matched zero times, once,
     or at least twice; stability of a compatible perfect matching depends
     only on that signature, so one reduced check per pattern decides all of
-    them.  Returns the entries, in signature order, as a ``_Lazy`` sequence:
-    the patterns are found on the first pull from the ``agent_types`` of the
-    instance (of its padded copy when n is odd), and each entry is built
-    when first reached.
+    them.  The reduced instance is the padded instance induced on the
+    witness's first min(count, 2) pairs of each type pair, and those pairs
+    are its matching.  Returns the entries, in signature order, as a
+    ``_Lazy`` sequence: the patterns are found on the first pull from the
+    ``agent_types`` of the instance (of its padded copy when n is odd), and
+    each entry is built when first reached.
     """
     return _Lazy(lambda: _types_entries(inst))
 
 
 def _types_entries(inst: MultilayerInstance):
-    """The entries of ``_types_tables``, one pattern at a time."""
+    """The entries of ``_types_tables``, one pattern at a time.  The reduced
+    masks are looked up pair by pair among the kept agents, at most four per
+    type pair, so no mask row is walked."""
     n = inst.n
     padded = inst
     if n % 2:
         padded = MultilayerInstance(n + 1, inst.ell, inst.approval_masks + ({},))
+    masks = padded.approval_masks
     blocks = agent_types(padded).blocks
-    table = _type_approval_table(padded, blocks)
-    sizes = [len(b) for b in blocks]
     edges = [
         (t, u) for t in range(len(blocks)) for u in range(t, len(blocks))
     ]
     by_signature: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for usage in _usage_vectors(sizes, edges):
+    for usage in _usage_vectors([len(b) for b in blocks], edges):
         sig = tuple(min(c, 2) for c in usage)
         by_signature.setdefault(sig, usage)
     for sig in sorted(by_signature):
-        usage = by_signature[sig]
-        # reduced instance: one matched agent pair per profile copy
-        profiles = []  # first-component type per reduced agent
-        j_pairs = []
-        for idx, (t, u) in enumerate(edges):
-            for _ in range(sig[idx]):
-                j_pairs.append((len(profiles), len(profiles) + 1))
-                profiles.append(t)
-                profiles.append(u)
-        j_masks = tuple(
-            {
-                y: mask
-                for y, py in enumerate(profiles)
-                if y != x and (mask := table[(px, py)])
-            }
-            for x, px in enumerate(profiles)
-        )
-        j_inst = MultilayerInstance(len(profiles), inst.ell, j_masks)
-        j_match = Matching.from_pairs(j_pairs)
-        # witness: hand out concrete agents per block, edge by edge
-        queues = [list(b) for b in blocks]
+        agents = [iter(b) for b in blocks]
         pairs = []
-        for idx, (t, u) in enumerate(edges):
-            for _ in range(usage[idx]):
-                pairs.append((queues[t].pop(0), queues[u].pop(0)))
+        kept = []  # the agents of the reduced instance, pair by pair
+        for (t, u), count, keep in zip(edges, by_signature[sig], sig):
+            for k in range(count):
+                pairs.append((next(agents[t]), next(agents[u])))
+                if k < keep:
+                    kept += pairs[-1]
+        j_masks = tuple(
+            {y: mask for y, b in enumerate(kept) if (mask := masks[a].get(b))}
+            for a in kept
+        )
+        j_inst = MultilayerInstance(len(kept), inst.ell, j_masks)
+        j_match = Matching.from_pairs((x, x + 1) for x in range(0, len(kept), 2))
         witness = Matching.from_pairs(pair for pair in pairs if n not in pair)
         yield j_inst, j_match, witness
 
@@ -508,11 +476,12 @@ def solve_by_types(inst: MultilayerInstance, q: StabilityQuery) -> SolveResult:
 
     Iterates usage patterns of type pairs (odd n padded with a dummy agent
     approving and approved by nobody); a pattern is accepted when its reduced
-    instance passes the checker, and any accepted pattern yields a concrete
-    stable matching.  The witnesses of the accepted patterns, in
-    ``_types_tables`` order, are the candidates of ``_first_stable``, so the
-    walk stops at the first stable one and only the entries up to it are
-    built; a later query on the same instance reuses them.
+    instance, the one induced on at most two of its witness's pairs per type
+    pair, passes the checker, which it does exactly when its witness does.
+    The witnesses of the accepted patterns, in ``_types_tables`` order, are
+    the candidates of ``_first_stable``, so the walk stops at the first
+    stable one and only the entries up to it are built; a later query on
+    the same instance reuses them.
     """
     q.effective_alpha(inst.ell)
     accepted = (witness for j_inst, j_match, witness in _types_tables(inst) if check(j_inst, j_match, q).stable)

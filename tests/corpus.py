@@ -59,14 +59,17 @@ def random_matching(rng: random.Random, n: int) -> Matching:
 
 
 def symmetric_lowbeta_instance(
-    rng: random.Random, n: int, ell: int, beta: int
+    rng: random.Random, n: int, ell: int, beta: int, density: float = 0.4
 ) -> MultilayerInstance:
     """Symmetric instance whose layers differ only inside a set of at most
-    ``beta`` agents (so at most ``beta`` agents change across layers)."""
+    ``beta`` agents (so at most ``beta`` agents change across layers).
+
+    The first layer draws each pair with probability ``density``; each later
+    layer redraws the pairs inside the changing set with probability 0.4."""
     first: list[set[int]] = [set() for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            if rng.random() < 0.4:
+            if rng.random() < density:
                 first[a].add(b)
                 first[b].add(a)
     drift = sorted(rng.sample(range(n), min(beta, n)))
@@ -85,12 +88,14 @@ def symmetric_lowbeta_instance(
 
 
 def lowtau_instance(
-    rng: random.Random, n: int, ell: int, tau: int
+    rng: random.Random, n: int, ell: int, tau: int, density: float = 0.45
 ) -> MultilayerInstance:
-    """Instance whose agents fall into at most ``tau`` behavior classes."""
+    """Instance whose agents fall into at most ``tau`` behavior classes: in
+    each layer, each ordered pair of classes approves with probability
+    ``density``, every agent of the one class every agent of the other."""
     kinds = [rng.randrange(min(tau, n)) for _ in range(n)]
     approve = {
-        (t, u): [rng.random() < 0.45 for _ in range(ell)]
+        (t, u): [rng.random() < density for _ in range(ell)]
         for t in range(tau)
         for u in range(tau)
     }

@@ -223,8 +223,14 @@ def test_bench_subcommand_is_gone(capsys):
         ("is", "3 1\n0\n", "line 2: expected two integers, got '0'"),
         ("sat", "p cnf x 1\n1 0\n", "line 1: expected integers, got 'p cnf x 1'"),
         ("sat", "c note\np cnf 2 1\n1 a 0\n", "line 3: expected integers, got '1 a 0'"),
+        ("is", "3 1\n1 2\n2 3\n", "expected 1 edges, found 2"),
+        ("is", "3 1\n1 2 3\n", "line 2: expected two integers, got '1 2 3'"),
+        ("is", "-2 0\n", "line 1: vertex count must be nonnegative, got -2"),
+        ("sat", "p cnf 3 1\n1 2 3 0\n-1 2 3 0\n", "header declares 1 clauses, found 2"),
+        ("sat", "p cnf 3 5\n1 2 3 0\n", "header declares 5 clauses, found 1"),
     ],
-    ids=["one-token-header", "non-integer-header", "one-token-edge", "non-integer-cnf-header", "non-integer-literal"],
+    ids=["one-token-header", "non-integer-header", "one-token-edge", "non-integer-cnf-header", "non-integer-literal",
+         "surplus-edge-line", "three-token-edge", "negative-vertex-count", "surplus-clause", "missing-clauses"],
 )
 def test_malformed_graph_and_cnf_files_exit_two(tmp_path, capsys, generator, text, where):
     source = tmp_path / "source.txt"

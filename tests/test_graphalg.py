@@ -136,6 +136,11 @@ def test_from_edges_rejects_vertices_that_are_not_ints_in_range(edge):
         SimpleGraph.from_edges(3, [edge])
 
 
+def test_from_edges_rejects_a_negative_vertex_count():
+    with pytest.raises(IdOutOfRange, match="nonnegative, got -2"):
+        SimpleGraph.from_edges(-2, [])
+
+
 @pytest.mark.parametrize("cover", [[True], [1.0], [3], [-1]])
 def test_saturating_rejects_cover_vertices_that_are_not_ints_in_range(cover):
     g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])

@@ -71,6 +71,22 @@ def test_build_rejects_bool_ids():
         build_instance(2, 1, [[set(), {False}]])
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["a", "a", "b"], "agent names must be unique"),
+        ([1, 2, 3], '"agents" must list agent names as strings'),
+        (["a", None, "b"], '"agents" must list agent names as strings'),
+    ],
+    ids=["repeated", "ints", "none"],
+)
+def test_build_rejects_names_a_document_cannot_carry(names, message):
+    # the document reader's name rules: a repeated name would read back as
+    # a self-approval, and non-string names are refused by the reader
+    with pytest.raises(IdOutOfRange, match=message):
+        build_instance(3, 1, [[{1}, {0}, set()]], names=names)
+
+
 def test_build_normalizes_duplicates():
     inst = build_instance(3, 1, [[[1, 1, 2], [], []]])
     assert inst.approvals[0][0] == frozenset({1, 2})

@@ -319,6 +319,8 @@ def test_parse_dimacs():
     assert formula.clauses == ((1, -2, 3), (-1, 2, -3))
     with pytest.raises(MalformedFormula):
         parse_dimacs("1 2 0\n")
+    # a SATLIB trailer: "%" ends the clause list, so its "0" is no clause
+    assert parse_dimacs("p cnf 3 1\n1 -2 3 0\n%\n0\n").clauses == ((1, -2, 3),)
 
 
 def test_parse_edge_list():

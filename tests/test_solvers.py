@@ -36,7 +36,9 @@ from mlsm.reductions import gen_random, reduce_is_to_global_strong
 from mlsm.blocking import Matching
 from mlsm.graphalg import SimpleGraph, has_perfect_matching, saturating_matching
 from mlsm.solvers import (
+    BETA_DISPATCH_MAX,
     SOLVERS,
+    TAU_DISPATCH_MAX,
     _strong_matching,
     dispatch,
     layer_superstable_set,
@@ -584,6 +586,25 @@ def test_types_uniform_approvals_vs_oracle():
             )
 
 
+def test_types_reduced_check_decides_its_witness():
+    # the lemma the agent-types route rests on: a perfect matching's
+    # stability depends only on whether each type pair is matched zero
+    # times, once or at least twice, so every pattern's reduced check, the
+    # rejected ones included, agrees with the check of its witness on the
+    # instance itself, for every query; odd n pads with a dummy agent
+    rng = random.Random(19)
+    entries, parities = 0, set()
+    for _ in range(40):
+        n, ell = rng.randint(2, 40), rng.randint(1, 4)
+        inst = lowtau_instance(rng, n, ell, rng.randint(1, 3))
+        parities.add(n % 2)
+        for j_inst, j_match, witness in solvers._types_tables(inst):
+            entries += 1
+            for q in all_queries(ell):
+                assert check(j_inst, j_match, q).stable == check(inst, witness, q).stable, (n, ell, q, witness)
+    assert parities == {0, 1} and entries >= 800
+
+
 def test_types_super_rejects_complete_graph():
     inst = build_instance(4, 1, [[{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}]])
     assert not solve_by_types(inst, StabilityQuery("super", "all")).exists
@@ -826,15 +847,17 @@ def _relabelled(inst, rng: random.Random):
 def test_dispatch_is_invariant_under_relabelling():
     # full size, beyond the oracle: the gates read symmetry, tau and beta,
     # which a permutation of agents and layers keeps, so route and status
-    # stay; a witness of the copy, mapped back, is stable on the original
+    # stay; a witness of the copy, mapped back, is stable on the original.
+    # The low-tau and low-beta draws sit at the gates' own limits, tau = 3
+    # and beta = 5, and are sparse enough that the checks stay cheap
     rng = random.Random(7)
     seen = set()
     for n in (80, 114, 160):
         family = [
             gen_random(n, 5, 1.5 / n, symmetric=True, seed=rng.getrandbits(30)),
             gen_random(n, 5, 1.5 / n, seed=rng.getrandbits(30)),
-            lowtau_instance(rng, n, 5, 2),
-            symmetric_lowbeta_instance(rng, n, 5, 3),
+            lowtau_instance(rng, n, 5, TAU_DISPATCH_MAX, density=0.1),
+            symmetric_lowbeta_instance(rng, n, 5, BETA_DISPATCH_MAX, density=1.5 / n),
             _planted_super_instance(rng, n, 5),
         ]
         for inst in family:
