@@ -4,17 +4,19 @@ Enumerates every matching of an instance (the telephone-number count T(n))
 and decides arbitrary queries.
 
 ``oracle_solve`` is the pruned search: a branch and bound over partial
-matchings that returns the first stable matching of the canonical order.
-The super threshold routes run it (``_search``) over their isolated agents,
-with the forced pairs fixed.  ``enumerate_matchings``, ``oracle_all`` and
-``existence_table`` visit every matching and stay plain, so that they are
-obviously correct: ``oracle_all`` with ``check`` is the specification the
-tests hold ``oracle_solve`` to.  Solvers and generators are validated
-against this module.
+matchings that returns the first stable matching of the canonical order,
+with a per-search memo of pair costs and a look-ahead that charges each
+pair with an undecided agent its least cost.  The super threshold routes
+run it (``_search``) over their isolated agents, with the forced pairs
+fixed.  ``enumerate_matchings``, ``oracle_all`` and ``existence_table``
+visit every matching and stay plain, so that they are obviously correct:
+``oracle_all`` with ``check`` is the specification the tests hold
+``oracle_solve`` to.  Solvers and generators are validated against this module.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cache
 from typing import Iterator
 
@@ -41,7 +43,7 @@ class OracleBudget(_Value):
     when ``_search`` starts from fixed pairs.  ``max_matchings`` bounds the
     complete matchings that ``enumerate_matchings`` (and so ``oracle_all``)
     yields, and the search nodes of ``oracle_solve`` and ``_search``: the
-    partial matchings they extend.
+    partial matchings they reach whose decided pairs pass.
     """
 
     max_agents: int
@@ -122,11 +124,16 @@ def oracle_solve(
     ``_iter_partner_arrays``.  Once both agents of an unmatched pair are
     decided, both happy masks are final and so is what the pair costs the
     query: its blocked layers under global and all-layers, and every layer
-    when it violates a pair or individual query.  A branch is cut when the
-    OR of its pairs' costs exceeds ell - alpha layers; every completion
-    keeps those pairs, so none of its matchings is stable.  A complete
-    matching that survives is stable by the definition ``check`` uses, and
-    the first one is the first of ``oracle_all``.
+    when it violates a pair or individual query.  While one of them, z, is
+    undecided, the pair costs at least its cost with z happy in every layer:
+    ``block_mask`` and every violation test are monotone in the approval
+    masks and antitone in the happy masks.  Each node charges these least
+    costs of the agents decided last (the look-ahead), unless the cost at
+    approvals ``full`` with the other agent unhappy is 0, as under weak.  A
+    branch is cut when the OR of its charges exceeds ell - alpha layers, as
+    it then does in every completion.  A complete matching that survives is
+    stable by the definition ``check`` uses, and the first one is the first
+    of ``oracle_all``.
     """
     return _search(inst, q, budget, [])
 
@@ -136,13 +143,25 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
     """``oracle_solve`` over the matchings that contain the disjoint pairs
     ``fixed``: the fixed agents start out decided, and only the free agents,
     whose number ``budget.max_agents`` bounds, are searched.  A pair of two
-    fixed agents is never evaluated, so the caller certifies the result."""
+    fixed agents is never evaluated, so the caller certifies the result.
+    A cost is computed once per mask tuple; a node is a partial matching
+    whose decided pairs pass, so the look-ahead never adds nodes."""
     alpha = q.effective_alpha(inst.ell)
     _check_budget(inst.n - 2 * len(fixed), budget)
     n, ell, base = inst.n, inst.ell, q.base
     full = (1 << ell) - 1
     slack = ell - alpha
     masks = inst.approval_masks
+    violates = None if q.agg in ("all", "global") else _violation(q, ell)
+
+    def cost(sa: int, sb: int, ha: int, hb: int) -> int:
+        """The pair's blocked layers, or every layer (more than the slack, as
+        alpha >= 1) if it violates a pair or individual query."""
+        if violates is None:
+            return block_mask(base, sa, sb, ha, hb, full)
+        return full if violates(sa, sb, ha, hb) else 0
+
+    look = cost(full, full, 0, full) != 0
     partner = [-1] * n
     happy = [0] * n
     free = [True] * n
@@ -152,48 +171,30 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
         happy[a], happy[b] = masks[a].get(b, 0), masks[b].get(a, 0)
         free[a] = free[b] = False
         decided += (a, b)
+    # the memo: per (sa, sb), the costs by (ha, hb), each packed ha << ell | hb;
+    # per searched agent x, the memo row of its pair with each agent
+    memo: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    rows = {x: [memo[masks[x].get(y, 0) << ell | row.get(x, 0)] for y, row in enumerate(masks)]
+            for x in range(n) if free[x]}
     nodes = 0
 
-    if q.agg in ("all", "global"):
-        def settle(x: int, blocked: int) -> int | None:
-            """Decide x: OR in the blocked layers of its pairs with the
-            decided agents other than its partner, or None once they exceed
-            the slack."""
-            row, hx, px = masks[x], happy[x], partner[x]
-            for y in decided:
-                if y != px:
-                    c = block_mask(base, row.get(y, 0), masks[y].get(x, 0), hx, happy[y], full)
-                    if c & ~blocked:
-                        blocked |= c
-                        if blocked.bit_count() > slack:
-                            return None
-            decided.append(x)
-            return blocked
-    else:
-        violates = _violation(q, ell)
-
-        def settle(x: int, blocked: int) -> int | None:
-            """Decide x, or None at its first pair with a decided agent
-            other than its partner that violates the query (a violating
-            pair costs every layer, more than the slack since alpha >= 1)."""
-            row, hx, px = masks[x], happy[x], partner[x]
-            for y in decided:
-                if y != px and violates(row.get(y, 0), masks[y].get(x, 0), hx, happy[y]):
+    def settle(x: int, blocked: int) -> int | None:
+        """OR in x's costs with the decided agents; None past the slack."""
+        rx, ha, hx = rows[x], happy[x], happy[x] << ell
+        for y in decided:
+            hb = happy[y]
+            c = rx[y].get(hx | hb)
+            if c is None:
+                c = rx[y][hx | hb] = cost(masks[x].get(y, 0), masks[y].get(x, 0), ha, hb)
+            if c & ~blocked:
+                blocked |= c
+                if blocked.bit_count() > slack:
                     return None
-            decided.append(x)
-            return blocked
+        return blocked
 
-    def branch(a: int, b: int, blocked: int) -> Matching | None:
-        """Decide a, single (b == -1) or paired with b, and search on."""
-        depth = len(decided)
-        grown = settle(a, blocked)
-        if grown is not None and b != -1:
-            grown = settle(b, grown)
-        found = None if grown is None else rec(a + 1, grown)
-        del decided[depth:]
-        return found
-
-    def rec(a: int, blocked: int) -> Matching | None:
+    def rec(a: int, blocked: int, last: list[int]) -> Matching | None:
+        """Charge the least costs of the agents decided ``last``, then decide
+        the least free agent from a on, single and then paired, and go on."""
         nonlocal nodes
         while a < n and not free[a]:
             a += 1
@@ -204,23 +205,44 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
             raise BudgetExceeded(
                 f"searched more than max_matchings={budget.max_matchings} partial matchings"
             )
+        for x in last if look else ():
+            rx, ha = rows[x], happy[x]
+            hk = ha << ell | full
+            for z in range(a, n):
+                if free[z]:
+                    c = rx[z].get(hk)
+                    if c is None:
+                        c = rx[z][hk] = cost(masks[x].get(z, 0), masks[z].get(x, 0), ha, full)
+                    if c & ~blocked:
+                        blocked |= c
+                        if blocked.bit_count() > slack:
+                            return None
         free[a] = False
-        found = branch(a, -1, blocked)  # leave a single
-        for b in range(a + 1, n):
-            if found is not None:
-                break
-            if free[b]:
+        depth = len(decided)
+        found = None
+        for b in range(a, n):  # b == a leaves a single
+            if b != a:
+                if not free[b]:
+                    continue
                 free[b] = False
                 partner[a], partner[b] = b, a
-                happy[a], happy[b] = masks[a].get(b, 0), masks[b].get(a, 0)
-                found = branch(a, b, blocked)
+            happy[a], happy[b] = masks[a].get(b, 0), masks[b].get(a, 0)  # 0 if single
+            grown = settle(a, blocked)
+            if grown is not None and b != a:
+                grown = settle(b, grown)
+            if grown is not None:
+                decided.extend((a,) if b == a else (a, b))
+                found = rec(a + 1, grown, decided[depth:])
+                del decided[depth:]
+            if b != a:
                 free[b] = True
                 partner[a] = partner[b] = -1
-                happy[a] = happy[b] = 0
+            if found is not None:
+                return found
         free[a] = True
-        return found
+        return None
 
-    return rec(0, 0)
+    return rec(0, 0, [])
 
 
 def oracle_all(

@@ -406,10 +406,11 @@ def _ints(tokens: list[str], error: type, lineno: int, line: str) -> list[int]:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """DIMACS CNF: comment lines, a "p cnf VARS CLAUSES" header, and clauses
-    terminated by 0 (possibly spanning lines).  A line starting with "%"
-    ends the clause list, as in the SATLIB files.  A clause count other than
-    the header's raises ``MalformedFormula`` naming both counts."""
+    """DIMACS CNF: comment lines, one "p cnf VARS CLAUSES" header with
+    nonnegative counts, then clauses terminated by 0 (possibly spanning
+    lines).  A line starting with "%" ends the clause list, as in the SATLIB
+    files.  A second header, a clause before the header, a negative count
+    or a clause count other than the header's raises ``MalformedFormula``."""
     header = None
     literals: list[int] = []
     clauses: list[tuple[int, ...]] = []
@@ -423,8 +424,14 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise MalformedFormula(f"line {lineno}: bad problem line {line!r}")
+            if header is not None:
+                raise MalformedFormula(f"line {lineno}: second problem line {line!r}")
             header = _ints(parts[2:], MalformedFormula, lineno, line)
+            if min(header) < 0:
+                raise MalformedFormula(f"line {lineno}: negative count in {line!r}")
             continue
+        if header is None:
+            raise MalformedFormula(f"line {lineno}: clause before the 'p cnf' header")
         for lit in _ints(line.split(), MalformedFormula, lineno, line):
             if lit == 0:
                 clauses.append(tuple(literals))

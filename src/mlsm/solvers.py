@@ -145,9 +145,14 @@ def solve_weak_lowalpha(inst: MultilayerInstance, alpha: int) -> Matching:
 # strong stability, symmetric approvals
 
 
-def _strong_matching(inst: MultilayerInstance, sel: int) -> Matching | None:
+def _busy(inst: MultilayerInstance) -> list[int]:
+    """Per agent, the bit mask of the layers where it approves somebody."""
+    return [reduce(or_, ma.values(), 0) for ma in inst.approval_masks]
+
+
+def _strong_matching(inst: MultilayerInstance, sel: int, busy: list[int]) -> Matching | None:
     """A matching strongly stable in every layer of the bit mask ``sel``, or
-    None; approvals must be symmetric.
+    None; approvals must be symmetric and ``busy`` is ``_busy(inst)``.
 
     Even n: such matchings are exactly the perfect matchings of the graph
     whose edges are the pairs that, in each selected layer, approve each
@@ -164,8 +169,6 @@ def _strong_matching(inst: MultilayerInstance, sel: int) -> Matching | None:
     has at most one edge per approving pair, none between silent agents.
     """
     masks = inst.approval_masks
-    # per agent, the layers where it approves somebody
-    busy = [reduce(or_, ma.values(), 0) for ma in masks]
     silent = [a for a in range(inst.n) if not busy[a] & sel]
     rest = [a for a in range(inst.n) if busy[a] & sel]
     index = {a: i for i, a in enumerate(rest)}
@@ -190,16 +193,18 @@ def solve_strong_alllayers_symmetric(inst: MultilayerInstance) -> Matching | Non
     perfect matching of the mutual-or-both-silent graph over every layer
     (see ``_strong_matching``), or None."""
     _require_symmetric(inst, "solve_strong_alllayers_symmetric")
-    return _strong_matching(inst, (1 << inst.ell) - 1)
+    return _strong_matching(inst, (1 << inst.ell) - 1, _busy(inst))
 
 
 def solve_strong_global_symmetric(inst: MultilayerInstance, alpha: int) -> SolveResult:
-    """Try every size-alpha layer subset through the all-layers algorithm."""
+    """Try every size-alpha layer subset through the all-layers algorithm,
+    with the per-agent busy layers built once."""
     _require_symmetric(inst, "solve_strong_global_symmetric")
     _require_alpha(alpha, inst.ell)
     tag = "strong-global-symmetric"
+    busy = _busy(inst)
     for subset in itertools.combinations(range(inst.ell), alpha):
-        m = _strong_matching(inst, sum(1 << i for i in subset))
+        m = _strong_matching(inst, sum(1 << i for i in subset), busy)
         if m is not None:
             return SolveResult.found(tag, m, frozenset(subset))
     return SolveResult.found(tag, None)

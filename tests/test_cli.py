@@ -228,9 +228,13 @@ def test_bench_subcommand_is_gone(capsys):
         ("is", "-2 0\n", "line 1: vertex count must be nonnegative, got -2"),
         ("sat", "p cnf 3 1\n1 2 3 0\n-1 2 3 0\n", "header declares 1 clauses, found 2"),
         ("sat", "p cnf 3 5\n1 2 3 0\n", "header declares 5 clauses, found 1"),
+        ("sat", "p cnf 3 1\np cnf 5 1\n1 2 5 0\n", "line 2: second problem line 'p cnf 5 1'"),
+        ("sat", "1 2 0\np cnf 2 1\n", "line 1: clause before the 'p cnf' header"),
+        ("sat", "p cnf -1 0\n", "line 1: negative count in 'p cnf -1 0'"),
     ],
     ids=["one-token-header", "non-integer-header", "one-token-edge", "non-integer-cnf-header", "non-integer-literal",
-         "surplus-edge-line", "three-token-edge", "negative-vertex-count", "surplus-clause", "missing-clauses"],
+         "surplus-edge-line", "three-token-edge", "negative-vertex-count", "surplus-clause", "missing-clauses",
+         "second-cnf-header", "clause-before-header", "negative-variable-count"],
 )
 def test_malformed_graph_and_cnf_files_exit_two(tmp_path, capsys, generator, text, where):
     source = tmp_path / "source.txt"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import exists_by_oracle, oracle_layer_superstable, weak_char_check
+from mlsm.blocking import BASES, block_mask
 from mlsm.errors import BadParameters, BudgetExceeded
 from mlsm.model import build_instance
 from mlsm.oracle import (
@@ -15,7 +17,7 @@ from mlsm.oracle import (
     oracle_solve,
 )
 from mlsm.reductions import gen_random
-from mlsm.verify import StabilityQuery, all_queries, check
+from mlsm.verify import StabilityQuery, _violation, all_queries, check
 
 
 def _telephone(n: int) -> int:
@@ -69,6 +71,32 @@ def test_oracle_solve_budget_counts_search_nodes():
         assert found is None or check(inst, found, q).stable
         with pytest.raises(BudgetExceeded, match="max_matchings=1 "):
             oracle_solve(inst, q, OracleBudget(max_matchings=1))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_pair_costs_grow_with_approvals_and_shrink_with_happiness(ell):
+    # the fact the pruned search's look-ahead rests on: one more approval
+    # bit or one fewer happy bit never lowers what a pair costs, so the
+    # cost with the undecided agent happy in every layer is a lower bound
+    full = (1 << ell) - 1
+    tests = {base: lambda *masks, base=base: block_mask(base, *masks, full) for base in BASES}
+    tests |= {q.describe(): _violation(q, ell) for q in all_queries(ell) if q.agg in ("pair", "individual")}
+    states = list(itertools.product(range(full + 1), repeat=4))
+    for name, test in tests.items():
+        value = {state: int(test(*state)) for state in states}
+        for (sa, sb, ha, hb), v in value.items():
+            for bit in (1 << i for i in range(ell)):
+                for up in ((sa | bit, sb, ha, hb), (sa, sb | bit, ha, hb), (sa, sb, ha & ~bit, hb), (sa, sb, ha, hb & ~bit)):
+                    assert not v & ~value[up], (name, (sa, sb, ha, hb), up)
+
+
+def test_look_ahead_decides_within_fewer_nodes():
+    # a dense asymmetric strong not-exists: without the look-ahead the
+    # search reaches 541 nodes here, with it 484
+    inst = gen_random(9, 3, 0.8, seed=5)
+    q = StabilityQuery("strong", "pair", 1)
+    assert oracle_solve(inst, q, OracleBudget(max_matchings=484)) is None
+    assert oracle_all(inst, q) == []
 
 
 @given(

@@ -321,6 +321,16 @@ def test_parse_dimacs():
         parse_dimacs("1 2 0\n")
     # a SATLIB trailer: "%" ends the clause list, so its "0" is no clause
     assert parse_dimacs("p cnf 3 1\n1 -2 3 0\n%\n0\n").clauses == ((1, -2, 3),)
+    # one header, before any clause, with nonnegative counts
+    for text, where in [
+        ("p cnf 3 1\np cnf 5 1\n1 2 5 0\n", "line 2: second problem line"),
+        ("1 2 0\np cnf 2 1\n", "line 1: clause before"),
+        ("p cnf -1 0\n", "line 1: negative count"),
+        ("p cnf 2 -1\n", "line 1: negative count"),
+    ]:
+        with pytest.raises(MalformedFormula, match=where):
+            parse_dimacs(text)
+    assert parse_dimacs("p cnf 0 0\n").clauses == ()
 
 
 def test_parse_edge_list():

@@ -39,6 +39,7 @@ from mlsm.solvers import (
     BETA_DISPATCH_MAX,
     SOLVERS,
     TAU_DISPATCH_MAX,
+    _busy,
     _strong_matching,
     dispatch,
     layer_superstable_set,
@@ -223,7 +224,7 @@ def test_strong_solvers_match_definition():
         for alpha in range(1, inst.ell + 1):
             for sub in itertools.combinations(range(inst.ell), alpha):
                 sel = sum(1 << i for i in sub)
-                assert _strong_matching(inst, sel) == _strong_by_definition(inst, sub)
+                assert _strong_matching(inst, sel, _busy(inst)) == _strong_by_definition(inst, sub)
             subsets = itertools.combinations(range(inst.ell), alpha)
             found = [(m, set(sub)) for sub in subsets if (m := _strong_by_definition(inst, sub)) is not None]
             result = solve_strong_global_symmetric(inst, alpha)
