@@ -5,10 +5,11 @@ and decides arbitrary queries.
 
 ``oracle_solve`` is the pruned search: a branch and bound over partial
 matchings that returns the first stable matching of the canonical order,
-with a per-search memo of pair costs and a look-ahead that charges each
-pair with an undecided agent its least cost.  The super threshold routes
-run it (``_search``) over their isolated agents, with the forced pairs
-fixed.  ``enumerate_matchings``, ``oracle_all`` and ``existence_table``
+with a per-search memo of pair costs, a look-ahead that charges each pair
+with an undecided agent its least cost, and a parity bound that charges the
+agent an odd count of free agents leaves single.  The super threshold
+routes run it (``_search``) over their isolated agents, with the forced
+pairs fixed.  ``enumerate_matchings``, ``oracle_all`` and ``existence_table``
 visit every matching and stay plain, so that they are obviously correct:
 ``oracle_all`` with ``check`` is the specification the tests hold
 ``oracle_solve`` to.  Solvers and generators are validated against this module.
@@ -131,9 +132,13 @@ def oracle_solve(
     costs of the agents decided last (the look-ahead), unless the cost at
     approvals ``full`` with the other agent unhappy is 0, as under weak.  A
     branch is cut when the OR of its charges exceeds ell - alpha layers, as
-    it then does in every completion.  A complete matching that survives is
-    stable by the definition ``check`` uses, and the first one is the first
-    of ``oracle_all``.
+    it then does in every completion.  At an odd count of free agents each
+    completion leaves one, z, single, so its pairs cost at least their cost
+    with z unhappy and the other agent at its decided mask or ``full``; the
+    parity bound cuts when the AND over z of these ORs, with the charges,
+    exceeds the slack.  A complete matching that survives is stable by the
+    definition ``check`` uses, and the first one is the first of
+    ``oracle_all``.
     """
     return _search(inst, q, budget, [])
 
@@ -145,7 +150,8 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
     whose number ``budget.max_agents`` bounds, are searched.  A pair of two
     fixed agents is never evaluated, so the caller certifies the result.
     A cost is computed once per mask tuple; a node is a partial matching
-    whose decided pairs pass, so the look-ahead never adds nodes."""
+    whose decided pairs pass, so neither bound adds nodes, and the parity
+    bound's AND is never carried into the charges."""
     alpha = q.effective_alpha(inst.ell)
     _check_budget(inst.n - 2 * len(fixed), budget)
     n, ell, base = inst.n, inst.ell, q.base
@@ -193,8 +199,8 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
         return blocked
 
     def rec(a: int, blocked: int, last: list[int]) -> Matching | None:
-        """Charge the least costs of the agents decided ``last``, then decide
-        the least free agent from a on, single and then paired, and go on."""
+        """Charge the agents decided ``last``, apply the parity bound, then
+        decide the least free agent from a on, single or paired, and go on."""
         nonlocal nodes
         while a < n and not free[a]:
             a += 1
@@ -217,6 +223,28 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
                         blocked |= c
                         if blocked.bit_count() > slack:
                             return None
+        if (n - len(decided)) & 1:
+            # the parity bound: each z's OR stops once it covers the AND so
+            # far, and the bound once the AND is within the slack; an
+            # undecided y costs 0 when look is off
+            least = full & ~blocked
+            for z in range(a, n):
+                if free[z]:
+                    rz, c = rows[z], 0
+                    for y in range(n):
+                        if y != z and (look or not free[y]):
+                            hy = full if free[y] else happy[y]
+                            cz = rz[y].get(hy)
+                            if cz is None:
+                                cz = rz[y][hy] = cost(masks[z].get(y, 0), masks[y].get(z, 0), 0, hy)
+                            c |= cz
+                            if not least & ~c:
+                                break
+                    least &= c
+                    if blocked.bit_count() + least.bit_count() <= slack:
+                        break
+            else:
+                return None
         free[a] = False
         depth = len(decided)
         found = None

@@ -91,12 +91,32 @@ def test_pair_costs_grow_with_approvals_and_shrink_with_happiness(ell):
 
 
 def test_look_ahead_decides_within_fewer_nodes():
-    # a dense asymmetric strong not-exists: without the look-ahead the
-    # search reaches 541 nodes here, with it 484
-    inst = gen_random(9, 3, 0.8, seed=5)
-    q = StabilityQuery("strong", "pair", 1)
-    assert oracle_solve(inst, q, OracleBudget(max_matchings=484)) is None
-    assert oracle_all(inst, q) == []
+    # ten agents, an even count, so the parity bound cannot cut the root: a
+    # strong exists and a super not-exists, where without the look-ahead
+    # the search reaches 114 and 113 nodes
+    for seed, q, nodes in [(23, StabilityQuery("strong", "pair", 1), 7), (1, StabilityQuery("super", "pair", 1), 11)]:
+        inst = gen_random(10, 3, 0.6, seed=seed)
+        assert oracle_solve(inst, q, OracleBudget(max_matchings=nodes)) == next(iter(oracle_all(inst, q)), None)
+
+
+@pytest.mark.parametrize(
+    "seed, q, nodes",
+    [
+        (0, StabilityQuery("strong", "global", 1), 1),
+        (5, StabilityQuery("strong", "pair", 1), 1),
+        (11, StabilityQuery("strong", "pair", 1), 10),
+        (18, StabilityQuery("weak", "pair", 2), 7),
+    ],
+    ids=["root-strong-global", "root-strong-pair", "decided-strong", "decided-weak"],
+)
+def test_parity_bound_decides_within_fewer_nodes(seed, q, nodes):
+    # nine agents leave one single.  root: every agent blocks as a single
+    # agent, so the root is cut (without the bound, 246 and 484 nodes).
+    # decided: the bound reads decided agents at their happy masks; read at
+    # full it lets the search reach 65 and 53 nodes.  Under weak only the
+    # decided agents count, as one happy in every layer never weakly blocks
+    inst = gen_random(9, 3, 0.8, seed=seed)
+    assert oracle_solve(inst, q, OracleBudget(max_matchings=nodes)) == next(iter(oracle_all(inst, q)), None)
 
 
 @given(
@@ -112,6 +132,8 @@ def test_look_ahead_decides_within_fewer_nodes():
 @example((8, 4, 0.0, False, False, 0))
 @example((8, 4, 1.0, False, False, 0))
 @example((8, 3, 0.8, True, False, 1))
+@example((9, 3, 0.8, False, False, 0))
+@example((9, 2, 0.4, True, False, 3))
 @settings(max_examples=60, deadline=None)
 def test_oracle_solve_is_first_of_oracle_all(params):
     n, ell, p, symmetric, bipartite, seed = params
