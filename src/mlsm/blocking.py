@@ -11,11 +11,16 @@ layer is the one-bit case.
 ``stable_layers``, ``stable_in_layer`` and ``check`` scan only the pairs that
 approve somewhere, in at most one pass over ``approval_masks`` and with no
 pair table, and decide each distinct ``(sa, sb, ha, hb)`` mask tuple of a
-scan once.  A pair or individual check reads no row that cannot hold a
-pair below the least violation found so far.  Silent pairs, which approve
-nowhere, never weakly or strongly block; under super they are counted per
-layer, or searched for by grouping agents by happy mask, and never visited
-one by one.
+scan once.  Which pairs a scan yields depends on the base: a weak or strong
+block, and a weak individual violation, needs an agent that strictly
+prefers the other, i.e. approves it in a layer where it is unhappy, so
+under weak and strong the rows of agents with no such approval are skipped
+(see ``_approving``), and a matching under which every agent is happy in
+every layer is checked in O(n).  A pair or individual check reads no row
+that cannot hold a pair below the least violation found so far.  Silent
+pairs, which approve nowhere, never weakly or strongly block; under super
+they are counted per layer, or searched for by grouping agents by happy
+mask, and never visited one by one.
 """
 
 from __future__ import annotations
@@ -178,34 +183,73 @@ def _happy_masks(inst: MultilayerInstance, m: Matching) -> list[int]:
     return happy
 
 
-def _approving(inst: MultilayerInstance, m: Matching, least: list[int] | None = None):
+def _approving(inst: MultilayerInstance, m: Matching, base: str, least: list[int] | None = None):
     """Yield ``(a, b, key)``, ``key = (sa, sb, ha, hb)`` (ell-bit masks as in
-    ``block_mask``), once for every unmatched pair a < b that approves in
-    some layer, from a's mask row, or from b's if only b approves: row by
-    row, not in lexicographic order.
+    ``block_mask``), once for each unmatched pair a < b that can block or
+    violate under ``base``: row by row, not in lexicographic order.
+
+    An agent is strict if it approves someone in a layer where it is
+    unhappy, i.e. its row has a mask outside its happy mask.  By
+    ``block_mask``, a weak block lies in ``strict_a & strict_b`` and a
+    strong one in ``strict_a | strict_b``; by ``support_mask``, a weak
+    individual violation leaves each agent fewer than ell supporting layers,
+    so each strictly prefers, hence approves, the other somewhere.  So:
+
+    - super: every pair that approves somewhere, from a's row, or from b's
+      if only b approves;
+    - strong: every pair in which a strict agent approves the other, from
+      a's row if a is strict and approves b, else from b's;
+    - weak: every mutually approving pair with a strict, from a's row.
+
+    The row of an agent that is not strict is skipped: in O(1) when it is
+    happy in every layer, else after one pass over its masks that stops at
+    the first strict one.
 
     ``least``, if given, is the caller's least pair so far, ``[fa, fb]``,
-    which it may lower between yields.  A row a > fa can only add a lesser
-    pair (b, a) that only a approves, with b < fa, or b = fa while a < fb:
-    such a row is probed for those keys alone, and once fa = 0 and a >= fb
-    no later row is read.  Pairs not below ``least`` may still be yielded.
+    which it may lower between yields.  A row a > fa can only yield a lesser
+    pair as (b, a), with b < fa, or b = fa while a < fb: such a row is
+    probed for those keys alone, with no strictness test, and once fa = 0
+    and a >= fb no later row is read.  Under weak no row past fa is read.
+    Pairs not below ``least``, and from probed rows pairs that cannot
+    block, may still be yielded.
     """
     masks = inst.approval_masks
     partner = m._partner
     happy = _happy_masks(inst, m)
+    full = (1 << inst.ell) - 1
+    weak = base == "weak"
+    strict_rows = base != "super"
+    skipped = [False] * inst.n  # agents found not strict
     for a, row in enumerate(masks):
-        items = row.items()
+        ha = happy[a]
         if least is not None and a > least[0]:
             fa, fb = least
             keys = fa + 1 if a < fb else fa  # keys below this can precede
-            if not keys:
+            if not keys or weak:
                 return
             if keys < len(row):
                 items = [(b, row[b]) for b in range(keys) if b in row]
             else:
-                items = [(b, s) for b, s in items if b < keys]
+                items = [(b, s) for b, s in row.items() if b < keys]
+        else:
+            if strict_rows:
+                # skip a unless it approves someone outside its happy mask;
+                # an agent happy everywhere is skipped without reading its row
+                for s in row.values() if ha != full else ():
+                    if s & ~ha:
+                        break
+                else:
+                    skipped[a] = True
+                    continue
+            items = row.items()
         pa = partner.get(a)
-        ha = happy[a]
+        if weak:
+            for b, s in items:
+                if b > a and b != pa:
+                    sb = masks[b].get(a)
+                    if sb:
+                        yield a, b, (s, sb, ha, happy[b])
+            continue
         for b, s in items:
             if b == pa:
                 continue
@@ -213,17 +257,19 @@ def _approving(inst: MultilayerInstance, m: Matching, least: list[int] | None = 
                 yield a, b, (s, masks[b].get(a, 0), ha, happy[b])
             elif a not in masks[b]:
                 yield b, a, (0, s, happy[b], ha)
+            elif skipped[b]:
+                yield b, a, (masks[b][a], s, happy[b], ha)
 
 
 def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int:
     """The layers of ``want`` in which some unmatched pair blocks (other bits
     may be set too).  ``block_mask`` runs once per distinct mask tuple of
-    the approving pairs, and the scan stops once all of ``want`` is
-    blocked."""
+    the pairs that ``_approving`` yields under ``base``, and the scan stops
+    once all of ``want`` is blocked."""
     full = (1 << inst.ell) - 1
     blocked = 0
     seen = set()  # mask tuples already evaluated
-    for _, _, key in _approving(inst, m):
+    for _, _, key in _approving(inst, m, base):
         if key in seen:
             continue
         seen.add(key)
@@ -305,18 +351,19 @@ def _least_violation(inst: MultilayerInstance, m: Matching, base: str, violates)
     ``(a, b, sa, sb, ha, hb)``, for which ``violates(sa, sb, ha, hb)``, or
     None.
 
-    One pass over the approving pairs keeps the least violation so far,
-    skips every pair above it and reads no row that cannot hold a lesser
-    one (see ``_approving``); ``violates`` runs once per distinct mask
-    tuple that complies.  Silent pairs (``sa == sb == 0``) never weakly or
-    strongly block and have weak support ell, so they are searched for only
-    under super, and only before the least approving violation.
+    One pass over the pairs that ``_approving`` yields under ``base``
+    keeps the least violation so far, skips every pair above it and reads
+    no row that cannot hold a lesser one; ``violates`` runs once per
+    distinct mask tuple that complies.  Silent pairs (``sa == sb == 0``)
+    never weakly or strongly block and have weak support ell, so they are
+    searched for only under super, and only before the least approving
+    violation.
     """
     first = None
     fa = fb = inst.n  # the least violating pair so far; none yet
     least = [fa, fb]  # the same, shared with the scan
     complying = set()  # mask tuples already seen not to violate
-    for a, b, key in _approving(inst, m, least):
+    for a, b, key in _approving(inst, m, base, least):
         if a > fa or a == fa and b >= fb:
             continue
         if key in complying:

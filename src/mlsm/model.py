@@ -128,9 +128,11 @@ class MultilayerInstance(_Value):
         """True iff every approval is mutual in its layer: each pair's
         approval masks agree in both directions."""
         masks = self.approval_masks
-        return all(
-            masks[b].get(a, 0) == ab for a, ma in enumerate(masks) for b, ab in ma.items()
-        )
+        for a, row in enumerate(masks):
+            for b, ab in row.items():
+                if masks[b].get(a) != ab:  # masks are never 0
+                    return False
+        return True
 
     @cached_property
     def agent_types(self) -> AgentTypePartition:

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 
@@ -10,10 +11,12 @@ from mlsm.blocking import (
     BASES,
     Matching,
     _approving,
+    block_mask,
     blocks,
     is_happy,
     stable_in_layer,
     stable_layers,
+    support_mask,
 )
 from mlsm.errors import (
     IdOutOfRange,
@@ -23,7 +26,7 @@ from mlsm.errors import (
     NotSymmetric,
     PairIsMatched,
 )
-from mlsm.model import build_instance
+from mlsm.model import MultilayerInstance, build_instance
 from mlsm.oracle import enumerate_matchings
 from mlsm.reductions import gen_random
 
@@ -105,7 +108,9 @@ def test_approval_masks(ex1):
         )
 
 
-def test_approving_scan_matches_definition():
+def _scan_cases():
+    """40 random instances and matchings, each with every unmatched pair
+    that approves somewhere and its key, from the per-layer sets."""
     rng = random.Random(5)
     for _ in range(40):
         inst = gen_random(
@@ -128,23 +133,117 @@ def test_approving_scan_matches_definition():
             p = m.partner(x)
             return 0 if p is None else mask(x, p)
 
-        rows = list(_approving(inst, m))
-        assert len({(a, b) for a, b, _ in rows}) == len(rows)  # each pair once
         want = {
             (a, b): (mask(a, b), mask(b, a), happy(a), happy(b))
             for a in range(n)
             for b in range(a + 1, n)
             if not m.has_pair(a, b) and (mask(a, b) or mask(b, a))
         }
+        yield inst, m, want
+
+
+def _cuts(n):
+    return [(x, y) for x in range(n) for y in range(x + 1, n)]
+
+
+def test_approving_scan_matches_definition():
+    for inst, m, want in _scan_cases():
+        rows = list(_approving(inst, m, "super"))
+        assert len({(a, b) for a, b, _ in rows}) == len(rows)  # each pair once
         assert {(a, b): key for a, b, key in rows} == want
         # a scan cut at a least pair still yields every pair below it
-        for least in [(x, y) for x in range(n) for y in range(x + 1, n)]:
+        for least in _cuts(inst.n):
             below = {
                 (a, b): key
-                for a, b, key in _approving(inst, m, list(least))
+                for a, b, key in _approving(inst, m, "super", list(least))
                 if (a, b) < least
             }
             assert below == {pair: key for pair, key in want.items() if pair < least}
+
+
+def _can_violate(base, key, ell):
+    """Does a pair with this key block in some layer or, under weak, break
+    alpha-individual stability for some alpha (iff for alpha = ell)?"""
+    full = (1 << ell) - 1
+    if block_mask(base, *key, full):
+        return True
+    sa, sb, ha, hb = key
+    return base == "weak" and max(
+        support_mask(base, sa, ha, full).bit_count(),
+        support_mask(base, sb, hb, full).bit_count(),
+    ) < ell
+
+
+@pytest.mark.parametrize("base", ["weak", "strong"])
+def test_strict_rows_scan_yields_every_violating_pair(base):
+    for inst, m, want in _scan_cases():
+        needed = {pair for pair, key in want.items() if _can_violate(base, key, inst.ell)}
+        rows = list(_approving(inst, m, base))
+        assert len({(a, b) for a, b, _ in rows}) == len(rows)  # each pair once
+        got = {(a, b): key for a, b, key in rows}
+        assert all(want[pair] == key for pair, key in got.items())
+        assert needed <= got.keys()
+        for least in _cuts(inst.n):
+            below = {
+                (a, b): key
+                for a, b, key in _approving(inst, m, base, list(least))
+                if (a, b) < least
+            }
+            assert all(want[pair] == key for pair, key in below.items())
+            assert {pair for pair in needed if pair < least} <= below.keys()
+
+
+class _RowRead(Exception):
+    pass
+
+
+class _SealedRow(dict):
+    """A mask row that refuses to be walked; lookups still work."""
+
+    def _refuse(self, *args):
+        raise _RowRead
+
+    items = values = keys = __iter__ = _refuse
+
+
+def test_strict_rows_scan_skips_happy_agents_in_constant_time():
+    # a planted perfect matching approved in every layer, plus noise: every
+    # agent is happy everywhere, so no weak or strong scan walks a row
+    rng = random.Random(11)
+    n, ell = 2000, 3
+    approvals = [[set() for _ in range(n)] for _ in range(ell)]
+    for layer in approvals:
+        for a in range(n):
+            layer[a].add(a ^ 1)
+            layer[a].update(rng.sample(range(n), 3))
+            layer[a].discard(a)
+    plain = build_instance(n, ell, approvals)
+    inst = MultilayerInstance(n, ell, tuple(_SealedRow(row) for row in plain.approval_masks))
+    m = Matching.from_pairs((a, a + 1) for a in range(0, n, 2))
+    for base in ("weak", "strong"):
+        assert list(_approving(inst, m, base)) == []
+        assert list(_approving(inst, m, base, [n, n])) == []
+        assert stable_layers(inst, m, base) == frozenset(range(ell))
+    with pytest.raises(_RowRead):
+        list(_approving(inst, m, "super"))
+
+
+def test_strict_rows_lemma_exhaustive():
+    # weak blocks lie in strict_a & strict_b, strong ones in
+    # strict_a | strict_b, and a weak individual violation needs both agents
+    # strict and approving
+    for ell in range(1, 4):
+        full = (1 << ell) - 1
+        for sa, sb, ha, hb in itertools.product(range(full + 1), repeat=4):
+            strict_a, strict_b = sa & ~ha, sb & ~hb
+            assert not block_mask("weak", sa, sb, ha, hb, full) & ~(strict_a & strict_b)
+            assert not block_mask("strong", sa, sb, ha, hb, full) & ~(strict_a | strict_b)
+            supports = (
+                support_mask("weak", sa, ha, full).bit_count(),
+                support_mask("weak", sb, hb, full).bit_count(),
+            )
+            if max(supports) < ell:
+                assert strict_a and strict_b and sa and sb
 
 
 def test_is_happy(ex1, m1):

@@ -98,6 +98,21 @@ def test_symmetry(ex1, ex2):
     assert is_symmetric(build_instance(3, 2, [[set()] * 3, [set()] * 3]))
 
 
+def test_symmetry_matches_per_layer_definition():
+    rng = random.Random(3)
+    for seed in range(40):
+        inst = gen_random(2 + seed % 8, 1 + seed % 3, 0.4, symmetric=True, seed=seed)
+        layers = [[set(row) for row in lay] for lay in inst.approvals]
+        arcs = [(i, a, b) for i, lay in enumerate(layers) for a, row in enumerate(lay) for b in row]
+        if seed % 2 and arcs:  # drop one arc, or one layer bit of a mask
+            i, a, b = rng.choice(arcs)
+            layers[i][a].discard(b)
+        variant = build_instance(inst.n, inst.ell, layers)
+        want = all(a in lay[b] for lay in layers for a, row in enumerate(lay) for b in row)
+        assert is_symmetric(variant) == want
+        assert is_symmetric(inst)
+
+
 def test_agent_types_fixture(ex2):
     partition = agent_types(ex2)
     assert partition.tau == 2
