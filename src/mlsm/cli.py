@@ -136,8 +136,19 @@ def _layers_out(layers) -> list[int] | None:
 
 
 def _load_json(path: str) -> dict:
+    """The document at ``path``.  A key repeated within one object is
+    refused, not read as its last value."""
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise MalformedDocument(f"{path}: key {repeated!r} repeated in one object")
+        return doc
+
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=unique)
     except RecursionError:  # the decoder's nesting limit, about 1 000 levels
         raise MalformedDocument(f"{path}: JSON nested too deeply") from None
 

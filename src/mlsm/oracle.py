@@ -5,14 +5,15 @@ and decides arbitrary queries.
 
 ``oracle_solve`` is the pruned search: a branch and bound over partial
 matchings that returns the first stable matching of the canonical order,
-with a per-search memo of pair costs, a look-ahead that charges each pair
-with an undecided agent its least cost, and a parity bound that charges the
-agent an odd count of free agents leaves single.  The super threshold
-routes run it (``_search``) over their isolated agents, with the forced
-pairs fixed.  ``enumerate_matchings``, ``oracle_all`` and ``existence_table``
-visit every matching and stay plain, so that they are obviously correct:
-``oracle_all`` with ``check`` is the specification the tests hold
-``oracle_solve`` to.  Solvers and generators are validated against this module.
+with a per-search memo of pair costs.  One loop charges a newly decided
+agent's pairs, those with an undecided agent at their least cost; at an odd
+count of free agents, the same loop tests each free agent as the one left
+single (the parity bound).  The super threshold routes run it
+(``_search``) over their isolated agents, with the forced pairs fixed.
+``enumerate_matchings``, ``oracle_all`` and ``existence_table`` visit every
+matching and stay plain, so that they are obviously correct: ``oracle_all``
+with ``check`` is the specification the tests hold ``oracle_solve`` to.
+Solvers and generators are validated against this module.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ class OracleBudget(_Value):
     when ``_search`` starts from fixed pairs.  ``max_matchings`` bounds the
     complete matchings that ``enumerate_matchings`` (and so ``oracle_all``)
     yields, and the search nodes of ``oracle_solve`` and ``_search``: the
-    partial matchings they reach whose decided pairs pass.
+    partial matchings they reach whose decided pairs, and whose decided
+    agents' least costs, pass.
     """
 
     max_agents: int
@@ -128,17 +130,18 @@ def oracle_solve(
     when it violates a pair or individual query.  While one of them, z, is
     undecided, the pair costs at least its cost with z happy in every layer:
     ``block_mask`` and every violation test are monotone in the approval
-    masks and antitone in the happy masks.  Each node charges these least
-    costs of the agents decided last (the look-ahead), unless the cost at
-    approvals ``full`` with the other agent unhappy is 0, as under weak.  A
-    branch is cut when the OR of its charges exceeds ell - alpha layers, as
-    it then does in every completion.  At an odd count of free agents each
-    completion leaves one, z, single, so its pairs cost at least their cost
-    with z unhappy and the other agent at its decided mask or ``full``; the
-    parity bound cuts when the AND over z of these ORs, with the charges,
-    exceeds the slack.  A complete matching that survives is stable by the
-    definition ``check`` uses, and the first one is the first of
-    ``oracle_all``.
+    masks and antitone in the happy masks.  Deciding an agent charges its
+    pair with every other agent but its partner: a decided one at its happy
+    mask, an undecided one at that least cost, unless the cost at approvals
+    ``full`` with the other agent unhappy is 0, as under weak.  A branch is
+    cut when the OR of its charges exceeds ell - alpha layers, as it then
+    does in every completion.  At an odd count of free agents each
+    completion leaves some free z single, unhappy in every layer, and z's
+    pairs alone then break the query if its charges as a single agent,
+    with the node's, exceed the slack; the parity bound cuts the node when
+    that holds for every free z.  A complete matching that survives is
+    stable by the definition ``check`` uses, and the first one is the first
+    of ``oracle_all``.
     """
     return _search(inst, q, budget, [])
 
@@ -149,9 +152,11 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
     ``fixed``: the fixed agents start out decided, and only the free agents,
     whose number ``budget.max_agents`` bounds, are searched.  A pair of two
     fixed agents is never evaluated, so the caller certifies the result.
-    A cost is computed once per mask tuple; a node is a partial matching
-    whose decided pairs pass, so neither bound adds nodes, and the parity
-    bound's AND is never carried into the charges."""
+    A cost is computed once per mask tuple, and ``settle`` is the one loop
+    that reads them.  A node is a partial matching whose decided pairs, and
+    whose decided agents' least costs, pass: an agent's least costs are
+    charged as it is decided, in its parent, and the parity bound's tests
+    are never carried into the charges."""
     alpha = q.effective_alpha(inst.ell)
     _check_budget(inst.n - 2 * len(fixed), budget)
     n, ell, base = inst.n, inst.ell, q.base
@@ -169,7 +174,7 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
 
     look = cost(full, full, 0, full) != 0
     partner = [-1] * n
-    happy = [0] * n
+    happy = [full] * n  # an undecided agent reads full, its least cost
     free = [True] * n
     decided: list[int] = []
     for a, b in fixed:
@@ -184,23 +189,29 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
             for x in range(n) if free[x]}
     nodes = 0
 
-    def settle(x: int, blocked: int) -> int | None:
-        """OR in x's costs with the decided agents; None past the slack."""
-        rx, ha, hx = rows[x], happy[x], happy[x] << ell
-        for y in decided:
-            hb = happy[y]
-            c = rx[y].get(hx | hb)
+    def settle(x: int, hx: int, blocked: int) -> int | None:
+        """OR in x's costs at happy mask hx with every agent but x and its
+        partner, each at its happy mask: ``full``, its least cost, while it
+        is undecided; with look off an undecided one costs 0 and is
+        skipped.  None past the slack."""
+        rx, sx, hk, px = rows[x], masks[x], hx << ell, partner[x]
+        for y in range(n) if look else decided:
+            if y == x or y == px:
+                continue
+            hy = happy[y]
+            c = rx[y].get(hk | hy)
             if c is None:
-                c = rx[y][hx | hb] = cost(masks[x].get(y, 0), masks[y].get(x, 0), ha, hb)
+                c = rx[y][hk | hy] = cost(sx.get(y, 0), masks[y].get(x, 0), hx, hy)
             if c & ~blocked:
                 blocked |= c
                 if blocked.bit_count() > slack:
                     return None
         return blocked
 
-    def rec(a: int, blocked: int, last: list[int]) -> Matching | None:
-        """Charge the agents decided ``last``, apply the parity bound, then
-        decide the least free agent from a on, single or paired, and go on."""
+    def rec(a: int, blocked: int) -> Matching | None:
+        """Decide the least free agent from a on, single or paired, and go
+        on.  At an odd count of free agents some free z ends up single, so
+        the node is cut when every z breaks the query as a single agent."""
         nonlocal nodes
         while a < n and not free[a]:
             a += 1
@@ -211,40 +222,10 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
             raise BudgetExceeded(
                 f"searched more than max_matchings={budget.max_matchings} partial matchings"
             )
-        for x in last if look else ():
-            rx, ha = rows[x], happy[x]
-            hk = ha << ell | full
-            for z in range(a, n):
-                if free[z]:
-                    c = rx[z].get(hk)
-                    if c is None:
-                        c = rx[z][hk] = cost(masks[x].get(z, 0), masks[z].get(x, 0), ha, full)
-                    if c & ~blocked:
-                        blocked |= c
-                        if blocked.bit_count() > slack:
-                            return None
-        if (n - len(decided)) & 1:
-            # the parity bound: each z's OR stops once it covers the AND so
-            # far, and the bound once the AND is within the slack; an
-            # undecided y costs 0 when look is off
-            least = full & ~blocked
-            for z in range(a, n):
-                if free[z]:
-                    rz, c = rows[z], 0
-                    for y in range(n):
-                        if y != z and (look or not free[y]):
-                            hy = full if free[y] else happy[y]
-                            cz = rz[y].get(hy)
-                            if cz is None:
-                                cz = rz[y][hy] = cost(masks[z].get(y, 0), masks[y].get(z, 0), 0, hy)
-                            c |= cz
-                            if not least & ~c:
-                                break
-                    least &= c
-                    if blocked.bit_count() + least.bit_count() <= slack:
-                        break
-            else:
-                return None
+        if (n - len(decided)) & 1 and all(
+            settle(z, 0, blocked) is None for z in range(a, n) if free[z]
+        ):
+            return None
         free[a] = False
         depth = len(decided)
         found = None
@@ -255,22 +236,24 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
                 free[b] = False
                 partner[a], partner[b] = b, a
             happy[a], happy[b] = masks[a].get(b, 0), masks[b].get(a, 0)  # 0 if single
-            grown = settle(a, blocked)
+            grown = settle(a, happy[a], blocked)
             if grown is not None and b != a:
-                grown = settle(b, grown)
+                grown = settle(b, happy[b], grown)
             if grown is not None:
                 decided.extend((a,) if b == a else (a, b))
-                found = rec(a + 1, grown, decided[depth:])
+                found = rec(a + 1, grown)
                 del decided[depth:]
             if b != a:
                 free[b] = True
                 partner[a] = partner[b] = -1
+                happy[b] = full
             if found is not None:
                 return found
         free[a] = True
+        happy[a] = full
         return None
 
-    return rec(0, 0, [])
+    return rec(0, 0)
 
 
 def oracle_all(

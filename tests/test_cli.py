@@ -679,6 +679,26 @@ def test_unknown_attribute_raises(module):
     assert not hasattr(mod, "solve_super_global")
 
 
+@pytest.mark.parametrize(
+    "which, text, key",
+    [
+        ("instance", '{"agents": ["a", "b", "c"], "layers": [{"a": ["b"], "b": ["a"], "a": ["c"]}]}', "a"),
+        ("instance", '{"agents": ["a", "b"], "layers": [{}], "agents": ["a", "b", "c"]}', "agents"),
+        ("matching", '{"pairs": [["a", "b"]], "pairs": []}', "pairs"),
+    ],
+    ids=["layer-agent", "agents", "pairs"],
+)
+def test_repeated_json_key_exits_two(tmp_path, ex1_file, m1_file, which, text, key, capsys):
+    # json keeps the last value of a repeated key: the first case would read
+    # as "a approves c only", the last as the empty matching
+    bad = tmp_path / "repeated.json"
+    bad.write_text(text)
+    files = (str(bad), m1_file) if which == "instance" else (ex1_file, str(bad))
+    assert main(["check", *files, "--base", "weak", "--agg", "all"]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == f"{bad}: key {key!r} repeated in one object"
+
+
 def _deep(tmp_path) -> str:
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

@@ -10,7 +10,9 @@ from mlsm.blocking import BASES, block_mask
 from mlsm.errors import BadParameters, BudgetExceeded
 from mlsm.model import build_instance
 from mlsm.oracle import (
+    DEFAULT_BUDGET,
     OracleBudget,
+    _search,
     enumerate_matchings,
     existence_table,
     oracle_all,
@@ -63,14 +65,19 @@ def test_budget_fields_must_be_ints(fields):
 
 def test_oracle_solve_budget_counts_search_nodes():
     # a pruned search reaches few complete matchings, so the budget bounds
-    # the partial matchings it extends: T(12) = 140 152 matchings here
+    # the partial matchings it extends: T(12) = 140 152 matchings here.
+    # Under super every agent, single or paired, breaks the query at its
+    # least costs, so the root is the one node
     inst = gen_random(12, 3, 0.8, seed=1)
     budget = OracleBudget(max_matchings=1000)
     for q in all_queries(inst.ell):
         found = oracle_solve(inst, q, budget)
         assert found is None or check(inst, found, q).stable
-        with pytest.raises(BudgetExceeded, match="max_matchings=1 "):
-            oracle_solve(inst, q, OracleBudget(max_matchings=1))
+        if q.base == "super":
+            assert oracle_solve(inst, q, OracleBudget(max_matchings=1)) is None
+        else:
+            with pytest.raises(BudgetExceeded, match="max_matchings=1 "):
+                oracle_solve(inst, q, OracleBudget(max_matchings=1))
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -93,30 +100,59 @@ def test_pair_costs_grow_with_approvals_and_shrink_with_happiness(ell):
 def test_look_ahead_decides_within_fewer_nodes():
     # ten agents, an even count, so the parity bound cannot cut the root: a
     # strong exists and a super not-exists, where without the look-ahead
-    # the search reaches 114 and 113 nodes
-    for seed, q, nodes in [(23, StabilityQuery("strong", "pair", 1), 7), (1, StabilityQuery("super", "pair", 1), 11)]:
+    # the search reaches 114 and 113 nodes.  The super root is the one
+    # node: each branch breaks the query at its least costs
+    for seed, q, nodes in [(23, StabilityQuery("strong", "pair", 1), 6), (1, StabilityQuery("super", "pair", 1), 1)]:
         inst = gen_random(10, 3, 0.6, seed=seed)
         assert oracle_solve(inst, q, OracleBudget(max_matchings=nodes)) == next(iter(oracle_all(inst, q)), None)
 
 
 @pytest.mark.parametrize(
-    "seed, q, nodes",
+    "ell, p, seed, q, nodes",
     [
-        (0, StabilityQuery("strong", "global", 1), 1),
-        (5, StabilityQuery("strong", "pair", 1), 1),
-        (11, StabilityQuery("strong", "pair", 1), 10),
-        (18, StabilityQuery("weak", "pair", 2), 7),
+        (3, 0.8, 0, StabilityQuery("strong", "global", 1), 1),
+        (3, 0.8, 5, StabilityQuery("strong", "pair", 1), 1),
+        (4, 0.5, 15, StabilityQuery("strong", "global", 2), 1),
+        (3, 0.8, 11, StabilityQuery("strong", "pair", 1), 7),
+        (3, 0.8, 18, StabilityQuery("weak", "pair", 2), 7),
     ],
-    ids=["root-strong-global", "root-strong-pair", "decided-strong", "decided-weak"],
+    ids=["root-strong-global", "root-strong-pair", "root-each-agent", "decided-strong", "decided-weak"],
 )
-def test_parity_bound_decides_within_fewer_nodes(seed, q, nodes):
+def test_parity_bound_decides_within_fewer_nodes(ell, p, seed, q, nodes):
     # nine agents leave one single.  root: every agent blocks as a single
-    # agent, so the root is cut (without the bound, 246 and 484 nodes).
-    # decided: the bound reads decided agents at their happy masks; read at
-    # full it lets the search reach 65 and 53 nodes.  Under weak only the
-    # decided agents count, as one happy in every layer never weakly blocks
-    inst = gen_random(9, 3, 0.8, seed=seed)
+    # agent, so the root is cut (without the bound, 217 and 421 nodes).
+    # each-agent: each agent blocks three or four of the four layers, but
+    # only two layers are blocked by all, within the slack: the AND over
+    # the agents of their costs cuts nothing, and the search reaches 7
+    # nodes.  decided: the bound reads decided agents at their happy masks;
+    # read at full it lets the search reach 59 and 53 nodes.  Under weak
+    # only the decided agents count, as one happy in every layer never
+    # weakly blocks
+    inst = gen_random(9, ell, p, seed=seed)
     assert oracle_solve(inst, q, OracleBudget(max_matchings=nodes)) == next(iter(oracle_all(inst, q)), None)
+
+
+def test_search_with_fixed_pairs_is_first_stable_completion():
+    # _search never evaluates a pair of two fixed agents, so its result
+    # needs check.  Under pair and individual queries such a pair has the
+    # same happy masks, so the same verdict, in every completion: a result
+    # that check rejects means that no completion is stable
+    rng = random.Random(24)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        inst = gen_random(n, rng.randint(1, 3), rng.choice([0.2, 0.5, 0.8]), rng.random() < 0.3, False, rng.randrange(10**6))
+        agents = rng.sample(range(n), n)
+        pairs = min(rng.randint(1, 2), n // 2)
+        fixed = [tuple(sorted(agents[2 * i:2 * i + 2])) for i in range(pairs)]
+        completions = [m for m in enumerate_matchings(n) if all(m.partner(a) == b for a, b in fixed)]
+        for q in all_queries(inst.ell):
+            if q.agg in ("pair", "individual"):
+                first = next((m for m in completions if check(inst, m, q).stable), None)
+                found = _search(inst, q, DEFAULT_BUDGET, fixed)
+                if found is not None and check(inst, found, q).stable:
+                    assert found == first, (n, fixed, q)
+                else:
+                    assert first is None, (n, fixed, q)
 
 
 @given(
