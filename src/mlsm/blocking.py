@@ -29,8 +29,8 @@ from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 
-from .errors import IdOutOfRange, InvalidMatching, InvalidQuery, PairIsMatched
-from .model import MultilayerInstance, _Value
+from .errors import InvalidMatching, InvalidQuery, PairIsMatched
+from .model import MultilayerInstance, _Value, require_ids
 
 __all__ = [
     "Matching",
@@ -54,8 +54,6 @@ class Matching(_Value):
 
     pairs: tuple[tuple[int, int], ...]
     _partner: dict[int, int]
-
-    _fields = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
         partner: dict[int, int] = {}
@@ -93,16 +91,6 @@ class Matching(_Value):
 
     def __iter__(self):
         return iter(self.pairs)
-
-
-def require_ids(inst: MultilayerInstance, agents, layer: int | None = None) -> None:
-    """Raise ``IdOutOfRange`` unless every agent is an ``int`` in [0, n) and
-    the layer, if given, one in [0, ell); bool is no id."""
-    if layer is not None and (type(layer) is not int or not 0 <= layer < inst.ell):
-        raise IdOutOfRange(f"layer {layer!r} outside [0, {inst.ell})")
-    for a in agents:
-        if type(a) is not int or not 0 <= a < inst.n:
-            raise IdOutOfRange(f"agent {a!r} outside [0, {inst.n})")
 
 
 def _require_base(base: str) -> None:
@@ -165,6 +153,8 @@ def blocks(
     _require_base(base)
     require_ids(inst, pair, layer)
     a, b = pair
+    if a == b:
+        raise InvalidMatching(pair, reused=False)
     pa = m.partner(a)
     if pa == b:
         raise PairIsMatched(f"pair ({a}, {b}) is in the matching")
@@ -396,5 +386,6 @@ def stable_in_layer(
 def stable_layers(inst: MultilayerInstance, m: Matching, base: str) -> frozenset[int]:
     """Layers in which no unmatched pair blocks."""
     _require_base(base)
+    require_ids(inst, m._partner)
     full = (1 << inst.ell) - 1
     return layer_set(full & ~_blocked(inst, m, base, full))

@@ -31,11 +31,6 @@ class SimpleGraph(_Value):
     n: int
     edges: frozenset[tuple[int, int]]
 
-    _fields = ("n", "edges")
-
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
-        self.__dict__.update(n=n, edges=edges)
-
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
         """The graph on ``n >= 0`` vertices with the given edges, each an

@@ -39,15 +39,33 @@ __all__ = [
 class _Value:
     """Base of the package's immutable value classes.
 
-    Each class names its fields in ``_fields``; repr, equality (with the
-    same class only) and hash read them in that order.  ``__init__`` stores
-    the fields straight into ``__dict__``, and ``functools.cached_property``
+    A class's fields are its own annotated names that do not start with
+    ``_``, in order (a subclass that annotates nothing keeps its parent's);
+    repr, equality (with the same class only) and hash read them in that
+    order.  A class that writes no ``__init__`` gets one whose parameters
+    are the fields, defaulting to their class attributes, and whose body
+    stores them straight into ``__dict__``; ``functools.cached_property``
     writes there too, so neither passes through ``__setattr__``; any other
     assignment or deletion is refused.  A pickle rebuilds the value from its
     fields, so cached state (a hash, the structural analysis) never travels.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__annotations__")
+        if not own:
+            return
+        cls._fields = fields = tuple(f for f in own if not f.startswith("_"))
+        if "__init__" not in cls.__dict__:
+            # one def per class, as dataclasses does: a plain signature keeps
+            # construction as fast as a hand-written __init__
+            params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls.__dict__ else f for f in fields)
+            stores = ", ".join(f"{f}={f}" for f in fields)
+            space = {"_defaults": cls.__dict__}
+            exec(f"def __init__(self, {params}):\n    self.__dict__.update({stores})", space)
+            space["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = space["__init__"]
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
@@ -87,13 +105,7 @@ class MultilayerInstance(_Value):
     n: int
     ell: int
     approval_masks: tuple[dict[int, int], ...]
-    names: tuple[str, ...] | None
-
-    _fields = ("n", "ell", "approval_masks", "names")
-
-    def __init__(self, n: int, ell: int, approval_masks: tuple[dict[int, int], ...],
-                 names: tuple[str, ...] | None = None):
-        self.__dict__.update(n=n, ell=ell, approval_masks=approval_masks, names=names)
+    names: tuple[str, ...] | None = None
 
     def __eq__(self, other):
         if not isinstance(other, MultilayerInstance):
@@ -121,6 +133,7 @@ class MultilayerInstance(_Value):
 
     def mutual_edges(self, layer: int) -> list[tuple[int, int]]:
         """Unordered mutually-approving pairs of one layer, lexicographic."""
+        require_ids(self, (), layer)
         return mutual_pairs(self, 1 << layer)[layer]
 
     @cached_property
@@ -201,20 +214,10 @@ class AgentTypePartition(_Value):
     blocks: tuple[tuple[int, ...], ...]
     tau: int
 
-    _fields = ("blocks", "tau")
-
-    def __init__(self, blocks: tuple[tuple[int, ...], ...], tau: int):
-        self.__dict__.update(blocks=blocks, tau=tau)
-
 
 class ChangingSet(_Value):
     agents: frozenset[int]
     beta: int
-
-    _fields = ("agents", "beta")
-
-    def __init__(self, agents: frozenset[int], beta: int):
-        self.__dict__.update(agents=agents, beta=beta)
 
 
 def build_instance(
@@ -248,9 +251,22 @@ def build_instance(
     return MultilayerInstance(n, ell, tuple(masks), frozen_names)
 
 
+def require_ids(inst: MultilayerInstance, agents, layer: int | None = None) -> None:
+    """Raise ``IdOutOfRange`` unless every agent is an ``int`` in [0, n) and
+    the layer, if given, one in [0, ell); bool is no id."""
+    if layer is not None and (type(layer) is not int or not 0 <= layer < inst.ell):
+        raise IdOutOfRange(f"layer {layer!r} outside [0, {inst.ell})")
+    for a in agents:
+        if type(a) is not int or not 0 <= a < inst.n:
+            raise IdOutOfRange(f"agent {a!r} outside [0, {inst.n})")
+
+
 def _check_shape(n: int, ell: int, layers: int, names: Sequence[str] | None) -> tuple[str, ...] | None:
-    """The shape rules of every instance builder: ``n >= 0``, ``ell >= 1``,
-    ``layers == ell`` and one name per agent.  Returns the names as a tuple."""
+    """The shape rules of every instance builder: ``int`` counts (bool is
+    none), ``n >= 0``, ``ell >= 1``, ``layers == ell`` and one name per
+    agent.  Returns the names as a tuple."""
+    if type(n) is not int or type(ell) is not int:
+        raise IdOutOfRange(f"agent and layer counts must be ints, got n={n!r}, ell={ell!r}")
     if n < 0:
         raise IdOutOfRange(f"agent count must be nonnegative, got {n}")
     if ell < 1:
@@ -313,6 +329,7 @@ def same_type(inst: MultilayerInstance, a: int, b: int) -> bool:
     definition; ``agent_types`` computes the same relation for all pairs at
     once.
     """
+    require_ids(inst, (a, b))
     if a == b:
         return True
     for lay in inst.approvals:

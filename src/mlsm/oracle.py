@@ -52,8 +52,6 @@ class OracleBudget(_Value):
     max_agents: int
     max_matchings: int | None
 
-    _fields = ("max_agents", "max_matchings")
-
     def __init__(self, max_agents: int = 12, max_matchings: int | None = None):
         self.__dict__.update(max_agents=max_agents, max_matchings=max_matchings)
         if type(max_agents) is not int or not (max_matchings is None or type(max_matchings) is int):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .blocking import Matching
@@ -28,7 +27,7 @@ from .errors import (
     OddVertexCount,
 )
 from .graphalg import SimpleGraph
-from .model import MultilayerInstance, build_instance
+from .model import MultilayerInstance, _Value, build_instance
 from .verify import StabilityQuery
 
 __all__ = [
@@ -46,18 +45,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_Value):
     """Clauses as DIMACS-style literal tuples (positive/negative var index + 1)."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for clause in self.clauses:
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        for clause in clauses:
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise MalformedFormula(f"literal {lit} out of range")
+        self.__dict__.update(num_vars=num_vars, clauses=clauses)
 
     def occurrences(self, var: int) -> tuple[int, int]:
         """(positive, negative) occurrence counts of a 1-based variable."""
@@ -66,15 +65,17 @@ class CnfFormula:
         return pos, neg
 
 
-@dataclass(frozen=True)
-class GeneratedInstance:
-    """A generated instance, the query it targets, and its certificate maps."""
+class GeneratedInstance(_Value):
+    """A generated instance, the query it targets, and its certificate maps
+    ``forward`` and ``backward``, which equality, hash and repr ignore."""
 
     instance: MultilayerInstance
     query: StabilityQuery
     kind: str
-    forward: Callable = field(compare=False)
-    backward: Callable | None = field(compare=False, default=None)
+
+    def __init__(self, instance: MultilayerInstance, query: StabilityQuery, kind: str,
+                 forward: Callable, backward: Callable | None = None):
+        self.__dict__.update(instance=instance, query=query, kind=kind, forward=forward, backward=backward)
 
 
 def gen_random(

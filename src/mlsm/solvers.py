@@ -56,24 +56,10 @@ class SolveResult(_Value):
 
     status: str
     algorithm: str
-    matching: Matching | None
-    witness_layers: frozenset[int] | None
-    detail: str | None
-    verdict: Verdict | None
-
-    _fields = ("status", "algorithm", "matching", "witness_layers", "detail", "verdict")
-
-    def __init__(
-        self,
-        status: str,
-        algorithm: str,
-        matching: Matching | None = None,
-        witness_layers: frozenset[int] | None = None,
-        detail: str | None = None,
-        verdict: Verdict | None = None,
-    ):
-        self.__dict__.update(status=status, algorithm=algorithm, matching=matching,
-                             witness_layers=witness_layers, detail=detail, verdict=verdict)
+    matching: Matching | None = None
+    witness_layers: frozenset[int] | None = None
+    detail: str | None = None
+    verdict: Verdict | None = None
 
     @classmethod
     def found(cls, alg, m, layers=None) -> "SolveResult":
@@ -623,16 +609,6 @@ class Solver(_Value):
     name: str
     applies: Callable[[MultilayerInstance, StabilityQuery, int], bool]
     run: Callable[[MultilayerInstance, StabilityQuery, int, OracleBudget], SolveResult]
-
-    _fields = ("name", "applies", "run")
-
-    def __init__(
-        self,
-        name: str,
-        applies: Callable[[MultilayerInstance, StabilityQuery, int], bool],
-        run: Callable[[MultilayerInstance, StabilityQuery, int, OracleBudget], SolveResult],
-    ):
-        self.__dict__.update(name=name, applies=applies, run=run)
 
 
 # Every route, in order of precedence.  Each ``run`` looks its solver up by

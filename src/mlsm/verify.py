@@ -48,8 +48,6 @@ class StabilityQuery(_Value):
     agg: str
     alpha: int | None
 
-    _fields = ("base", "agg", "alpha")
-
     def __init__(self, base: str, agg: str, alpha: int | None = None):
         if base not in BASES:
             raise InvalidQuery(f"unknown base {base!r}")
@@ -91,24 +89,10 @@ class Verdict(_Value):
 
     stable: bool
     query: StabilityQuery
-    witness_layers: frozenset[int] | None
-    violating_pair: tuple[int, int] | None
-    blocking_layers: frozenset[int] | None
-    supports: tuple[int, int] | None
-
-    _fields = ("stable", "query", "witness_layers", "violating_pair", "blocking_layers", "supports")
-
-    def __init__(
-        self,
-        stable: bool,
-        query: StabilityQuery,
-        witness_layers: frozenset[int] | None = None,
-        violating_pair: tuple[int, int] | None = None,
-        blocking_layers: frozenset[int] | None = None,
-        supports: tuple[int, int] | None = None,
-    ):
-        self.__dict__.update(stable=stable, query=query, witness_layers=witness_layers,
-                             violating_pair=violating_pair, blocking_layers=blocking_layers, supports=supports)
+    witness_layers: frozenset[int] | None = None
+    violating_pair: tuple[int, int] | None = None
+    blocking_layers: frozenset[int] | None = None
+    supports: tuple[int, int] | None = None
 
 
 def _violation(q: StabilityQuery, ell: int):
@@ -137,10 +121,10 @@ def _violation(q: StabilityQuery, ell: int):
 def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
     """Decide whether the matching satisfies the queried stability notion."""
     alpha = q.effective_alpha(inst.ell)
-    require_ids(inst, m._partner)
     if q.agg in ("all", "global"):
-        layers = stable_layers(inst, m, q.base)
+        layers = stable_layers(inst, m, q.base)  # validates the ids
         return Verdict(len(layers) >= alpha, q, witness_layers=layers)
+    require_ids(inst, m._partner)
     full = (1 << inst.ell) - 1
     base = q.base
     found = _least_violation(inst, m, base, _violation(q, inst.ell))

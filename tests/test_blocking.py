@@ -57,6 +57,23 @@ def test_blocks_rejects_out_of_range_ids(ex1, pair, layer):
         blocks(ex1, Matching(()), pair, layer, "weak")
 
 
+def test_blocks_rejects_identical_endpoints(ex1):
+    # (2, 2) was answered as a pair blocking under super
+    with pytest.raises(InvalidMatching, match=r"^pair \(2, 2\) has identical endpoints$"):
+        blocks(ex1, Matching(()), (2, 2), 1, "super")
+
+
+_FOUR = [[{1}, {0}, {3}, {2}], [{1}, {0}, set(), set()]]
+
+
+@pytest.mark.parametrize("pairs", [((-1, 0),), ((0, 99),), ((True, 2),)], ids=["negative", "too-large", "bool"])
+@pytest.mark.parametrize("base", BASES)
+def test_stable_layers_rejects_out_of_range_ids(pairs, base):
+    # -1 was read as agent 3 and True as agent 1; 99 raised IndexError
+    with pytest.raises(IdOutOfRange):
+        stable_layers(build_instance(4, 2, _FOUR), Matching(pairs), base)
+
+
 def test_stable_in_layer_rejects_out_of_range_ids(ex1, m1):
     for layer in (-1, 3):
         with pytest.raises(IdOutOfRange):

@@ -231,10 +231,14 @@ def test_bench_subcommand_is_gone(capsys):
         ("sat", "p cnf 3 1\np cnf 5 1\n1 2 5 0\n", "line 2: second problem line 'p cnf 5 1'"),
         ("sat", "1 2 0\np cnf 2 1\n", "line 1: clause before the 'p cnf' header"),
         ("sat", "p cnf -1 0\n", "line 1: negative count in 'p cnf -1 0'"),
+        ("sat", "p dnf 3 1\n1 2 0\n", "line 1: bad problem line 'p dnf 3 1'"),
+        ("sat", "c no header\n", "missing 'p cnf' header"),
+        ("sat", "p cnf 3 1\n1 2 0\n3\n", "header declares 1 clauses, found 2"),
     ],
     ids=["one-token-header", "non-integer-header", "one-token-edge", "non-integer-cnf-header", "non-integer-literal",
          "surplus-edge-line", "three-token-edge", "negative-vertex-count", "surplus-clause", "missing-clauses",
-         "second-cnf-header", "clause-before-header", "negative-variable-count"],
+         "second-cnf-header", "clause-before-header", "negative-variable-count", "not-cnf-problem-line",
+         "missing-cnf-header", "unterminated-last-clause"],
 )
 def test_malformed_graph_and_cnf_files_exit_two(tmp_path, capsys, generator, text, where):
     source = tmp_path / "source.txt"
@@ -570,6 +574,16 @@ def test_cli_import_loads_no_dataclasses():
     code = (
         "import sys, mlsm.cli; "
         "loaded = {'dataclasses', 'inspect', 'networkx', 'mlsm.reductions'} & set(sys.modules); "
+        "assert not loaded, sorted(loaded)"
+    )
+    _fresh_python(code)
+
+
+def test_reductions_import_loads_no_dataclasses():
+    # the generators' value classes are plain classes too
+    code = (
+        "import sys, mlsm.reductions; "
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
         "assert not loaded, sorted(loaded)"
     )
     _fresh_python(code)

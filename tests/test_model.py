@@ -64,6 +64,25 @@ def test_build_rejects_out_of_range():
         build_instance(2, 0, [])
 
 
+@pytest.mark.parametrize(
+    "n, ell, approvals, names, message",
+    [
+        (-1, 1, [[]], None, "agent count must be nonnegative, got -1"),
+        (2, 2, [[]], None, "expected 2 layers of approvals, got 1"),
+        (2, 1, [[]], ["a"], "expected 2 names, got 1"),
+        (2, 1, [[set(), set(), set()]], None, "layer 0 lists 3 agents, n=2"),
+        (True, 1, [[]], None, "counts must be ints, got n=True, ell=1"),
+        (2, True, [[]], None, "counts must be ints, got n=2, ell=True"),
+        ("2", 1, [[]], None, "counts must be ints, got n='2', ell=1"),
+    ],
+    ids=["negative-n", "layer-count", "name-count", "long-layer", "bool-n", "bool-ell", "str-n"],
+)
+def test_build_rejects_bad_shapes(n, ell, approvals, names, message):
+    # a bool count was stored as the count and a str one raised TypeError
+    with pytest.raises(IdOutOfRange, match=message):
+        build_instance(n, ell, approvals, names)
+
+
 def test_build_rejects_bool_ids():
     with pytest.raises(IdOutOfRange):
         build_instance(2, 1, [[{True}, set()]])
@@ -412,3 +431,17 @@ def test_mutual_edges_lexicographic():
     assert list(inst.approval_masks[0]) == [9, 2]
     assert inst.mutual_edges(0) == [(0, 2), (0, 9)]
     assert inst.mutual_edges(1) == []
+
+
+@pytest.mark.parametrize("layer", [2, -1, True])
+def test_mutual_edges_rejects_out_of_range_layers(ex2, layer):
+    # layer 2 raised IndexError and -1 "negative shift count"
+    with pytest.raises(IdOutOfRange):
+        ex2.mutual_edges(layer)
+
+
+@pytest.mark.parametrize("a, b", [(0, 9), (-1, 3), (True, 1)])
+def test_same_type_rejects_out_of_range_ids(ex2, a, b):
+    # 9 raised IndexError, and -1 was read as agent 3
+    with pytest.raises(IdOutOfRange):
+        same_type(ex2, a, b)

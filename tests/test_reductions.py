@@ -2,7 +2,7 @@ import pytest
 
 from corpus import degree_partition_brute_force, sat_brute_force
 from mlsm.blocking import Matching
-from mlsm.errors import AlphaTooHigh, BadParameters, MalformedFormula, OddVertexCount
+from mlsm.errors import AlphaTooHigh, BadParameters, IdOutOfRange, MalformedFormula, OddVertexCount
 from mlsm.graphalg import SimpleGraph
 from mlsm.model import build_instance, is_symmetric
 from mlsm.oracle import existence_table, oracle_all, oracle_solve
@@ -31,6 +31,18 @@ def test_gen_random_extremes():
     assert all(not s for lay in none.approvals for s in lay)
     full = gen_random(5, 2, 1.0, symmetric=True, seed=1)
     assert all(len(s) == 4 for lay in full.approvals for s in lay)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5])
+def test_gen_random_rejects_probability_outside_unit_interval(p):
+    with pytest.raises(BadParameters, match=r"outside \[0, 1\]"):
+        gen_random(4, 2, p)
+
+
+def test_gen_random_rejects_bool_counts():
+    # True passed through to build_instance and was stored as n
+    with pytest.raises(IdOutOfRange):
+        gen_random(True, 1, 0.5)
 
 
 def test_gen_random_deterministic():
@@ -133,6 +145,21 @@ def test_pad_preserves_a_no_instance():
     for ell, alpha in ((5, 3), (4, 2), (3, 3)):
         gen = pad_global_weak(src, ell, alpha)
         assert oracle_solve(gen.instance, gen.query) is None
+
+
+def test_pad_backward_inverts_forward_and_maps_stable_to_stable():
+    # every weak alpha-global stable matching of the padded instance loses
+    # its padding agents to a weak all-layers stable matching of the base
+    all_layers = StabilityQuery("weak", "all")
+    for seed in range(6):
+        src = gen_random(3 + seed % 3, 2, 0.5, symmetric=True, seed=seed)
+        for ell in (2, 3, 4):
+            for alpha in range(2, ell + 1):
+                gen = pad_global_weak(src, ell, alpha)
+                for m2 in oracle_all(src, all_layers):
+                    assert gen.backward(gen.forward(m2)) == m2
+                for m in oracle_all(gen.instance, gen.query):
+                    assert check(src, gen.backward(m), all_layers).stable
 
 
 def test_pad_validates_parameters(ex2, ex1):
@@ -319,6 +346,8 @@ def test_parse_dimacs():
     assert formula.clauses == ((1, -2, 3), (-1, 2, -3))
     with pytest.raises(MalformedFormula):
         parse_dimacs("1 2 0\n")
+    # a last clause without its closing 0 is read as a clause
+    assert parse_dimacs("p cnf 3 2\n1 2 0\n-1 3\n").clauses == ((1, 2), (-1, 3))
     # a SATLIB trailer: "%" ends the clause list, so its "0" is no clause
     assert parse_dimacs("p cnf 3 1\n1 -2 3 0\n%\n0\n").clauses == ((1, -2, 3),)
     # one header, before any clause, with nonnegative counts
@@ -327,6 +356,9 @@ def test_parse_dimacs():
         ("1 2 0\np cnf 2 1\n", "line 1: clause before"),
         ("p cnf -1 0\n", "line 1: negative count"),
         ("p cnf 2 -1\n", "line 1: negative count"),
+        ("p dnf 3 1\n1 2 0\n", "line 1: bad problem line"),
+        ("c no header\n", "missing 'p cnf' header"),
+        ("p cnf 3 1\n1 2 0\n3\n", "header declares 1 clauses, found 2"),
     ]:
         with pytest.raises(MalformedFormula, match=where):
             parse_dimacs(text)

@@ -25,6 +25,7 @@ from mlsm.errors import (
     AlphaTooLow,
     BadParameters,
     BudgetExceeded,
+    IdOutOfRange,
     InvalidQuery,
     MlsmError,
     NotSymmetric,
@@ -272,6 +273,12 @@ def test_strong_graph_skips_silent_agents(n, monkeypatch):
 
 def test_layer_superstable_fixture(ex2):
     assert [m.pairs for m in layer_superstable_set(ex2, 0)] == [((0, 1), (2, 3))]
+
+
+@pytest.mark.parametrize("layer", [2, -1])
+def test_layer_superstable_rejects_out_of_range_layers(ex2, layer):
+    with pytest.raises(IdOutOfRange):
+        layer_superstable_set(ex2, layer)
 
 
 def test_layer_superstable_double_mutual_arc():

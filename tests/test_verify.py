@@ -28,6 +28,8 @@ def test_query_validation():
         StabilityQuery("weak", "all", 2)
     with pytest.raises(InvalidQuery):
         StabilityQuery("mild", "all")
+    with pytest.raises(InvalidQuery, match="unknown aggregation 'most'"):
+        StabilityQuery("weak", "most", 1)
 
 
 def test_alpha_range_checked_against_instance(ex1, m1):
