@@ -33,11 +33,12 @@ class SimpleGraph(_Value):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
-        """The graph on ``n >= 0`` vertices with the given edges, each an
-        ``int`` pair in range, no loop; a repeated edge, in either order,
-        counts once.  Anything else raises ``IdOutOfRange``."""
-        if n < 0:
-            raise IdOutOfRange(f"vertex count must be nonnegative, got {n}")
+        """The graph on ``n >= 0`` vertices, an ``int`` (bool is none), with
+        the given edges, each an ``int`` pair in range, no loop; a repeated
+        edge, in either order, counts once.  Anything else raises
+        ``IdOutOfRange``."""
+        if type(n) is not int or n < 0:
+            raise IdOutOfRange(f"vertex count must be an int and nonnegative, got {n!r}")
         canon = set()
         for u, v in edges:
             if u == v:

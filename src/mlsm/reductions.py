@@ -7,6 +7,19 @@ stable-matching verdict.  ``independent_set_brute_force`` is the one
 source-problem brute-forcer kept here, because the benchmark workloads use
 it too; the others live with the tests.
 
+Every construction is a list of links ``(bits, a, b)``: a and b approve
+each other in every layer whose bit is set (``_from_links``).  Agent ids
+follow by arithmetic, in the order of the names:
+
+- SAT: variable v (1-based) owns ``a_x``, ``a_nx``, ``b+_x``, ``b-_x`` at
+  4(v-1) .. 4(v-1)+3; clause j (0-based) owns ``al1``, ``al2``, ``be1``,
+  ``be2``, ``be3`` from 4*num_vars + 5j on.
+- Independent set: edge e of the sorted edge list owns 4e .. 4e+3.
+- Degree partition: vertex v owns 2v and 2v+1, and its star 2*g.n + v; the
+  isolated pair is 3*g.n and 3*g.n + 1.
+- Padding: the base's agents keep their ids, then come the star pair and one
+  conflict agent per conflict layer.
+
 The gadgets for the remaining hardness proofs (Monotone 3-SAT to all-layers
 strong, 3-SAT to pair strong, Minimum Maximal Matching to all-layers weak)
 are intentionally not generated; one construction per stability family keeps
@@ -17,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .blocking import Matching
 from .errors import (
@@ -94,7 +107,7 @@ def gen_random(
     side = [a < n // 2 for a in range(n)]
     layers = []
     for _ in range(ell):
-        sets: list[set[int]] = [set() for _ in range(n)]
+        approved: list[list[int]] = [[] for _ in range(n)]
         for a in range(n):
             start = a + 1 if symmetric else 0
             for b in range(start, n):
@@ -103,21 +116,33 @@ def gen_random(
                 if bipartite and side[a] == side[b]:
                     continue
                 if rng.random() < p:
-                    sets[a].add(b)
+                    approved[a].append(b)
                     if symmetric:
-                        sets[b].add(a)
-        layers.append(sets)
-    return build_instance(n, ell, layers)
+                        approved[b].append(a)
+        layers.append(approved)
+    return _from_links(n, ell, (), base=layers)
+
+
+def _from_links(n: int, ell: int, links: Iterable[tuple[int, int, int]], names: Sequence[str] | None = None,
+                base: Sequence[Sequence[Iterable[int]]] = ()) -> MultilayerInstance:
+    """The instance in which layer i starts from ``base[i]`` (one-way
+    approvals indexed by agent; missing layers and agents approve nobody)
+    and each link ``(bits, a, b)`` makes a and b approve each other in every
+    layer whose bit is set; ``build_instance`` validates it."""
+    layers: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(ell)]
+    for sets, approved in zip(layers, base):
+        for a, ids in enumerate(approved):
+            sets[a].update(ids)
+    for bits, a, b in links:
+        for i, sets in enumerate(layers):
+            if bits >> i & 1:
+                sets[a].add(b)
+                sets[b].add(a)
+    return build_instance(n, ell, layers, names)
 
 
 # ---------------------------------------------------------------------------
 # SAT -> all-layers weak stability (two layers, symmetric, bipartite)
-
-
-def _symmetrize(sets: list[set[int]]) -> None:
-    for a, approved in enumerate(sets):
-        for b in list(approved):
-            sets[b].add(a)
 
 
 def reduce_sat_to_alllayers_weak(formula: CnfFormula) -> GeneratedInstance:
@@ -137,76 +162,36 @@ def reduce_sat_to_alllayers_weak(formula: CnfFormula) -> GeneratedInstance:
                 f"variable {var} occurs {pos} times positively / {neg} negatively"
             )
     nv, clauses = formula.num_vars, formula.clauses
-    names: list[str] = []
-    for v in range(1, nv + 1):
-        names += [f"a_x{v}", f"a_nx{v}", f"b+_x{v}", f"b-_x{v}"]
-    for j in range(len(clauses)):
-        names += [f"al1_c{j}", f"al2_c{j}", f"be1_c{j}", f"be2_c{j}", f"be3_c{j}"]
-    index = {name: k for k, name in enumerate(names)}
-
-    def a_of(lit: int) -> int:
-        v = abs(lit)
-        return index[f"a_x{v}"] if lit > 0 else index[f"a_nx{v}"]
-
-    n = len(names)
-    layer1: list[set[int]] = [set() for _ in range(n)]
-    layer2: list[set[int]] = [set() for _ in range(n)]
-    for v in range(1, nv + 1):
-        ax, anx = index[f"a_x{v}"], index[f"a_nx{v}"]
-        bp, bn = index[f"b+_x{v}"], index[f"b-_x{v}"]
-        layer1[ax].update((bp, bn))
-        layer1[anx].update((bp, bn))
-        layer2[ax].add(bp)
-        layer2[anx].add(bp)
+    names = [f"{r}{v}" for v in range(1, nv + 1) for r in ("a_x", "a_nx", "b+_x", "b-_x")]
+    names += [f"{r}_c{j}" for j in range(len(clauses)) for r in ("al1", "al2", "be1", "be2", "be3")]
+    links = []
+    for x in range(0, 4 * nv, 4):  # a_x, a_nx, b+_x, b-_x
+        links += [(0b11, x, x + 2), (0b01, x, x + 3), (0b11, x + 1, x + 2), (0b01, x + 1, x + 3)]
     for j, clause in enumerate(clauses):
-        al1, al2 = index[f"al1_c{j}"], index[f"al2_c{j}"]
-        betas = [index[f"be{i}_c{j}"] for i in (1, 2, 3)]
-        for lay in (layer1, layer2):
-            lay[al1].update((betas[0], betas[1]))
-            lay[al2].update((betas[1], betas[2]))
-        for i, lit in enumerate(clause):
-            layer2[betas[i]].add(a_of(lit))
-    _symmetrize(layer1)
-    _symmetrize(layer2)
-    inst = build_instance(n, 2, [layer1, layer2], names)
+        al1, al2, *betas = range(4 * nv + 5 * j, 4 * nv + 5 * j + 5)
+        links += [(0b10, beta, 4 * (abs(lit) - 1) + (lit < 0)) for beta, lit in zip(betas, clause)]
+        links += [(0b11, al1, betas[0]), (0b11, al1, betas[1]), (0b11, al2, betas[1]), (0b11, al2, betas[2])]
+    inst = _from_links(len(names), 2, links, names)
 
     def forward(true_vars: set[int]) -> Matching:
         pairs = []
-        for v in range(1, nv + 1):
-            ax, anx = index[f"a_x{v}"], index[f"a_nx{v}"]
-            bp, bn = index[f"b+_x{v}"], index[f"b-_x{v}"]
+        for v, x in enumerate(range(0, 4 * nv, 4), 1):
             if v in true_vars:
-                pairs += [(ax, bp), (anx, bn)]
+                pairs += [(x, x + 2), (x + 1, x + 3)]
             else:
-                pairs += [(anx, bp), (ax, bn)]
+                pairs += [(x + 1, x + 2), (x, x + 3)]
         for j, clause in enumerate(clauses):
             # leave the beta of a satisfied literal unmatched; under a
             # falsifying assignment (no such literal) the arbitrary pick
             # yields a matching that is provably unstable
-            sat_at = next(
-                (
-                    i
-                    for i, lit in enumerate(clause)
-                    if (lit > 0) == (abs(lit) in true_vars)
-                ),
-                0,
-            )
-            al1, al2 = index[f"al1_c{j}"], index[f"al2_c{j}"]
-            betas = [index[f"be{i}_c{j}"] for i in (1, 2, 3)]
-            if sat_at == 0:
-                pairs += [(al1, betas[1]), (al2, betas[2])]
-            elif sat_at == 1:
-                pairs += [(al1, betas[0]), (al2, betas[2])]
-            else:
-                pairs += [(al1, betas[0]), (al2, betas[1])]
+            sat_at = next((i for i, lit in enumerate(clause) if (lit > 0) == (abs(lit) in true_vars)), 0)
+            al1, al2, *betas = range(4 * nv + 5 * j, 4 * nv + 5 * j + 5)
+            del betas[sat_at]
+            pairs += [(al1, betas[0]), (al2, betas[1])]
         return Matching.from_pairs(pairs)
 
     def backward(m: Matching) -> set[int]:
-        return {
-            v
-            for v in range(1, nv + 1)
-            if m.partner(index[f"a_x{v}"]) == index[f"b+_x{v}"]
-        }
+        return {x // 4 + 1 for x in range(0, 4 * nv, 4) if m.partner(x) == x + 2}
 
     return GeneratedInstance(
         inst, StabilityQuery("weak", "all"), "sat", forward, backward
@@ -232,26 +217,13 @@ def pad_global_weak(
     if not 2 <= alpha <= ell:
         raise BadParameters(f"need 2 <= alpha <= ell, got alpha={alpha}, ell={ell}")
     n0 = inst2.n
-    conflict_layers = list(range(2, ell - alpha + 2))  # 0-based layers 3..ell-alpha+2
+    conflict_layers = range(2, ell - alpha + 2)  # 0-based layers 3..ell-alpha+2
     a_star, b_star = n0, n0 + 1
-    n = n0 + 2 + len(conflict_layers)
     names = [inst2.name_of(a) for a in range(n0)] + ["a*", "b*"] + [
         f"c{i + 1}" for i in conflict_layers
     ]
-    layers: list[list[set[int]]] = []
-    for i in range(ell):
-        sets: list[set[int]] = [set() for _ in range(n)]
-        if i < 2:
-            for a in range(n0):
-                sets[a] = set(inst2.approvals[i][a])
-            sets[a_star].add(b_star)
-            sets[b_star].add(a_star)
-        elif i in conflict_layers:
-            c = n0 + 2 + conflict_layers.index(i)
-            sets[a_star].add(c)
-            sets[c].add(a_star)
-        layers.append(sets)
-    inst = build_instance(n, ell, layers, names)
+    links = [(0b11, a_star, b_star)] + [(1 << i, a_star, c) for c, i in enumerate(conflict_layers, n0 + 2)]
+    inst = _from_links(len(names), ell, links, names, base=inst2.approvals)
 
     def forward(m2: Matching) -> Matching:
         return Matching.from_pairs(list(m2.pairs) + [(a_star, b_star)])
@@ -294,29 +266,18 @@ def reduce_is_to_global_strong(g: SimpleGraph, k: int) -> GeneratedInstance:
         raise BadParameters(f"need 1 <= k <= {g.n}, got {k}")
     edges = g.sorted_edges()
     names = [f"e{u}-{v}.{r}" for u, v in edges for r in (1, 2, 3, 4)]
-    n = 4 * len(edges)
-    layers: list[list[set[int]]] = [
-        [set() for _ in range(n)] for _ in range(g.n)
-    ]
-    for ei, (u, v) in enumerate(edges):
-        base = 4 * ei
-        e1, e2, e3, e4 = base, base + 1, base + 2, base + 3
-        for x, y in ((e1, e2), (e3, e4)):
-            layers[u][x].add(y)
-            layers[u][y].add(x)
-        for x, y in ((e1, e3), (e2, e4)):
-            layers[v][x].add(y)
-            layers[v][y].add(x)
-    inst = build_instance(n, g.n, layers, names)
+    links = []
+    for e, (u, v) in zip(range(0, 4 * len(edges), 4), edges):
+        links += [(1 << u, e, e + 1), (1 << u, e + 2, e + 3), (1 << v, e, e + 2), (1 << v, e + 1, e + 3)]
+    inst = _from_links(len(names), g.n, links, names)
 
     def forward(vertices: set[int]) -> Matching:
         pairs = []
-        for ei, (u, v) in enumerate(edges):
-            base = 4 * ei
+        for e, (u, v) in zip(range(0, 4 * len(edges), 4), edges):
             if u in vertices:
-                pairs += [(base, base + 1), (base + 2, base + 3)]
+                pairs += [(e, e + 1), (e + 2, e + 3)]
             elif v in vertices:
-                pairs += [(base, base + 2), (base + 1, base + 3)]
+                pairs += [(e, e + 2), (e + 1, e + 3)]
         return Matching.from_pairs(pairs)
 
     def backward(stable_vertex_layers: frozenset[int]) -> set[int]:
@@ -345,6 +306,8 @@ def reduce_degreepartition_to_pair_super(
         raise OddVertexCount(f"need an even vertex count, got {g.n}")
     if alpha < 1 or 2 * alpha > ell:
         raise AlphaTooHigh(f"need 1 <= alpha <= ell/2, got alpha={alpha}, ell={ell}")
+    if type(alpha) is not int or type(ell) is not int:
+        raise BadParameters(f"alpha and ell must be ints, got alpha={alpha!r}, ell={ell!r}")
     names = [f"v{v}.{r}" for v in range(g.n) for r in (1, 2)] + [
         f"v{v}.star" for v in range(g.n)
     ] + ["a", "a'"]
@@ -352,19 +315,10 @@ def reduce_degreepartition_to_pair_super(
     def v2(v): return 2 * v + 1
     def vstar(v): return 2 * g.n + v
     n = 3 * g.n + 2
-    layer1: list[set[int]] = [set() for _ in range(n)]
-    layer2: list[set[int]] = [set() for _ in range(n)]
-    for u, v in g.sorted_edges():
-        for pick in (v1, v2):
-            layer1[pick(u)].add(pick(v))
-            layer1[pick(v)].add(pick(u))
-    for v in range(g.n):
-        for pick in (v1, v2):
-            layer2[pick(v)].add(vstar(v))
-            layer2[vstar(v)].add(pick(v))
-    empty: list[set[int]] = [set() for _ in range(n)]
-    base = build_instance(n, 3, [layer1, layer2, empty], names)
-    inst = copy_layers(base, [alpha, alpha, ell - 2 * alpha])
+    copies = (1 << alpha) - 1  # the edge layer's copies; the star layer's follow
+    links = [(copies, pick(u), pick(v)) for u, v in g.sorted_edges() for pick in (v1, v2)]
+    links += [(copies << alpha, pick(v), vstar(v)) for v in range(g.n) for pick in (v1, v2)]
+    inst = _from_links(n, ell, links, names)
 
     neighbors = {v: sorted(u for e in g.edges for u in e if v in e and u != v) for v in range(g.n)}
 

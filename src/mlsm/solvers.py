@@ -673,7 +673,7 @@ def dispatch(
     else:
         if inst.n > budget.max_agents:
             changing = f"beta={changing_agents(inst).beta} > {BETA_DISPATCH_MAX}" if is_symmetric(inst) else "asymmetric"
-            detail = (f"no complete algorithm applies: tau={agent_types(inst).tau} > {TAU_DISPATCH_MAX}, "
+            detail = (f"no complete algorithm applies: tau > {TAU_DISPATCH_MAX}, "
                       f"{changing}, n={inst.n} > oracle budget {budget.max_agents}")
             return SolveResult("unknown", "none", detail=detail)
         name, run = "oracle", lambda inst, q, a, b: SolveResult.found("oracle", oracle_solve(inst, q, b))

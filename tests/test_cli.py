@@ -646,7 +646,7 @@ def test_solve_and_oracle_documents_and_default_budget(tmp_path, capsys):
     assert run("solve", paths[13]) == (3, {
         "exists": None, "status": "unknown", "query": "all-layers weak", "algorithm": "none",
         "witness_layers": None, "matching": None,
-        "detail": "no complete algorithm applies: tau=13 > 3, asymmetric, n=13 > oracle budget 12",
+        "detail": "no complete algorithm applies: tau > 3, asymmetric, n=13 > oracle budget 12",
     })
     assert run("oracle", paths[13]) == (2, {"error": "13 agents exceed the oracle budget of 12"})
     default = f"(default: {mlsm.OracleBudget().max_agents})"

@@ -141,6 +141,13 @@ def test_from_edges_rejects_a_negative_vertex_count():
         SimpleGraph.from_edges(-2, [])
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+def test_from_edges_rejects_vertex_counts_that_are_not_ints(n):
+    # True would store n=True, 2.0 breaks maximum_matching, "3" a comparison
+    with pytest.raises(IdOutOfRange, match="must be an int"):
+        SimpleGraph.from_edges(n, [])
+
+
 @pytest.mark.parametrize("cover", [[True], [1.0], [3], [-1]])
 def test_saturating_rejects_cover_vertices_that_are_not_ints_in_range(cover):
     g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])

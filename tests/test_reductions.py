@@ -2,6 +2,7 @@ import pytest
 
 from corpus import degree_partition_brute_force, sat_brute_force
 from mlsm.blocking import Matching
+from mlsm.cli import instance_to_doc
 from mlsm.errors import AlphaTooHigh, BadParameters, IdOutOfRange, MalformedFormula, OddVertexCount
 from mlsm.graphalg import SimpleGraph
 from mlsm.model import build_instance, is_symmetric
@@ -334,6 +335,87 @@ def test_degpart_validates():
     even = SimpleGraph.from_edges(2, [(0, 1)])
     with pytest.raises(AlphaTooHigh):
         reduce_degreepartition_to_pair_super(even, 2, 2)
+
+
+@pytest.mark.parametrize("ell, alpha", [(2, True), (4, 1.0), (4.0, 1)])
+def test_degpart_rejects_counts_that_are_not_ints(ell, alpha):
+    # alpha counts the copies of each base layer, which become layer bits
+    with pytest.raises(BadParameters, match="ints"):
+        reduce_degreepartition_to_pair_super(SimpleGraph.from_edges(2, [(0, 1)]), ell, alpha)
+
+
+# ---------------------------------------------------------------------------
+# exact layouts
+
+
+def _layout(gen) -> tuple:
+    """The document's agents, and each layer as "agent>approved,..." words
+    in agent order, with the query and kind."""
+    doc = instance_to_doc(gen.instance)
+    layers = [" ".join(f"{a}>{','.join(bs)}" for a, bs in layer.items()) for layer in doc["layers"]]
+    return doc["agents"], layers, gen.query.describe(), gen.kind
+
+
+def test_sat_layout():
+    gen = reduce_sat_to_alllayers_weak(CnfFormula(3, ((1, 2, 3),)))
+    assert _layout(gen) == (
+        ["a_x1", "a_nx1", "b+_x1", "b-_x1", "a_x2", "a_nx2", "b+_x2", "b-_x2",
+         "a_x3", "a_nx3", "b+_x3", "b-_x3", "al1_c0", "al2_c0", "be1_c0", "be2_c0", "be3_c0"],
+        ["a_x1>b+_x1,b-_x1 a_nx1>b+_x1,b-_x1 b+_x1>a_x1,a_nx1 b-_x1>a_x1,a_nx1 "
+         "a_x2>b+_x2,b-_x2 a_nx2>b+_x2,b-_x2 b+_x2>a_x2,a_nx2 b-_x2>a_x2,a_nx2 "
+         "a_x3>b+_x3,b-_x3 a_nx3>b+_x3,b-_x3 b+_x3>a_x3,a_nx3 b-_x3>a_x3,a_nx3 "
+         "al1_c0>be1_c0,be2_c0 al2_c0>be2_c0,be3_c0 be1_c0>al1_c0 be2_c0>al1_c0,al2_c0 be3_c0>al2_c0",
+         "a_x1>b+_x1,be1_c0 a_nx1>b+_x1 b+_x1>a_x1,a_nx1 "
+         "a_x2>b+_x2,be2_c0 a_nx2>b+_x2 b+_x2>a_x2,a_nx2 "
+         "a_x3>b+_x3,be3_c0 a_nx3>b+_x3 b+_x3>a_x3,a_nx3 "
+         "al1_c0>be1_c0,be2_c0 al2_c0>be2_c0,be3_c0 "
+         "be1_c0>a_x1,al1_c0 be2_c0>a_x2,al1_c0,al2_c0 be3_c0>a_x3,al2_c0"],
+        "all-layers weak", "sat",
+    )
+    # x2 true: be2 (the satisfied literal's beta) stays single
+    m = gen.forward({2})
+    assert m.pairs == ((0, 3), (1, 2), (4, 6), (5, 7), (8, 11), (9, 10), (12, 14), (13, 16))
+    assert gen.backward(m) == {2}
+
+
+def test_independent_set_layout():
+    gen = reduce_is_to_global_strong(SimpleGraph.from_edges(3, [(0, 1), (1, 2)]), 2)
+    assert _layout(gen) == (
+        ["e0-1.1", "e0-1.2", "e0-1.3", "e0-1.4", "e1-2.1", "e1-2.2", "e1-2.3", "e1-2.4"],
+        ["e0-1.1>e0-1.2 e0-1.2>e0-1.1 e0-1.3>e0-1.4 e0-1.4>e0-1.3",
+         "e0-1.1>e0-1.3 e0-1.2>e0-1.4 e0-1.3>e0-1.1 e0-1.4>e0-1.2 "
+         "e1-2.1>e1-2.2 e1-2.2>e1-2.1 e1-2.3>e1-2.4 e1-2.4>e1-2.3",
+         "e1-2.1>e1-2.3 e1-2.2>e1-2.4 e1-2.3>e1-2.1 e1-2.4>e1-2.2"],
+        "2-global strong", "independent-set",
+    )
+    assert gen.forward({0, 2}).pairs == ((0, 1), (2, 3), (4, 6), (5, 7))
+
+
+def test_degree_partition_layout():
+    gen = reduce_degreepartition_to_pair_super(SimpleGraph.from_edges(2, [(0, 1)]), 5, 2)
+    edge = "v0.1>v1.1 v0.2>v1.2 v1.1>v0.1 v1.2>v0.2"
+    star = "v0.1>v0.star v0.2>v0.star v1.1>v1.star v1.2>v1.star v0.star>v0.1,v0.2 v1.star>v1.1,v1.2"
+    assert _layout(gen) == (
+        ["v0.1", "v0.2", "v1.1", "v1.2", "v0.star", "v1.star", "a", "a'"],
+        [edge, edge, star, star, ""],
+        "2-pair super", "degree-partition",
+    )
+    m = gen.forward(({0, 1}, set()))
+    assert m.pairs == ((0, 2), (1, 4), (3, 5), (6, 7))
+    assert gen.backward(m) == ({0, 1}, set())
+
+
+def test_padding_layout_copies_an_asymmetric_base_one_way():
+    base = build_instance(3, 2, [[{1}, {2}, set()], [set(), {0}, {0, 1}]], ["x", "y", "z"])
+    gen = pad_global_weak(base, 4, 2)
+    assert _layout(gen) == (
+        ["x", "y", "z", "a*", "b*", "c3", "c4"],
+        ["x>y y>z a*>b* b*>a*", "y>x z>x,y a*>b* b*>a*", "a*>c3 c3>a*", "a*>c4 c4>a*"],
+        "2-global weak", "pad-global-weak",
+    )
+    m = gen.forward(Matching(((0, 1),)))
+    assert m.pairs == ((0, 1), (3, 4))
+    assert gen.backward(m) == Matching(((0, 1),))
 
 
 # ---------------------------------------------------------------------------

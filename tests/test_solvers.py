@@ -882,19 +882,22 @@ def test_dispatch_is_invariant_under_relabelling():
     assert {(name, "exists") for name in planted} <= seen
 
 
-def test_dispatch_unknown_when_out_of_reach():
-    # large, many types, many changing agents, tiny oracle budget
+def test_dispatch_unknown_when_out_of_reach(monkeypatch):
+    # large, many types, many changing agents, tiny oracle budget; the
+    # agent-types gate rejects both from row fingerprints, and the detail
+    # prints that finding instead of typing the agents
+    calls = _counting(monkeypatch, "agent_types")
     q = StabilityQuery("weak", "all")
     inst = gen_random(30, 2, 0.3, seed=13)
-    tau = agent_types(inst).tau
     r = dispatch(inst, q, OracleBudget(max_agents=8))
     assert r.status == "unknown"
-    assert f"tau={tau} > 3, asymmetric, n=30 > oracle budget 8" in r.detail
+    assert "tau > 3, asymmetric, n=30 > oracle budget 8" in r.detail
     sym = gen_random(30, 2, 0.3, symmetric=True, seed=13)
-    tau, beta = agent_types(sym).tau, changing_agents(sym).beta
+    beta = changing_agents(sym).beta
     r = dispatch(sym, q, OracleBudget(max_agents=8))
     assert r.status == "unknown"
-    assert f"tau={tau} > 3, beta={beta} > 5, n=30 > oracle budget 8" in r.detail
+    assert f"tau > 3, beta={beta} > 5, n=30 > oracle budget 8" in r.detail
+    assert not calls
 
 
 def test_dispatch_unknown_when_oracle_budget_runs_out():
@@ -943,9 +946,10 @@ def _count_made(monkeypatch, name):
 
 @pytest.mark.parametrize("case", ["agent-types", "unknown"])
 def test_dispatch_analyses_an_instance_once(monkeypatch, case):
-    # every query on one instance object: the gates, the agent-types tables
-    # and an unknown's detail share one partition and one changing set,
-    # however many queries read them; odd n types its padded copy once more
+    # every query on one instance object: the gates and the agent-types
+    # tables share one partition, and the gates and an unknown's detail one
+    # changing set, however many queries read them; odd n types its padded
+    # copy once more, and an unknown's detail types nothing
     partitions = _count_made(monkeypatch, "AgentTypePartition")
     changing_sets = _count_made(monkeypatch, "ChangingSet")
     solvers._types_tables.cache_clear()
@@ -956,7 +960,7 @@ def test_dispatch_analyses_an_instance_once(monkeypatch, case):
     routes = [dispatch(inst, q, budget).algorithm for q in all_queries(inst.ell)]
     assert routes.count(case if case != "unknown" else "none") >= 3, routes
     covered = [sum(map(len, blocks)) for blocks, _ in partitions]
-    assert covered.count(inst.n) == 1
+    assert covered.count(inst.n) == (case == "agent-types")
     assert covered.count(inst.n + 1) == (case == "agent-types")
     assert len(changing_sets) == (case == "unknown")
 
