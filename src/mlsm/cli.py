@@ -3,7 +3,7 @@
 Instances, matchings, and verdicts travel as JSON documents with stable key
 order and 1-based layer indices; agents are referenced by display name.
 Exit codes: check 0 stable / 1 unstable, solve 0 exists / 1 not-exists /
-3 unknown, 2 for any error.
+3 unknown, oracle 0 found / 1 none, gen 0 on success, 2 for any error.
 """
 
 from __future__ import annotations
@@ -13,16 +13,12 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import _lazy_attrs
 from .blocking import BASES, Matching
 from .errors import InvalidMatching, MalformedDocument, MlsmError
 from .model import MultilayerInstance, _check_names, _check_shape, _refuse_self_approvals
 from .verify import AGGREGATIONS, StabilityQuery, check
-
-if TYPE_CHECKING:  # each subcommand imports the modules only it runs
-    from .reductions import GeneratedInstance
 
 __all__ = [
     "main",
@@ -135,9 +131,18 @@ def _layers_out(layers) -> list[int] | None:
     return sorted(i + 1 for i in layers)
 
 
+def _read(path: str) -> str:
+    """The text of ``path``; bytes that are not UTF-8 raise
+    ``MalformedDocument`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path}: {exc}") from None
+
+
 def _load_json(path: str) -> dict:
-    """The document at ``path``.  A key repeated within one object is
-    refused, not read as its last value."""
+    """The document at ``path``; its errors start with the path.  A key
+    repeated within one object is refused, not read as its last value."""
 
     def unique(pairs: list[tuple[str, object]]) -> dict:
         doc = dict(pairs)
@@ -148,13 +153,27 @@ def _load_json(path: str) -> dict:
         return doc
 
     try:
-        return json.loads(Path(path).read_text(), object_pairs_hook=unique)
+        return json.loads(_read(path), object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(f"{path}: {exc}") from None
     except RecursionError:  # the decoder's nesting limit, about 1 000 levels
         raise MalformedDocument(f"{path}: JSON nested too deeply") from None
 
 
-def _emit(doc: dict) -> None:
+def _timed(decide, *args):
+    """``decide(*args)`` and its wall time in ms, rounded for the document."""
+    t0 = time.perf_counter()
+    result = decide(*args)
+    return result, round((time.perf_counter() - t0) * 1000, 3)
+
+
+def _pairs(inst: MultilayerInstance, m: Matching | None) -> list | None:
+    return None if m is None else matching_to_doc(inst, m)["pairs"]
+
+
+def _emit(doc: dict, code: int) -> int:
     print(json.dumps(doc, indent=2))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +184,7 @@ def cmd_check(args) -> int:
     inst = instance_from_doc(_load_json(args.instance))
     m = matching_from_doc(inst, _load_json(args.matching))
     q = StabilityQuery(args.base, args.agg, args.alpha)
-    t0 = time.perf_counter()
-    verdict = check(inst, m, q)
-    elapsed = (time.perf_counter() - t0) * 1000
+    verdict, elapsed = _timed(check, inst, m, q)
     doc = {
         "stable": verdict.stable,
         "query": q.describe(),
@@ -177,10 +194,9 @@ def cmd_check(args) -> int:
         if verdict.violating_pair is None
         else [inst.name_of(a) for a in verdict.violating_pair],
         "blocking_layers": _layers_out(verdict.blocking_layers),
-        "elapsed_ms": round(elapsed, 3),
+        "elapsed_ms": elapsed,
     }
-    _emit(doc)
-    return 0 if verdict.stable else 1
+    return _emit(doc, 0 if verdict.stable else 1)
 
 
 def _budget(args):
@@ -194,24 +210,18 @@ def cmd_solve(args) -> int:
 
     inst = instance_from_doc(_load_json(args.instance))
     q = StabilityQuery(args.base, args.agg, args.alpha)
-    budget = _budget(args)
-    t0 = time.perf_counter()
-    result = dispatch(inst, q, budget)
-    elapsed = (time.perf_counter() - t0) * 1000
+    result, elapsed = _timed(dispatch, inst, q, _budget(args))
     doc = {
         "exists": None if result.status == "unknown" else result.exists,
         "status": result.status,
         "query": q.describe(),
         "algorithm": result.algorithm,
         "witness_layers": _layers_out(result.witness_layers),
-        "matching": None
-        if result.matching is None
-        else matching_to_doc(inst, result.matching)["pairs"],
+        "matching": _pairs(inst, result.matching),
         "detail": result.detail,
-        "elapsed_ms": round(elapsed, 3),
+        "elapsed_ms": elapsed,
     }
-    _emit(doc)
-    return {"exists": 0, "not-exists": 1, "unknown": 3}[result.status]
+    return _emit(doc, {"exists": 0, "not-exists": 1, "unknown": 3}[result.status])
 
 
 def cmd_oracle(args) -> int:
@@ -219,45 +229,18 @@ def cmd_oracle(args) -> int:
 
     inst = instance_from_doc(_load_json(args.instance))
     q = StabilityQuery(args.base, args.agg, args.alpha)
-    budget = _budget(args)
-    t0 = time.perf_counter()
-    if args.all:
-        matchings = oracle_all(inst, q, budget)
-        found = matchings[0] if matchings else None
-    else:
-        matchings = None
-        found = oracle_solve(inst, q, budget)
-    elapsed = (time.perf_counter() - t0) * 1000
+    out, elapsed = _timed(oracle_all if args.all else oracle_solve, inst, q, _budget(args))
+    found = next(iter(out), None) if args.all else out
     doc = {
         "exists": found is not None,
         "query": q.describe(),
         "algorithm": "oracle",
-        "matching": None
-        if found is None
-        else matching_to_doc(inst, found)["pairs"],
-        "elapsed_ms": round(elapsed, 3),
+        "matching": _pairs(inst, found),
+        "elapsed_ms": elapsed,
     }
-    if matchings is not None:
-        doc["all_matchings"] = [
-            matching_to_doc(inst, m)["pairs"] for m in matchings
-        ]
-    _emit(doc)
-    return 0 if found is not None else 1
-
-
-def _write_generated(gen: GeneratedInstance, out: str, source: dict) -> None:
-    out_path = Path(out)
-    out_path.write_text(json.dumps(instance_to_doc(gen.instance), indent=2))
-    q = gen.query
-    cert = {
-        "kind": gen.kind,
-        "query": {"base": q.base, "agg": q.agg, "alpha": q.alpha},
-        "source": source,
-        "agents": [gen.instance.name_of(a) for a in range(gen.instance.n)],
-    }
-    cert_path = out_path.with_suffix(".cert.json")
-    cert_path.write_text(json.dumps(cert, indent=2))
-    print(f"wrote {out_path} and {cert_path}")
+    if args.all:
+        doc["all_matchings"] = [_pairs(inst, m) for m in out]
+    return _emit(doc, 0 if found is not None else 1)
 
 
 def cmd_gen(args) -> int:
@@ -278,47 +261,47 @@ def cmd_gen(args) -> int:
         print(f"wrote {args.out}")
         return 0
     if args.generator == "sat":
-        formula = parse_dimacs(Path(args.cnf).read_text())
+        formula = parse_dimacs(_read(args.cnf))
         gen = reduce_sat_to_alllayers_weak(formula)
-        _write_generated(
-            gen,
-            args.out,
-            {"num_vars": formula.num_vars, "clauses": [list(c) for c in formula.clauses]},
-        )
-        return 0
-    if args.generator == "is":
-        graph = parse_edge_list(Path(args.graph).read_text())
-        gen = reduce_is_to_global_strong(graph, args.k)
-        _write_generated(
-            gen,
-            args.out,
-            {"vertices": graph.n, "edges": graph.sorted_edges(), "k": args.k},
-        )
-        return 0
-    if args.generator == "degpart":
-        graph = parse_edge_list(Path(args.graph).read_text())
-        gen = reduce_degreepartition_to_pair_super(graph, args.layers, args.alpha)
-        _write_generated(
-            gen,
-            args.out,
-            {
-                "vertices": graph.n,
-                "edges": graph.sorted_edges(),
-                "layers": args.layers,
-                "alpha": args.alpha,
-            },
-        )
-        return 0
-    raise MlsmError(f"unknown generator {args.generator!r}")
+        source = {"num_vars": formula.num_vars, "clauses": [list(c) for c in formula.clauses]}
+    else:  # is and degpart read an edge list
+        graph = parse_edge_list(_read(args.graph))
+        source = {"vertices": graph.n, "edges": graph.sorted_edges()}
+        if args.generator == "is":
+            gen = reduce_is_to_global_strong(graph, args.k)
+            source["k"] = args.k
+        else:
+            gen = reduce_degreepartition_to_pair_super(graph, args.layers, args.alpha)
+            source.update(layers=args.layers, alpha=args.alpha)
+    out = Path(args.out)
+    out.write_text(json.dumps(instance_to_doc(gen.instance), indent=2))
+    q = gen.query
+    cert = {
+        "kind": gen.kind,
+        "query": {"base": q.base, "agg": q.agg, "alpha": q.alpha},
+        "source": source,
+        "agents": [gen.instance.name_of(a) for a in range(gen.instance.n)],
+    }
+    cert_path = out.with_suffix(".cert.json")
+    cert_path.write_text(json.dumps(cert, indent=2))
+    print(f"wrote {out} and {cert_path}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
 
 
-def _add_query_flags(sub) -> None:
-    sub.add_argument("--base", required=True, choices=BASES)
-    sub.add_argument("--agg", required=True, choices=AGGREGATIONS)
-    sub.add_argument("--alpha", type=int, default=None)
+def _add_command(subs, name: str, help: str, fn, *positionals: str) -> argparse.ArgumentParser:
+    """The subcommand ``name`` that ``fn`` runs on a query: its file
+    arguments, then the query flags."""
+    p = subs.add_parser(name, help=help)
+    for positional in positionals:
+        p.add_argument(positional)
+    p.add_argument("--base", required=True, choices=BASES)
+    p.add_argument("--agg", required=True, choices=AGGREGATIONS)
+    p.add_argument("--alpha", type=int, default=None)
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,15 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("check", help="verify a matching against a stability notion")
-    p.add_argument("instance")
-    p.add_argument("matching")
-    _add_query_flags(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = subs.add_parser("solve", help="find a stable matching or report none/unknown")
-    p.add_argument("instance")
-    _add_query_flags(p)
+    _add_command(subs, "check", "verify a matching against a stability notion", cmd_check, "instance", "matching")
+    p = _add_command(subs, "solve", "find a stable matching or report none/unknown", cmd_solve, "instance")
     # --budget has no parser default: building the parser, also for check,
     # must not import the oracle, so _budget falls back to OracleBudget's own
     p.add_argument(
@@ -344,41 +320,30 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="agent cap of the exhaustive searches: the oracle fallback and the super-pair-fpt kernel (default: 12)",
     )
-    p.set_defaults(fn=cmd_solve)
-
-    p = subs.add_parser("oracle", help="exhaustive ground truth (small instances)")
-    p.add_argument("instance")
-    _add_query_flags(p)
+    p = _add_command(subs, "oracle", "exhaustive ground truth (small instances)", cmd_oracle, "instance")
     p.add_argument("--all", action="store_true", help="list every stable matching")
     p.add_argument("--budget", type=int, help="agent cap of the search (default: 12)")
-    p.set_defaults(fn=cmd_oracle)
 
     p = subs.add_parser("gen", help="generate instances")
-    gen_subs = p.add_subparsers(dest="generator", required=True)
-    g = gen_subs.add_parser("random")
+    p.set_defaults(fn=cmd_gen)
+    gens = p.add_subparsers(dest="generator", required=True)
+    g = gens.add_parser("random")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--layers", type=int, required=True)
     g.add_argument("--p", type=float, required=True)
     g.add_argument("--symmetric", action="store_true")
     g.add_argument("--bipartite", action="store_true")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", default="instance.json")
-    g.set_defaults(fn=cmd_gen)
-    g = gen_subs.add_parser("sat")
-    g.add_argument("--cnf", required=True)
-    g.add_argument("--out", default="instance.json")
-    g.set_defaults(fn=cmd_gen)
-    g = gen_subs.add_parser("is")
+    gens.add_parser("sat").add_argument("--cnf", required=True)
+    g = gens.add_parser("is")
     g.add_argument("--graph", required=True)
     g.add_argument("--k", type=int, required=True)
-    g.add_argument("--out", default="instance.json")
-    g.set_defaults(fn=cmd_gen)
-    g = gen_subs.add_parser("degpart")
+    g = gens.add_parser("degpart")
     g.add_argument("--graph", required=True)
     g.add_argument("--layers", type=int, required=True)
     g.add_argument("--alpha", type=int, required=True)
-    g.add_argument("--out", default="instance.json")
-    g.set_defaults(fn=cmd_gen)
+    for g in gens.choices.values():
+        g.add_argument("--out", default="instance.json")
 
     return parser
 
@@ -388,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MlsmError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (MlsmError, ValueError, KeyError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -101,6 +101,8 @@ def gen_random(
 ) -> MultilayerInstance:
     """Reproducible random instance; the flags symmetrize approvals and
     restrict them to run between two equal halves of the agents."""
+    if not isinstance(p, (int, float)) or isinstance(p, bool):
+        raise BadParameters(f"approval probability must be an int or float, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise BadParameters(f"approval probability {p} outside [0, 1]")
     rng = random.Random(seed)
@@ -121,6 +123,13 @@ def gen_random(
                         approved[b].append(a)
         layers.append(approved)
     return _from_links(n, ell, (), base=layers)
+
+
+def _require_ints(**counts: object) -> None:
+    """Refuse a count that is not an ``int`` (bool is none); run before the
+    range tests, which would raise a bare ``TypeError`` on it."""
+    if any(type(c) is not int for c in counts.values()):
+        raise BadParameters("counts must be ints, got " + ", ".join(f"{k}={c!r}" for k, c in counts.items()))
 
 
 def _from_links(n: int, ell: int, links: Iterable[tuple[int, int, int]], names: Sequence[str] | None = None,
@@ -212,6 +221,7 @@ def pad_global_weak(
     conflict agent per layer in the (possibly empty) conflict range; the
     remaining tail layers hold no approvals.
     """
+    _require_ints(ell=ell, alpha=alpha)
     if inst2.ell != 2:
         raise BadParameters("padding starts from a two-layer instance")
     if not 2 <= alpha <= ell:
@@ -262,6 +272,7 @@ def copy_layers(
 def reduce_is_to_global_strong(g: SimpleGraph, k: int) -> GeneratedInstance:
     """Four agents per edge, one layer per vertex; an independent set of size
     k corresponds to a matching strongly stable in the k picked layers."""
+    _require_ints(k=k)
     if not 1 <= k <= g.n:
         raise BadParameters(f"need 1 <= k <= {g.n}, got {k}")
     edges = g.sorted_edges()
@@ -302,12 +313,11 @@ def reduce_degreepartition_to_pair_super(
     The two base layers are copied alpha times each and padded with empty
     layers up to ell.
     """
+    _require_ints(ell=ell, alpha=alpha)
     if g.n % 2 != 0:
         raise OddVertexCount(f"need an even vertex count, got {g.n}")
     if alpha < 1 or 2 * alpha > ell:
         raise AlphaTooHigh(f"need 1 <= alpha <= ell/2, got alpha={alpha}, ell={ell}")
-    if type(alpha) is not int or type(ell) is not int:
-        raise BadParameters(f"alpha and ell must be ints, got alpha={alpha!r}, ell={ell!r}")
     names = [f"v{v}.{r}" for v in range(g.n) for r in (1, 2)] + [
         f"v{v}.star" for v in range(g.n)
     ] + ["a", "a'"]

@@ -207,6 +207,44 @@ def test_gen_degpart(tmp_path, capsys):
     assert len(doc["agents"]) == 8
 
 
+@pytest.mark.parametrize(
+    "generator, text, flags, cert",
+    [
+        ("sat", "p cnf 3 1\n1 -2 3 0\n", [], {
+            "kind": "sat",
+            "query": {"base": "weak", "agg": "all", "alpha": None},
+            "source": {"num_vars": 3, "clauses": [[1, -2, 3]]},
+            "agents": ["a_x1", "a_nx1", "b+_x1", "b-_x1", "a_x2", "a_nx2", "b+_x2", "b-_x2", "a_x3", "a_nx3",
+                       "b+_x3", "b-_x3", "al1_c0", "al2_c0", "be1_c0", "be2_c0", "be3_c0"],
+        }),
+        ("is", "3 2\n1 2\n2 3\n", ["--k", "2"], {
+            "kind": "independent-set",
+            "query": {"base": "strong", "agg": "global", "alpha": 2},
+            "source": {"vertices": 3, "edges": [[0, 1], [1, 2]], "k": 2},
+            "agents": ["e0-1.1", "e0-1.2", "e0-1.3", "e0-1.4", "e1-2.1", "e1-2.2", "e1-2.3", "e1-2.4"],
+        }),
+        ("degpart", "2 1\n1 2\n", ["--layers", "2", "--alpha", "1"], {
+            "kind": "degree-partition",
+            "query": {"base": "super", "agg": "pair", "alpha": 1},
+            "source": {"vertices": 2, "edges": [[0, 1]], "layers": 2, "alpha": 1},
+            "agents": ["v0.1", "v0.2", "v1.1", "v1.2", "v0.star", "v1.star", "a", "a'"],
+        }),
+    ],
+    ids=["sat", "is", "degpart"],
+)
+def test_gen_certificate_documents(tmp_path, capsys, generator, text, flags, cert):
+    # the whole certificate, key order included, as json.dumps writes it
+    source = tmp_path / "source.txt"
+    source.write_text(text)
+    out = tmp_path / "gen.json"
+    flag = "--cnf" if generator == "sat" else "--graph"
+    assert main(["gen", generator, flag, str(source), *flags, "--out", str(out)]) == 0
+    cert_path = tmp_path / "gen.cert.json"
+    assert capsys.readouterr().out == f"wrote {out} and {cert_path}\n"
+    assert cert_path.read_text() == json.dumps(cert, indent=2)
+    assert json.loads(out.read_text())["agents"] == cert["agents"]
+
+
 def test_bench_subcommand_is_gone(capsys):
     # the randomized suites are tests, not a subcommand
     with pytest.raises(SystemExit) as exc:
@@ -262,6 +300,26 @@ def test_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check", str(bad), str(bad), "--base", "weak", "--agg", "all"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["check", "EX1", "BAD", "--base", "weak", "--agg", "all"], b"{not json"),
+        (["check", "BAD", "M1", "--base", "weak", "--agg", "all"], b"\xff{}"),
+        (["gen", "sat", "--cnf", "BAD", "--out", "OUT"], b"\xffp cnf 1 0\n"),
+        (["gen", "is", "--graph", "BAD", "--k", "1", "--out", "OUT"], b"\xff2 1\n1 2\n"),
+    ],
+    ids=["json-syntax", "instance-not-utf8", "cnf-not-utf8", "graph-not-utf8"],
+)
+def test_reader_errors_name_their_file(tmp_path, ex1_file, m1_file, argv, data, capsys):
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(data)
+    files = {"BAD": str(bad), "EX1": ex1_file, "M1": m1_file, "OUT": str(tmp_path / "out.json")}
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"].startswith(f"{bad}: ")
 
 
 def test_alpha_out_of_range_exit_two(ex1_file, m1_file, capsys):

@@ -337,11 +337,39 @@ def test_degpart_validates():
         reduce_degreepartition_to_pair_super(even, 2, 2)
 
 
-@pytest.mark.parametrize("ell, alpha", [(2, True), (4, 1.0), (4.0, 1)])
+@pytest.mark.parametrize("ell, alpha", [(2, True), (4, 1.0), (4.0, 1), (2, "1"), ("4", 1)])
 def test_degpart_rejects_counts_that_are_not_ints(ell, alpha):
     # alpha counts the copies of each base layer, which become layer bits
     with pytest.raises(BadParameters, match="ints"):
         reduce_degreepartition_to_pair_super(SimpleGraph.from_edges(2, [(0, 1)]), ell, alpha)
+
+
+@pytest.mark.parametrize(
+    "generator, args",
+    [
+        ("is", ("1",)),
+        ("is", (True,)),
+        ("is", (2.0,)),
+        ("pad", (4, "2")),
+        ("pad", (4.0, 2)),
+        ("pad", (4, True)),
+        ("random", (3, 2, "0.5")),
+        ("random", (3, 2, True)),
+        ("random", (3, 2, None)),
+    ],
+    ids=["is-str", "is-bool", "is-float", "pad-str-alpha", "pad-float-ell", "pad-bool-alpha",
+         "random-str-p", "random-bool-p", "random-none-p"],
+)
+def test_generators_reject_parameters_of_the_wrong_type(ex2, generator, args):
+    # each count is an int and p an int or float, bool excluded, before any
+    # range test compares it
+    call = {
+        "is": lambda *a: reduce_is_to_global_strong(SimpleGraph.from_edges(3, [(0, 1)]), *a),
+        "pad": lambda *a: pad_global_weak(ex2, *a),
+        "random": gen_random,
+    }[generator]
+    with pytest.raises(BadParameters, match="must be"):
+        call(*args)
 
 
 # ---------------------------------------------------------------------------
