@@ -124,7 +124,7 @@ def block_mask(base: str, sa: int, sb: int, ha: int, hb: int, full: int) -> int:
         return (strict_a & geq_b) | (strict_b & geq_a)
     if base == "super":
         return geq_a & geq_b
-    raise ValueError(f"unknown stability base {base!r}")
+    raise InvalidQuery(f"unknown stability base {base!r}")
 
 
 def support_mask(base: str, s: int, h: int, full: int) -> int:
@@ -139,6 +139,7 @@ def support_mask(base: str, s: int, h: int, full: int) -> int:
         return (~s | h) & full
     if base == "super":
         return ~s & h
+    _require_base(base)
     raise InvalidQuery("there is no strong individual stability")
 
 

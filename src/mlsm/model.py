@@ -107,13 +107,6 @@ class MultilayerInstance(_Value):
     approval_masks: tuple[dict[int, int], ...]
     names: tuple[str, ...] | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, MultilayerInstance):
-            return NotImplemented
-        return (self.n, self.ell, self.names, self.approval_masks) == (
-            other.n, other.ell, other.names, other.approval_masks
-        )
-
     def __hash__(self) -> int:
         return self._hash
 

@@ -44,9 +44,9 @@ class OracleBudget(_Value):
     ``max_agents`` bounds the agents a search decides: n, or the free agents
     when ``_search`` starts from fixed pairs.  ``max_matchings`` bounds the
     complete matchings that ``enumerate_matchings`` (and so ``oracle_all``)
-    yields, and the search nodes of ``oracle_solve`` and ``_search``: the
-    partial matchings they reach whose decided pairs, and whose decided
-    agents' least costs, pass.
+    yields and ``existence_table`` visits, and the search nodes of
+    ``oracle_solve`` and ``_search``: the partial matchings they reach whose
+    decided pairs, and whose decided agents' least costs, pass.
     """
 
     max_agents: int
@@ -99,19 +99,23 @@ def _iter_partner_arrays(n: int) -> Iterator[list[int]]:
     return rec(0)
 
 
-def enumerate_matchings(
-    n: int, budget: OracleBudget = DEFAULT_BUDGET
-) -> Iterator[Matching]:
-    """Every matching on ``n`` agents exactly once, deterministic order."""
+def _counted_partner_arrays(n: int, budget: OracleBudget) -> Iterator[list[int]]:
+    """``_iter_partner_arrays`` within ``budget``: ``BudgetExceeded`` past
+    ``max_agents`` at the first pull, and past ``max_matchings`` arrays."""
     _check_budget(n, budget)
-    count = 0
-    for partner in _iter_partner_arrays(n):
-        count += 1
+    for count, partner in enumerate(_iter_partner_arrays(n), 1):
         if budget.max_matchings is not None and count > budget.max_matchings:
             raise BudgetExceeded(
                 f"visited more than {budget.max_matchings} matchings"
             )
-        yield Matching.from_partners(partner)
+        yield partner
+
+
+def enumerate_matchings(
+    n: int, budget: OracleBudget = DEFAULT_BUDGET
+) -> Iterator[Matching]:
+    """Every matching on ``n`` agents exactly once, deterministic order."""
+    return map(Matching.from_partners, _counted_partner_arrays(n, budget))
 
 
 def oracle_solve(
@@ -281,8 +285,8 @@ def existence_table(
     comparison suites use it, and its agreement with ``oracle_solve`` is
     itself under test.
     """
-    _check_budget(inst.n, budget)
     n, ell = inst.n, inst.ell
+    partners = _counted_partner_arrays(n, budget)
     full = (1 << ell) - 1
     masks = inst.approval_masks
     # per-pair approval layer sets are matching-independent
@@ -306,7 +310,7 @@ def existence_table(
         return out
 
     best = [[0, 0, 0] for _ in BASES]
-    for partner in _iter_partner_arrays(n):
+    for partner in partners:
         happy = [masks[a].get(p, 0) for a, p in enumerate(partner)]  # single: p=-1
         # per base: OR of blocked masks, least non-blocking count and support
         worst = [[0, ell, ell] for _ in BASES]

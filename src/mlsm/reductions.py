@@ -40,7 +40,7 @@ from .errors import (
     OddVertexCount,
 )
 from .graphalg import SimpleGraph
-from .model import MultilayerInstance, _Value, build_instance
+from .model import MultilayerInstance, _Value, _check_shape, build_instance
 from .verify import StabilityQuery
 
 __all__ = [
@@ -105,6 +105,7 @@ def gen_random(
         raise BadParameters(f"approval probability must be an int or float, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise BadParameters(f"approval probability {p} outside [0, 1]")
+    _check_shape(n, ell, ell, None)
     rng = random.Random(seed)
     side = [a < n // 2 for a in range(n)]
     layers = []

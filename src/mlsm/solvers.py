@@ -95,8 +95,8 @@ def threshold_graph(inst: MultilayerInstance, k: int) -> SimpleGraph:
     On symmetric instances this is the graph of pairs that approve each
     other in at least ``k`` layers.
     """
-    if k < 1:
-        raise BadParameters(f"threshold k={k} must be at least 1")
+    if type(k) is not int or k < 1:  # bool is no int
+        raise BadParameters(f"threshold k={k!r} must be an int of at least 1")
     masks = inst.approval_masks
     edges = [
         (a, b)
@@ -198,28 +198,35 @@ def solve_strong_global_symmetric(inst: MultilayerInstance, alpha: int) -> Solve
 
 # ---------------------------------------------------------------------------
 # super stability
+#
+# Every route rests on one lemma: a super stable matching contains every
+# forced pair (a layer's mutual pairs, or the edges of the ell - alpha + 1
+# threshold graph), so the forced pairs must be disjoint and only a small
+# kernel of other agents is left to pair (``_kernel``).
+
+
+def _kernel(n: int, forced: list[tuple[int, int]], most: int) -> list[int] | None:
+    """The agents the forced pairs leave uncovered, ascending; None when an
+    agent lies on two of them or more than ``most`` are left to pair."""
+    covered: set[int] = set()
+    for a, b in forced:
+        if a in covered or b in covered:
+            return None
+        covered.add(a)
+        covered.add(b)
+    if n - len(covered) > most:
+        return None
+    return [a for a in range(n) if a not in covered]
 
 
 def _layer_candidates(n: int, forced: list[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
     """The (at most three) matchings, as sorted pair tuples, that can be
-    super stable in a layer with the lexicographic mutual pairs ``forced``.
-
-    Mutual pairs are forced; an agent on two mutual pairs kills the layer;
-    after removing forced agents, more than three leftovers kill it too,
-    otherwise each way to pair up the leftovers is one candidate.
-    """
-    seen: set[int] = set()
-    for a, b in forced:
-        if a in seen or b in seen:
-            return []
-        seen.add(a)
-        seen.add(b)
-    if n - len(seen) >= 4:
+    super stable in a layer with the lexicographic mutual pairs ``forced``:
+    the forced pairs plus each pair of their kernel (``_kernel``, cap 3)."""
+    rest = _kernel(n, forced, 3)
+    if rest is None:
         return []
-    rest = [a for a in range(n) if a not in seen]
-    if len(rest) <= 1:
-        return [tuple(forced)]
-    return [tuple(sorted(forced + [pair])) for pair in itertools.combinations(rest, 2)]
+    return [tuple(sorted(forced + [pair])) for pair in itertools.combinations(rest, 2)] or [tuple(forced)]
 
 
 def layer_superstable_set(inst: MultilayerInstance, layer: int) -> list[Matching]:
@@ -253,25 +260,31 @@ def solve_super_global(inst: MultilayerInstance, alpha: int) -> SolveResult:
     return _first_stable("super-global", inst, q, map(Matching, candidates))
 
 
-def _solve_super_threshold(inst: MultilayerInstance, q: StabilityQuery, tag: str, most: int,
-                           budget: OracleBudget = DEFAULT_BUDGET) -> SolveResult:
-    """Super stability for a pair or individual query with alpha > ell/2,
+def _solve_super_threshold(inst: MultilayerInstance, alpha: int, agg: str, tag: str, floor: tuple[int, int],
+                           most: int, budget: OracleBudget = DEFAULT_BUDGET) -> SolveResult:
+    """The super threshold route ``tag``: a pair or individual query (``agg``)
+    on symmetric approvals with alpha > p*ell/d for ``floor`` = (p, d),
     completed from the forced edges of the (ell - alpha + 1) threshold graph.
 
-    Every stable matching contains those edges, so an agent with threshold
-    degree two rules one out, and so do more than ``most`` isolated agents.
-    One pruned search (``oracle._search``) with the forced pairs fixed
-    returns the first completion, in canonical order over the isolated
-    agents, on which no pair with an isolated agent breaks the query.  It
-    never evaluates a pair of two forced agents; ``_first_stable`` checks
-    that one candidate, if any, and that covers them.  A failure there means
-    no completion passes: such a pair has the same happy masks, so the same
-    pair or individual verdict, in every completion.  The isolated agents
-    count against ``budget.max_agents``.
+    Every stable matching contains those edges, so ``_kernel`` with cap
+    ``most`` rules one out.  One pruned search (``oracle._search``) with the
+    forced pairs fixed returns the first completion, in canonical order over
+    the isolated agents, on which no pair with an isolated agent breaks the
+    query.  It never evaluates a pair of two forced agents; ``_first_stable``
+    checks that one candidate, if any, and that covers them.  A failure
+    there means no completion passes: such a pair has the same happy masks,
+    so the same pair or individual verdict, in every completion.  The
+    isolated agents count against ``budget.max_agents``.
     """
-    forced = threshold_graph(inst, inst.ell - q.alpha + 1).sorted_edges()
-    covered = {v for pair in forced for v in pair}
-    if len(covered) < 2 * len(forced) or inst.n - len(covered) > most:
+    _require_symmetric(inst, "solve_" + tag.replace("-", "_"))
+    _require_alpha(alpha, inst.ell)
+    p, d = floor
+    if d * alpha <= p * inst.ell:
+        bound = f"{p}*ell/{d}".removeprefix("1*")
+        raise AlphaTooLow(f"alpha={alpha} is not above {bound}={p * inst.ell / d}")
+    q = StabilityQuery("super", agg, alpha)
+    forced = threshold_graph(inst, inst.ell - alpha + 1).sorted_edges()
+    if _kernel(inst.n, forced, most) is None:
         return SolveResult.found(tag, None)
     m = _search(inst, q, budget, forced)
     return _first_stable(tag, inst, q, () if m is None else (m,))
@@ -280,23 +293,13 @@ def _solve_super_threshold(inst: MultilayerInstance, q: StabilityQuery, tag: str
 def solve_super_individual_highalpha(inst: MultilayerInstance, alpha: int) -> SolveResult:
     """alpha-individual super stability for symmetric approvals, alpha > ell/2:
     at most two isolated agents beyond the forced threshold edges."""
-    _require_symmetric(inst, "solve_super_individual_highalpha")
-    _require_alpha(alpha, inst.ell)
-    if 2 * alpha <= inst.ell:
-        raise AlphaTooLow(f"alpha={alpha} is not above ell/2={inst.ell / 2}")
-    q = StabilityQuery("super", "individual", alpha)
-    return _solve_super_threshold(inst, q, "super-individual-highalpha", 2)
+    return _solve_super_threshold(inst, alpha, "individual", "super-individual-highalpha", (1, 2), 2)
 
 
 def solve_super_pair_veryhighalpha(inst: MultilayerInstance, alpha: int) -> SolveResult:
     """alpha-pair super stability for symmetric approvals, alpha > 2*ell/3:
     at most two isolated agents beyond the forced threshold edges."""
-    _require_symmetric(inst, "solve_super_pair_veryhighalpha")
-    _require_alpha(alpha, inst.ell)
-    if 3 * alpha <= 2 * inst.ell:
-        raise AlphaTooLow(f"alpha={alpha} is not above 2*ell/3={2 * inst.ell / 3}")
-    q = StabilityQuery("super", "pair", alpha)
-    return _solve_super_threshold(inst, q, "super-pair-veryhighalpha", 2)
+    return _solve_super_threshold(inst, alpha, "pair", "super-pair-veryhighalpha", (2, 3), 2)
 
 
 def solve_super_pair_fpt(
@@ -310,12 +313,7 @@ def solve_super_pair_fpt(
     than ``budget.max_agents`` agents, or a search past
     ``budget.max_matchings`` nodes, raises ``BudgetExceeded`` instead.
     """
-    _require_symmetric(inst, "solve_super_pair_fpt")
-    _require_alpha(alpha, inst.ell)
-    if 2 * alpha <= inst.ell:
-        raise AlphaTooLow(f"alpha={alpha} is not above ell/2={inst.ell / 2}")
-    q = StabilityQuery("super", "pair", alpha)
-    return _solve_super_threshold(inst, q, "super-pair-fpt", 2 ** (inst.ell + 1), budget)
+    return _solve_super_threshold(inst, alpha, "pair", "super-pair-fpt", (1, 2), 2 ** (inst.ell + 1), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -420,45 +418,44 @@ def _types_tables(inst: MultilayerInstance):
     are its matching.  Returns the entries, in signature order, as a
     ``_Lazy`` sequence: the patterns are found on the first pull from the
     ``agent_types`` of the instance (of its padded copy when n is odd), and
-    each entry is built when first reached.
+    each entry is built when first reached.  The reduced masks are looked up
+    pair by pair among the kept agents, at most four per type pair, so no
+    mask row is walked.
     """
-    return _Lazy(lambda: _types_entries(inst))
 
+    def entries():
+        n = inst.n
+        padded = inst
+        if n % 2:
+            padded = MultilayerInstance(n + 1, inst.ell, inst.approval_masks + ({},))
+        masks = padded.approval_masks
+        blocks = agent_types(padded).blocks
+        edges = [
+            (t, u) for t in range(len(blocks)) for u in range(t, len(blocks))
+        ]
+        by_signature: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for usage in _usage_vectors([len(b) for b in blocks], edges):
+            sig = tuple(min(c, 2) for c in usage)
+            by_signature.setdefault(sig, usage)
+        for sig in sorted(by_signature):
+            agents = [iter(b) for b in blocks]
+            pairs = []
+            kept = []  # the agents of the reduced instance, pair by pair
+            for (t, u), count, keep in zip(edges, by_signature[sig], sig):
+                for k in range(count):
+                    pairs.append((next(agents[t]), next(agents[u])))
+                    if k < keep:
+                        kept += pairs[-1]
+            j_masks = tuple(
+                {y: mask for y, b in enumerate(kept) if (mask := masks[a].get(b))}
+                for a in kept
+            )
+            j_inst = MultilayerInstance(len(kept), inst.ell, j_masks)
+            j_match = Matching.from_pairs((x, x + 1) for x in range(0, len(kept), 2))
+            witness = Matching.from_pairs(pair for pair in pairs if n not in pair)
+            yield j_inst, j_match, witness
 
-def _types_entries(inst: MultilayerInstance):
-    """The entries of ``_types_tables``, one pattern at a time.  The reduced
-    masks are looked up pair by pair among the kept agents, at most four per
-    type pair, so no mask row is walked."""
-    n = inst.n
-    padded = inst
-    if n % 2:
-        padded = MultilayerInstance(n + 1, inst.ell, inst.approval_masks + ({},))
-    masks = padded.approval_masks
-    blocks = agent_types(padded).blocks
-    edges = [
-        (t, u) for t in range(len(blocks)) for u in range(t, len(blocks))
-    ]
-    by_signature: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for usage in _usage_vectors([len(b) for b in blocks], edges):
-        sig = tuple(min(c, 2) for c in usage)
-        by_signature.setdefault(sig, usage)
-    for sig in sorted(by_signature):
-        agents = [iter(b) for b in blocks]
-        pairs = []
-        kept = []  # the agents of the reduced instance, pair by pair
-        for (t, u), count, keep in zip(edges, by_signature[sig], sig):
-            for k in range(count):
-                pairs.append((next(agents[t]), next(agents[u])))
-                if k < keep:
-                    kept += pairs[-1]
-        j_masks = tuple(
-            {y: mask for y, b in enumerate(kept) if (mask := masks[a].get(b))}
-            for a in kept
-        )
-        j_inst = MultilayerInstance(len(kept), inst.ell, j_masks)
-        j_match = Matching.from_pairs((x, x + 1) for x in range(0, len(kept), 2))
-        witness = Matching.from_pairs(pair for pair in pairs if n not in pair)
-        yield j_inst, j_match, witness
+    return _Lazy(entries)
 
 
 def solve_by_types(inst: MultilayerInstance, q: StabilityQuery) -> SolveResult:

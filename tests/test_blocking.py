@@ -63,6 +63,17 @@ def test_blocks_rejects_identical_endpoints(ex1):
         blocks(ex1, Matching(()), (2, 2), 1, "super")
 
 
+def test_mask_rules_refuse_an_unknown_base():
+    # block_mask raised a plain ValueError, and support_mask reported the
+    # unknown base as a missing strong individual notion
+    with pytest.raises(InvalidQuery, match=r"^unknown stability base 'bogus'$"):
+        block_mask("bogus", 1, 1, 0, 0, 1)
+    with pytest.raises(InvalidQuery, match=r"^unknown stability base 'bogus'$"):
+        support_mask("bogus", 1, 0, 1)
+    with pytest.raises(InvalidQuery, match=r"^there is no strong individual stability$"):
+        support_mask("strong", 1, 0, 1)
+
+
 _FOUR = [[{1}, {0}, {3}, {2}], [{1}, {0}, set(), set()]]
 
 

@@ -52,6 +52,20 @@ def test_enumeration_budget():
         list(enumerate_matchings(6, OracleBudget(max_matchings=10)))
 
 
+def test_existence_table_stops_at_the_matching_budget():
+    # 8 agents have 764 matchings; the table walks the counted enumeration,
+    # so it stops where enumerate_matchings and oracle_all stop
+    inst = gen_random(8, 2, 0.3, seed=1)
+    small = OracleBudget(max_matchings=3)
+    for run in (lambda: existence_table(inst, small),
+                lambda: oracle_all(inst, StabilityQuery("weak", "all"), small)):
+        with pytest.raises(BudgetExceeded, match=r"^visited more than 3 matchings$"):
+            run()
+    assert existence_table(inst, OracleBudget(max_matchings=764)) == existence_table(inst)
+    with pytest.raises(BudgetExceeded, match="9 agents exceed"):
+        existence_table(gen_random(9, 2, 0.3, seed=1), OracleBudget(max_agents=8))
+
+
 @pytest.mark.parametrize(
     "fields",
     [{"max_agents": True}, {"max_agents": 2.5}, {"max_matchings": 10.0}, {"max_matchings": False}],

@@ -46,6 +46,13 @@ def test_gen_random_rejects_bool_counts():
         gen_random(True, 1, 0.5)
 
 
+@pytest.mark.parametrize("n, ell", [("3", 2), (3, "2"), (3, 2.0), (3.0, 2)], ids=["str-n", "str-ell", "float-ell", "float-n"])
+def test_gen_random_rejects_counts_that_are_not_ints(n, ell):
+    # the counts are checked before any loop, which raised a bare TypeError
+    with pytest.raises(IdOutOfRange, match="counts must be ints"):
+        gen_random(n, ell, 0.5)
+
+
 def test_gen_random_deterministic():
     a = gen_random(7, 3, 0.4, symmetric=True, bipartite=True, seed=99)
     b = gen_random(7, 3, 0.4, symmetric=True, bipartite=True, seed=99)

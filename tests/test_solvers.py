@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import inspect
 import itertools
@@ -99,6 +100,13 @@ def test_threshold_graph_matches_definition():
                 }
     with pytest.raises(BadParameters):
         threshold_graph(inst, 0)
+
+
+@pytest.mark.parametrize("k", [1.5, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_threshold_graph_rejects_a_k_that_is_not_an_int(ex1, k):
+    # 1.5 and True were accepted, "2" and None raised a bare TypeError
+    with pytest.raises(BadParameters, match="must be an int"):
+        threshold_graph(ex1, k)
 
 
 def test_weak_lowalpha_no_approvals():
@@ -1125,3 +1133,36 @@ def test_dispatch_soundness_random():
             assert r.exists == exists_by_oracle(table, q, inst.ell)
             if r.exists:
                 assert check(inst, r.matching, q).stable
+
+
+# the hash of the records below, computed before the super routes shared
+# one kernel test; any change to a verdict, witness, tag or detail moves it
+DISPATCH_GOLDEN = "e773eb2323cf7007ee66d4df64692934a6569c601ee3e3d935a260895d85ad15"
+
+
+def test_dispatch_outputs_match_the_golden_hash():
+    # 100 seeded instances (n <= 24, ell <= 4, symmetric and asymmetric):
+    # every query through dispatch, and the super-global and threshold
+    # solvers at every alpha, with a raised error recorded by its type
+    def record(name, r):
+        layers = None if r.witness_layers is None else sorted(r.witness_layers)
+        return (name, r.status, r.algorithm, None if r.matching is None else r.matching.pairs, layers, r.detail)
+
+    rng = random.Random(7)
+    records = []
+    for i in range(100):
+        inst = gen_random(rng.randint(2, 24), rng.randint(1, 4), rng.choice([0.05, 0.15, 0.3]),
+                          symmetric=i % 2 == 0, seed=rng.getrandbits(30))
+        for q in all_queries(inst.ell):
+            records.append(record(q.describe(), dispatch(inst, q)))
+        for alpha in range(1, inst.ell + 1):
+            for solve in (solve_super_global, solve_super_individual_highalpha,
+                          solve_super_pair_veryhighalpha, solve_super_pair_fpt):
+                try:
+                    records.append(record(f"{solve.__name__} {alpha}", solve(inst, alpha)))
+                except MlsmError as exc:
+                    records.append((f"{solve.__name__} {alpha}", type(exc).__name__))
+    # the corpus reaches every route, the unknown gate and each error
+    assert {r[2] for r in records if len(r) > 2} == {s.name for s in SOLVERS} | {"oracle", "none"}
+    assert {r[1] for r in records if len(r) == 2} == {"NotSymmetric", "AlphaTooLow", "BudgetExceeded"}
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == DISPATCH_GOLDEN
