@@ -287,10 +287,11 @@ def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int
     return blocked
 
 
-def _least_silent(inst: MultilayerInstance, m: Matching, violates, stop):
+def _least_silent(inst: MultilayerInstance, m: Matching, cost, stop):
     """The lexicographically least unmatched silent pair before the pair
-    ``stop`` (``(a, b, ...)``, or None for no bound) for which
-    ``violates(0, 0, ha, hb)``, as ``(a, b, 0, 0, ha, hb)``, or None.
+    ``stop`` (``(a, b, ...)``, or None for no bound) with a nonzero
+    ``cost(0, 0, ha, hb)`` (as in ``_least_violation``), as
+    ``(a, b, 0, 0, ha, hb)``, or None.
 
     Agents are grouped by happy mask; a row keeps the groups that violate
     with it and takes the least member of each above it that is neither its
@@ -322,7 +323,7 @@ def _least_silent(inst: MultilayerInstance, m: Matching, violates, stop):
                 groups = {}
                 for x, h in enumerate(happy):
                     groups.setdefault(h, []).append(x)
-            lists = fits[ha] = [g for h, g in groups.items() if violates(0, 0, ha, h)]
+            lists = fits[ha] = [g for h, g in groups.items() if cost(0, 0, ha, h)]
         best = limit
         for g in lists:
             for i in range(bisect_right(g, a), len(g)):
@@ -337,15 +338,16 @@ def _least_silent(inst: MultilayerInstance, m: Matching, violates, stop):
     return None
 
 
-def _least_violation(inst: MultilayerInstance, m: Matching, base: str, violates):
+def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost):
     """The lexicographically least unmatched pair, as
-    ``(a, b, sa, sb, ha, hb)``, for which ``violates(sa, sb, ha, hb)``, or
-    None.
+    ``(a, b, sa, sb, ha, hb)``, with a nonzero ``cost(sa, sb, ha, hb)``, or
+    None: under a pair or individual query's pair cost
+    (``verify._pair_cost``), its least violating pair.
 
     One pass over the pairs that ``_approving`` yields under ``base``
     keeps the least violation so far, skips every pair above it and reads
-    no row that cannot hold a lesser one; ``violates`` runs once per
-    distinct mask tuple that complies.  Silent pairs (``sa == sb == 0``)
+    no row that cannot hold a lesser one; ``cost`` runs once per distinct
+    mask tuple that complies.  Silent pairs (``sa == sb == 0``)
     never weakly or strongly block and have weak support ell, so they are
     searched for only under super, and only before the least approving
     violation.
@@ -359,14 +361,14 @@ def _least_violation(inst: MultilayerInstance, m: Matching, base: str, violates)
             continue
         if key in complying:
             continue
-        if violates(*key):
+        if cost(*key):
             first = (a, b) + key
             fa, fb = least[:] = a, b
         else:
             complying.add(key)
     if base != "super" or (fa, fb) == (0, 1):
         return first  # no pair precedes (0, 1)
-    return _least_silent(inst, m, violates, first) or first
+    return _least_silent(inst, m, cost, first) or first
 
 
 @lru_cache(maxsize=4096)

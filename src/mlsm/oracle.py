@@ -23,9 +23,9 @@ from functools import cache
 from typing import Iterator
 
 from .blocking import BASES, Matching, block_mask, support_mask
-from .errors import BadParameters, BudgetExceeded
+from .errors import BadParameters, BudgetExceeded, IdOutOfRange
 from .model import MultilayerInstance, _Value
-from .verify import StabilityQuery, _violation, check
+from .verify import StabilityQuery, _pair_cost, check
 
 __all__ = [
     "OracleBudget",
@@ -100,8 +100,11 @@ def _iter_partner_arrays(n: int) -> Iterator[list[int]]:
 
 
 def _counted_partner_arrays(n: int, budget: OracleBudget) -> Iterator[list[int]]:
-    """``_iter_partner_arrays`` within ``budget``: ``BudgetExceeded`` past
-    ``max_agents`` at the first pull, and past ``max_matchings`` arrays."""
+    """``_iter_partner_arrays`` within ``budget``: at the first pull,
+    ``IdOutOfRange`` unless n is a nonnegative ``int`` (bool is none), and
+    ``BudgetExceeded`` past ``max_agents``; then past ``max_matchings``."""
+    if type(n) is not int or n < 0:
+        raise IdOutOfRange(f"agent count must be a nonnegative int, got {n!r}")
     _check_budget(n, budget)
     for count, partner in enumerate(_iter_partner_arrays(n), 1):
         if budget.max_matchings is not None and count > budget.max_matchings:
@@ -126,24 +129,23 @@ def oracle_solve(
     """First matching satisfying the query in canonical order, or None.
 
     Branch and bound over partial partner arrays, decided in the order of
-    ``_iter_partner_arrays``.  Once both agents of an unmatched pair are
-    decided, both happy masks are final and so is what the pair costs the
-    query: its blocked layers under global and all-layers, and every layer
-    when it violates a pair or individual query.  While one of them, z, is
-    undecided, the pair costs at least its cost with z happy in every layer:
-    ``block_mask`` and every violation test are monotone in the approval
-    masks and antitone in the happy masks.  Deciding an agent charges its
-    pair with every other agent but its partner: a decided one at its happy
-    mask, an undecided one at that least cost, unless the cost at approvals
-    ``full`` with the other agent unhappy is 0, as under weak.  A branch is
-    cut when the OR of its charges exceeds ell - alpha layers, as it then
-    does in every completion.  At an odd count of free agents each
-    completion leaves some free z single, unhappy in every layer, and z's
-    pairs alone then break the query if its charges as a single agent,
-    with the node's, exceed the slack; the parity bound cuts the node when
-    that holds for every free z.  A complete matching that survives is
-    stable by the definition ``check`` uses, and the first one is the first
-    of ``oracle_all``.
+    ``_iter_partner_arrays``, on the query's pair costs (``_pair_cost``): a
+    matching passes when the OR of its unmatched pairs' costs spans at most
+    ell - alpha layers.  Once both agents of an unmatched pair are decided,
+    both happy masks are final and so is the pair's cost.  While one of
+    them, z, is undecided, the pair costs at least its cost with z happy in
+    every layer, since a cost never falls with more approvals or fewer
+    happy layers.  Deciding an agent charges its pair with every other
+    agent but its partner: a decided one at its happy mask, an undecided
+    one at that least cost, unless the cost at approvals ``full`` with the
+    other agent unhappy is 0, as under weak.  A branch is cut when the OR
+    of its charges exceeds ell - alpha layers, as it then does in every
+    completion.  At an odd count of free agents each completion leaves some
+    free z single, unhappy in every layer, and z's pairs alone then break
+    the query if its charges as a single agent, with the node's, exceed the
+    slack; the parity bound cuts the node when that holds for every free z.
+    A complete matching that survives is stable by the definition ``check``
+    uses, and the first one is the first of ``oracle_all``.
     """
     return _search(inst, q, budget, [])
 
@@ -154,26 +156,18 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
     ``fixed``: the fixed agents start out decided, and only the free agents,
     whose number ``budget.max_agents`` bounds, are searched.  A pair of two
     fixed agents is never evaluated, so the caller certifies the result.
-    A cost is computed once per mask tuple, and ``settle`` is the one loop
-    that reads them.  A node is a partial matching whose decided pairs, and
-    whose decided agents' least costs, pass: an agent's least costs are
-    charged as it is decided, in its parent, and the parity bound's tests
-    are never carried into the charges."""
-    alpha = q.effective_alpha(inst.ell)
-    _check_budget(inst.n - 2 * len(fixed), budget)
-    n, ell, base = inst.n, inst.ell, q.base
+    A pair cost (``_pair_cost``) is computed once per mask tuple, and
+    ``settle`` is the one loop that reads them.  A node is a partial
+    matching whose decided pairs, and whose decided agents' least costs,
+    pass: an agent's least costs are charged as it is decided, in its
+    parent, and the parity bound's tests are never carried into the
+    charges."""
+    n, ell = inst.n, inst.ell
+    cost = _pair_cost(q, ell)
+    _check_budget(n - 2 * len(fixed), budget)
     full = (1 << ell) - 1
-    slack = ell - alpha
+    slack = ell - q.effective_alpha(ell)
     masks = inst.approval_masks
-    violates = None if q.agg in ("all", "global") else _violation(q, ell)
-
-    def cost(sa: int, sb: int, ha: int, hb: int) -> int:
-        """The pair's blocked layers, or every layer (more than the slack, as
-        alpha >= 1) if it violates a pair or individual query."""
-        if violates is None:
-            return block_mask(base, sa, sb, ha, hb, full)
-        return full if violates(sa, sb, ha, hb) else 0
-
     look = cost(full, full, 0, full) != 0
     partner = [-1] * n
     happy = [full] * n  # an undecided agent reads full, its least cost

@@ -447,7 +447,10 @@ def parse_edge_list(text: str) -> SimpleGraph:
 
 
 def independent_set_brute_force(g: SimpleGraph, k: int) -> set[int] | None:
-    """An independent set of exactly size k, or None."""
+    """An independent set of exactly size k (a nonnegative int), or None."""
+    _require_ints(k=k)
+    if k < 0:
+        raise BadParameters(f"independent set size must be nonnegative, got {k}")
     for combo in itertools.combinations(range(g.n), k):
         chosen = set(combo)
         if all(u not in chosen or v not in chosen for u, v in g.edges):

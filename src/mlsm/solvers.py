@@ -9,6 +9,7 @@ scale, reporting unknown rather than guessing.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache, reduce
 from math import comb
 from operator import or_
@@ -202,7 +203,11 @@ def solve_strong_global_symmetric(inst: MultilayerInstance, alpha: int) -> Solve
 # Every route rests on one lemma: a super stable matching contains every
 # forced pair (a layer's mutual pairs, or the edges of the ell - alpha + 1
 # threshold graph), so the forced pairs must be disjoint and only a small
-# kernel of other agents is left to pair (``_kernel``).
+# kernel of other agents is left to pair (``_kernel``): two or 2^(ell+1)
+# isolated agents for the threshold routes, and at most two in a layer, so
+# a layer has at most one super stable matching.  Three left in a layer can
+# never pass: a completion pairs two of them, not mutually, so one of that
+# pair is unhappy and blocks with the third, who is single and so unhappy.
 
 
 def _kernel(n: int, forced: list[tuple[int, int]], most: int) -> list[int] | None:
@@ -219,44 +224,40 @@ def _kernel(n: int, forced: list[tuple[int, int]], most: int) -> list[int] | Non
     return [a for a in range(n) if a not in covered]
 
 
-def _layer_candidates(n: int, forced: list[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
-    """The (at most three) matchings, as sorted pair tuples, that can be
-    super stable in a layer with the lexicographic mutual pairs ``forced``:
-    the forced pairs plus each pair of their kernel (``_kernel``, cap 3)."""
-    rest = _kernel(n, forced, 3)
+def _layer_candidate(n: int, forced: list[tuple[int, int]]) -> tuple[tuple[int, int], ...] | None:
+    """The one matching, as sorted pairs, that can be super stable in a
+    layer with the lexicographic mutual pairs ``forced``, or None: the
+    forced pairs, plus the kernel pair when their kernel (``_kernel``,
+    cap 2) has two agents."""
+    rest = _kernel(n, forced, 2)
     if rest is None:
-        return []
-    return [tuple(sorted(forced + [pair])) for pair in itertools.combinations(rest, 2)] or [tuple(forced)]
+        return None
+    return tuple(sorted(forced + [tuple(rest)] if len(rest) == 2 else forced))
 
 
 def layer_superstable_set(inst: MultilayerInstance, layer: int) -> list[Matching]:
-    """All (at most three) super stable matchings of a single layer: the
-    candidates of ``_layer_candidates`` that ``stable_in_layer`` accepts."""
-    return [
-        m
-        for m in map(Matching, _layer_candidates(inst.n, inst.mutual_edges(layer)))
-        if stable_in_layer(inst, m, layer, "super")
-    ]
+    """The super stable matchings of a single layer, at most one: the
+    candidate of ``_layer_candidate`` if ``stable_in_layer`` accepts it."""
+    pairs = _layer_candidate(inst.n, inst.mutual_edges(layer))
+    found = [] if pairs is None else [Matching(pairs)]
+    return [m for m in found if stable_in_layer(inst, m, layer, "super")]
 
 
 def solve_super_global(inst: MultilayerInstance, alpha: int) -> SolveResult:
     """Decide alpha-global super stability from the per-layer candidates.
 
-    A matching super stable in a layer is one of that layer's at most three
-    candidates (``_layer_candidates``), so one super stable in at least
-    alpha layers is listed by at least alpha layers.  One pass over the
-    masks finds every layer's mutual pairs; the distinct candidates listed
-    often enough go to ``_first_stable`` in candidate order, so each gets
-    at most one global ``check``.  Complete for arbitrary (also asymmetric)
-    approvals.
+    A matching super stable in a layer is that layer's one candidate
+    (``_layer_candidate``), so one super stable in at least alpha layers is
+    listed by at least alpha layers.  One pass over the masks finds every
+    layer's mutual pairs; the distinct candidates listed often enough go to
+    ``_first_stable`` in candidate order, so each gets at most one global
+    ``check``.  Complete for arbitrary (also asymmetric) approvals.
     """
     _require_alpha(alpha, inst.ell)
-    listed: dict[tuple[tuple[int, int], ...], int] = {}  # candidate -> layers listing it
-    for forced in mutual_pairs(inst, (1 << inst.ell) - 1):
-        for pairs in _layer_candidates(inst.n, forced):
-            listed[pairs] = listed.get(pairs, 0) + 1
+    # candidate -> layers listing it; None counts the layers with none
+    listed = Counter(_layer_candidate(inst.n, forced) for forced in mutual_pairs(inst, (1 << inst.ell) - 1))
     q = StabilityQuery("super", "global", alpha)
-    candidates = sorted(pairs for pairs, k in listed.items() if k >= alpha)
+    candidates = sorted(pairs for pairs, k in listed.items() if pairs is not None and k >= alpha)
     return _first_stable("super-global", inst, q, map(Matching, candidates))
 
 

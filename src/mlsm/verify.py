@@ -95,27 +95,31 @@ class Verdict(_Value):
     supports: tuple[int, int] | None = None
 
 
-def _violation(q: StabilityQuery, ell: int):
-    """For a pair or individual query, the test ``violates(sa, sb, ha, hb)``
-    that an unmatched pair breaks it (ell-bit masks as in ``block_mask``)."""
-    alpha = q.effective_alpha(ell)
-    full = (1 << ell) - 1
-    base = q.base
+def _pair_cost(q: StabilityQuery, ell: int):
+    """Query q's cost ``cost(sa, sb, ha, hb)`` of an unmatched pair (masks
+    as in ``block_mask``), an ell-bit mask: under all-layers and global the
+    pair's blocked layers, under pair and individual every layer if the
+    pair violates q, else 0.  A matching satisfies q exactly when the OR of
+    its unmatched pairs' costs spans at most ell - alpha layers.  No cost
+    falls with one more approval bit or one fewer happy bit."""
+    alpha, full, base = q.effective_alpha(ell), (1 << ell) - 1, q.base
     if q.agg == "pair":
-        slack = ell - alpha  # the most layers a complying pair blocks
 
-        def violates(sa, sb, ha, hb):
-            return block_mask(base, sa, sb, ha, hb, full).bit_count() > slack
+        def cost(sa, sb, ha, hb):
+            return full if block_mask(base, sa, sb, ha, hb, full).bit_count() > ell - alpha else 0
+
+    elif q.agg == "individual":
+
+        def cost(sa, sb, ha, hb):
+            most = max(support_mask(base, sa, ha, full).bit_count(), support_mask(base, sb, hb, full).bit_count())
+            return full if most < alpha else 0
 
     else:
 
-        def violates(sa, sb, ha, hb):
-            return max(
-                support_mask(base, sa, ha, full).bit_count(),
-                support_mask(base, sb, hb, full).bit_count(),
-            ) < alpha
+        def cost(sa, sb, ha, hb):
+            return block_mask(base, sa, sb, ha, hb, full)
 
-    return violates
+    return cost
 
 
 def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
@@ -127,7 +131,7 @@ def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
     require_ids(inst, m._partner)
     full = (1 << inst.ell) - 1
     base = q.base
-    found = _least_violation(inst, m, base, _violation(q, inst.ell))
+    found = _least_violation(inst, m, base, _pair_cost(q, inst.ell))
     if found is None:
         return Verdict(True, q)
     a, b, sa, sb, ha, hb = found

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import exists_by_oracle, oracle_layer_superstable, weak_char_check
-from mlsm.blocking import BASES, block_mask
-from mlsm.errors import BadParameters, BudgetExceeded
+from mlsm.errors import BadParameters, BudgetExceeded, IdOutOfRange
 from mlsm.model import build_instance
 from mlsm.oracle import (
     DEFAULT_BUDGET,
@@ -19,7 +18,7 @@ from mlsm.oracle import (
     oracle_solve,
 )
 from mlsm.reductions import gen_random
-from mlsm.verify import StabilityQuery, _violation, all_queries, check
+from mlsm.verify import StabilityQuery, _pair_cost, all_queries, check
 
 
 def _telephone(n: int) -> int:
@@ -50,6 +49,15 @@ def test_enumeration_budget():
         list(enumerate_matchings(20))
     with pytest.raises(BudgetExceeded):
         list(enumerate_matchings(6, OracleBudget(max_matchings=10)))
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0])
+def test_enumeration_refuses_a_count_that_is_not_a_nonnegative_int(n):
+    # -1 used to yield one empty matching, True to read as one agent and
+    # 2.0 to raise a bare TypeError; the error comes at the first pull
+    matchings = enumerate_matchings(n)
+    with pytest.raises(IdOutOfRange, match="nonnegative int"):
+        next(matchings)
 
 
 def test_existence_table_stops_at_the_matching_budget():
@@ -100,11 +108,11 @@ def test_pair_costs_grow_with_approvals_and_shrink_with_happiness(ell):
     # bit or one fewer happy bit never lowers what a pair costs, so the
     # cost with the undecided agent happy in every layer is a lower bound
     full = (1 << ell) - 1
-    tests = {base: lambda *masks, base=base: block_mask(base, *masks, full) for base in BASES}
-    tests |= {q.describe(): _violation(q, ell) for q in all_queries(ell) if q.agg in ("pair", "individual")}
     states = list(itertools.product(range(full + 1), repeat=4))
-    for name, test in tests.items():
-        value = {state: int(test(*state)) for state in states}
+    for q in all_queries(ell):
+        cost = _pair_cost(q, ell)
+        name = q.describe()
+        value = {state: cost(*state) for state in states}
         for (sa, sb, ha, hb), v in value.items():
             for bit in (1 << i for i in range(ell)):
                 for up in ((sa | bit, sb, ha, hb), (sa, sb | bit, ha, hb), (sa, sb, ha & ~bit, hb), (sa, sb, ha, hb & ~bit)):

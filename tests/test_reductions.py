@@ -504,6 +504,15 @@ def test_independent_set_brute_force():
     assert independent_set_brute_force(k3, 2) is None
 
 
+@pytest.mark.parametrize("k", [-1, 1.5, "1", True])
+def test_independent_set_brute_force_rejects_a_bad_size(k):
+    # each used to raise a bare ValueError or TypeError from
+    # itertools.combinations, or (True) to read as k = 1
+    k3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(BadParameters):
+        independent_set_brute_force(k3, k)
+
+
 def test_degree_partition_brute_force():
     c4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     partition = degree_partition_brute_force(c4)

@@ -312,7 +312,7 @@ def test_layer_superstable_matches_oracle():
         for i in range(inst.ell):
             fast = sorted(m.pairs for m in layer_superstable_set(inst, i))
             slow = sorted(m.pairs for m in oracle_layer_superstable(inst, i))
-            assert fast == slow and len(fast) <= 3
+            assert fast == slow and len(fast) <= 1
 
 
 def test_super_global_fixtures(ex1, ex2):
@@ -326,19 +326,18 @@ def test_super_global_fixtures(ex1, ex2):
 def _listed_candidates(inst):
     """Per candidate matching (sorted pairs), the number of layers listing
     it, written out: a layer's mutual pairs are forced, and when they are
-    disjoint and leave at most three agents, each way to pair up those
-    agents is one candidate."""
+    disjoint and leave at most two agents, the layer lists one candidate,
+    the forced pairs with those two agents paired."""
     n = inst.n
     listed = {}
     for lay in inst.approvals:
         forced = [(a, b) for a in range(n) for b in range(a + 1, n) if b in lay[a] and a in lay[b]]
         covered = [x for pair in forced for x in pair]
         rest = [x for x in range(n) if x not in covered]
-        if len(set(covered)) < len(covered) or len(rest) > 3:
+        if len(set(covered)) < len(covered) or len(rest) > 2:
             continue
-        for extra in [[]] if len(rest) <= 1 else [[pair] for pair in itertools.combinations(rest, 2)]:
-            pairs = tuple(sorted(forced + extra))
-            listed[pairs] = listed.get(pairs, 0) + 1
+        pairs = tuple(sorted(forced + ([tuple(rest)] if len(rest) == 2 else [])))
+        listed[pairs] = listed.get(pairs, 0) + 1
     return listed
 
 

@@ -15,8 +15,9 @@ from mlsm.blocking import (
 )
 from mlsm.errors import AlphaOutOfRange, IdOutOfRange, InvalidQuery
 from mlsm.model import build_instance
+from mlsm.oracle import enumerate_matchings
 from mlsm.reductions import gen_random
-from mlsm.verify import StabilityQuery, all_queries, check
+from mlsm.verify import StabilityQuery, _pair_cost, all_queries, check
 
 
 def test_query_validation():
@@ -270,6 +271,27 @@ def test_check_matches_inline_definitions():
         _compare_with_definitions(inst, random_matching(rng, inst.n), seen)
     # single and matched agents on both sides of a pair
     assert {(False, False), (False, True), (True, False), (True, True)} <= seen
+
+
+def test_pair_cost_states_when_check_accepts():
+    # the rule check and the pruned search share: a matching satisfies q
+    # exactly when the OR of its unmatched pairs' costs, silent pairs
+    # included, spans at most ell - alpha layers
+    rng = random.Random(30)
+    for _ in range(100):
+        n, ell = rng.randint(2, 6), rng.randint(1, 3)
+        inst = gen_random(n, ell, rng.choice([0.2, 0.5, 0.8]), symmetric=rng.random() < 0.4, seed=rng.getrandbits(30))
+        masks = inst.approval_masks
+        costs = [(q, _pair_cost(q, ell), ell - q.effective_alpha(ell)) for q in all_queries(ell)]
+        for m in enumerate_matchings(n):
+            happy = [masks[a].get(m.partner(a), 0) for a in range(n)]
+            pairs = [(masks[a].get(b, 0), masks[b].get(a, 0), happy[a], happy[b])
+                     for a in range(n) for b in range(a + 1, n) if m.partner(a) != b]
+            for q, cost, slack in costs:
+                spanned = 0
+                for key in pairs:
+                    spanned |= cost(*key)
+                assert check(inst, m, q).stable == (spanned.bit_count() <= slack), (m, q)
 
 
 def test_least_violation_approved_only_by_larger_agent():
