@@ -16,8 +16,11 @@ block, and a weak individual violation, needs an agent that strictly
 prefers the other, i.e. approves it in a layer where it is unhappy, so
 under weak and strong the rows of agents with no such approval are skipped
 (see ``_approving``), and a matching under which every agent is happy in
-every layer is checked in O(n).  A pair or individual check reads no row
-that cannot hold a pair below the least violation found so far.  Silent
+every layer is checked in O(n).  An agent happy in every layer is at least
+indifferent only to the agents it approves and has full super support, so
+under strong and super a pair in which it does not approve the other is
+skipped: it never blocks or violates.  A pair or individual check reads no
+row that cannot hold a pair below the least violation found so far.  Silent
 pairs, which approve nowhere, never weakly or strongly block; under super
 they are counted per layer, or searched for by grouping agents by happy
 mask, and never visited one by one.
@@ -187,9 +190,13 @@ def _approving(inst: MultilayerInstance, m: Matching, base: str, least: list[int
     so each strictly prefers, hence approves, the other somewhere.  So:
 
     - super: every pair that approves somewhere, from a's row, or from b's
-      if only b approves;
+      if only b approves, except a pair in which one agent is happy in
+      every layer and does not approve the other: by ``block_mask`` that
+      agent is at least indifferent nowhere, and by ``support_mask`` its
+      super support is ell, so the pair never blocks or violates;
     - strong: every pair in which a strict agent approves the other, from
-      a's row if a is strict and approves b, else from b's;
+      a's row if a is strict and approves b, else from b's, with the same
+      exception;
     - weak: every mutually approving pair with a strict, from a's row.
 
     The row of an agent that is not strict is skipped: in O(1) when it is
@@ -244,12 +251,16 @@ def _approving(inst: MultilayerInstance, m: Matching, base: str, least: list[int
         for b, s in items:
             if b == pa:
                 continue
+            hb = happy[b]
             if a < b:
-                yield a, b, (s, masks[b].get(a, 0), ha, happy[b])
+                sb = masks[b].get(a, 0)
+                if sb or hb != full:
+                    yield a, b, (s, sb, ha, hb)
             elif a not in masks[b]:
-                yield b, a, (0, s, happy[b], ha)
+                if hb != full:
+                    yield b, a, (0, s, hb, ha)
             elif skipped[b]:
-                yield b, a, (masks[b][a], s, happy[b], ha)
+                yield b, a, (masks[b][a], s, hb, ha)
 
 
 def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int:
@@ -287,6 +298,16 @@ def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int
     return blocked
 
 
+def _happy_groups(inst: MultilayerInstance, m: Matching):
+    """The happy masks (``_happy_masks``) and, per mask, its agents in
+    ascending order."""
+    happy = _happy_masks(inst, m)
+    groups: dict[int, list[int]] = {}
+    for x, h in enumerate(happy):
+        groups.setdefault(h, []).append(x)
+    return happy, groups
+
+
 def _least_silent(inst: MultilayerInstance, m: Matching, cost, stop):
     """The lexicographically least unmatched silent pair before the pair
     ``stop`` (``(a, b, ...)``, or None for no bound) with a nonzero
@@ -295,14 +316,20 @@ def _least_silent(inst: MultilayerInstance, m: Matching, cost, stop):
 
     Agents are grouped by happy mask; a row keeps the groups that violate
     with it and takes the least member of each above it that is neither its
-    partner nor in its mask row, nor lists a in its own.
+    partner nor in its mask row, nor lists a in its own.  With no bound the
+    groups come first, and no row is read unless two agents' happy masks
+    give a nonzero cost.
     """
     n = inst.n
     last, bound = (stop[0], stop[1]) if stop is not None else (n - 1, n)
     masks = inst.approval_masks
     partner = m._partner
-    happy = groups = None  # built on first need
+    happy = groups = None  # built first with no bound, else on first need
     fits: dict[int, list[list[int]]] = {}  # happy mask of a -> violating groups
+    if stop is None:
+        happy, groups = _happy_groups(inst, m)
+        if not any(cost(0, 0, h, g) for h in groups for g in groups if h != g or len(groups[h]) > 1):
+            return None
     for a in range(last + 1):
         limit = bound if a == last else n
         row = masks[a]
@@ -319,10 +346,7 @@ def _least_silent(inst: MultilayerInstance, m: Matching, cost, stop):
         lists = fits.get(ha)
         if lists is None:
             if groups is None:
-                happy = _happy_masks(inst, m)
-                groups = {}
-                for x, h in enumerate(happy):
-                    groups.setdefault(h, []).append(x)
+                happy, groups = _happy_groups(inst, m)
             lists = fits[ha] = [g for h, g in groups.items() if cost(0, 0, ha, h)]
         best = limit
         for g in lists:

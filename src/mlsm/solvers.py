@@ -15,10 +15,10 @@ from math import comb
 from operator import or_
 from typing import Callable, Iterator
 
-from .blocking import Matching, stable_in_layer
+from .blocking import Matching, layer_set, stable_in_layer
 from .errors import AlphaTooHigh, AlphaTooLow, BadParameters, BudgetExceeded, NotSymmetric, UncertifiedWitness
 from .graphalg import SimpleGraph, has_perfect_matching, maximal_matching, maximum_matching, saturating_matching
-from .model import MultilayerInstance, _Value, agent_types, changing_agents, is_symmetric, mutual_pairs
+from .model import MultilayerInstance, _Value, agent_types, changing_agents, is_symmetric, require_ids
 from .oracle import DEFAULT_BUDGET, OracleBudget, _iter_partner_arrays, _search, oracle_solve
 from .verify import StabilityQuery, Verdict, _require_alpha, check
 
@@ -208,6 +208,9 @@ def solve_strong_global_symmetric(inst: MultilayerInstance, alpha: int) -> Solve
 # a layer has at most one super stable matching.  Three left in a layer can
 # never pass: a completion pairs two of them, not mutually, so one of that
 # pair is unhappy and blocks with the third, who is single and so unhappy.
+# ``_layer_candidates`` applies the layer rule row by row, so a layer
+# drops out at its first agent on two mutual pairs or its third agent on
+# none, and the pass stops once too few layers are left.
 
 
 def _kernel(n: int, forced: list[tuple[int, int]], most: int) -> list[int] | None:
@@ -224,22 +227,51 @@ def _kernel(n: int, forced: list[tuple[int, int]], most: int) -> list[int] | Non
     return [a for a in range(n) if a not in covered]
 
 
-def _layer_candidate(n: int, forced: list[tuple[int, int]]) -> tuple[tuple[int, int], ...] | None:
-    """The one matching, as sorted pairs, that can be super stable in a
-    layer with the lexicographic mutual pairs ``forced``, or None: the
-    forced pairs, plus the kernel pair when their kernel (``_kernel``,
-    cap 2) has two agents."""
-    rest = _kernel(n, forced, 2)
-    if rest is None:
-        return None
-    return tuple(sorted(forced + [tuple(rest)] if len(rest) == 2 else forced))
+def _layer_candidates(inst: MultilayerInstance, live: int, need: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Per layer of the bit mask ``live`` that keeps one, the one matching,
+    as sorted pairs, that can be super stable there: the layer's mutual
+    pairs, plus the pair of the two agents they leave when two are left.
+    Empty as soon as fewer than ``need`` layers keep one.
+
+    One pass over the mask rows, in agent order, applies ``_kernel``'s rule
+    (cap 2) to every layer at once.  Once row a is read, all of a's mutual
+    partners are known, since each smaller one found the pair in its own
+    row; so a layer drops at once when a pair meets an agent already on a
+    mutual pair there, or when a third agent ends its row on none.
+    """
+    masks = inst.approval_masks
+    on = [0] * inst.n  # per agent, the layers where it is on a mutual pair
+    forced: list[list[tuple[int, int]]] = [[] for _ in range(inst.ell)]
+    left: list[list[int]] = [[] for _ in range(inst.ell)]  # agents on none
+    for a, row in enumerate(masks):
+        dead = 0
+        for b, s in row.items():
+            if b > a and (both := s & live) and (both := both & masks[b].get(a, 0)):
+                dead |= both & (on[a] | on[b])
+                on[a] |= both
+                on[b] |= both
+                for i in layer_set(both):
+                    forced[i].append((a, b))
+        for i in layer_set(live & ~on[a] & ~dead):
+            left[i].append(a)
+            if len(left[i]) > 2:
+                dead |= 1 << i
+        if dead & live:
+            live &= ~dead
+            if live.bit_count() < need:
+                return {}
+    return {
+        i: tuple(sorted(forced[i] + [tuple(left[i])] if len(left[i]) == 2 else forced[i]))
+        for i in layer_set(live)
+    }
 
 
 def layer_superstable_set(inst: MultilayerInstance, layer: int) -> list[Matching]:
     """The super stable matchings of a single layer, at most one: the
-    candidate of ``_layer_candidate`` if ``stable_in_layer`` accepts it."""
-    pairs = _layer_candidate(inst.n, inst.mutual_edges(layer))
-    found = [] if pairs is None else [Matching(pairs)]
+    layer's candidate (``_layer_candidates``) if ``stable_in_layer``
+    accepts it."""
+    require_ids(inst, (), layer)
+    found = [Matching(pairs) for pairs in _layer_candidates(inst, 1 << layer, 1).values()]
     return [m for m in found if stable_in_layer(inst, m, layer, "super")]
 
 
@@ -247,17 +279,17 @@ def solve_super_global(inst: MultilayerInstance, alpha: int) -> SolveResult:
     """Decide alpha-global super stability from the per-layer candidates.
 
     A matching super stable in a layer is that layer's one candidate
-    (``_layer_candidate``), so one super stable in at least alpha layers is
-    listed by at least alpha layers.  One pass over the masks finds every
-    layer's mutual pairs; the distinct candidates listed often enough go to
-    ``_first_stable`` in candidate order, so each gets at most one global
-    ``check``.  Complete for arbitrary (also asymmetric) approvals.
+    (``_layer_candidates``), so one super stable in at least alpha layers
+    is listed by at least alpha layers.  One pass over the masks builds
+    every layer's candidate, and returns not-exists as soon as fewer than
+    alpha layers keep one; the distinct candidates listed often enough go
+    to ``_first_stable`` in candidate order, so each gets at most one
+    global ``check``.  Complete for arbitrary (also asymmetric) approvals.
     """
     _require_alpha(alpha, inst.ell)
-    # candidate -> layers listing it; None counts the layers with none
-    listed = Counter(_layer_candidate(inst.n, forced) for forced in mutual_pairs(inst, (1 << inst.ell) - 1))
+    listed = Counter(_layer_candidates(inst, (1 << inst.ell) - 1, alpha).values())
     q = StabilityQuery("super", "global", alpha)
-    candidates = sorted(pairs for pairs, k in listed.items() if pairs is not None and k >= alpha)
+    candidates = sorted(pairs for pairs, k in listed.items() if k >= alpha)
     return _first_stable("super-global", inst, q, map(Matching, candidates))
 
 

@@ -5,7 +5,7 @@ Random instance and matching generators, the oracle's reading of an
 super-stability, the symmetric per-layer characterizations, the super
 threshold routes' enumerate-and-check completion, SAT and degree
 partition), and the source-against-target equivalence checks of the three
-reductions.  None of
+reductions, and super-global built one layer at a time.  None of
 it ships in ``mlsm``: the package's own routes are tested against these.
 """
 
@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from mlsm.blocking import Matching, is_happy, stable_in_layer
 from mlsm.errors import NotSymmetric
 from mlsm.graphalg import SimpleGraph
-from mlsm.model import MultilayerInstance, build_instance, is_symmetric
+from mlsm.model import MultilayerInstance, build_instance, is_symmetric, mutual_pairs
 from mlsm.oracle import _iter_partner_arrays, enumerate_matchings, oracle_solve
 from mlsm.reductions import (
     CnfFormula,
@@ -27,7 +28,7 @@ from mlsm.reductions import (
     reduce_is_to_global_strong,
     reduce_sat_to_alllayers_weak,
 )
-from mlsm.solvers import solve_strong_global_symmetric
+from mlsm.solvers import SolveResult, _kernel, solve_strong_global_symmetric
 from mlsm.verify import StabilityQuery, check
 
 # ---------------------------------------------------------------------------
@@ -156,6 +157,34 @@ def super_threshold_reference(inst: MultilayerInstance, q: StabilityQuery, most:
         if check(inst, m, q).stable:
             return m
     return None
+
+
+def layer_candidates_reference(inst: MultilayerInstance) -> list[tuple[tuple[int, int], ...] | None]:
+    """Per layer, the one matching that can be super stable there, as
+    sorted pairs, or None, built one layer at a time: the layer's mutual
+    pairs (``mutual_pairs``) when ``_kernel`` with cap 2 accepts them, plus
+    the pair of the two agents they leave when two are left."""
+    out = []
+    for forced in mutual_pairs(inst, (1 << inst.ell) - 1):
+        rest = _kernel(inst.n, forced, 2)
+        if rest is not None and len(rest) == 2:
+            forced = forced + [tuple(rest)]
+        out.append(None if rest is None else tuple(sorted(forced)))
+    return out
+
+
+def super_global_reference(inst: MultilayerInstance, alpha: int) -> SolveResult:
+    """super-global as first written: count each layer's candidate
+    (``layer_candidates_reference``) and return the first, in candidate
+    order, of those listed by at least alpha layers that passes ``check``."""
+    listed = Counter(layer_candidates_reference(inst))
+    q = StabilityQuery("super", "global", alpha)
+    for pairs in sorted(pairs for pairs, k in listed.items() if pairs is not None and k >= alpha):
+        m = Matching(pairs)
+        verdict = check(inst, m, q)
+        if verdict.stable:
+            return SolveResult("exists", "super-global", m, verdict.witness_layers, verdict=verdict)
+    return SolveResult.found("super-global", None)
 
 
 def brute_force_max_matching(g: SimpleGraph) -> int:

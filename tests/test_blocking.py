@@ -29,6 +29,7 @@ from mlsm.errors import (
 from mlsm.model import MultilayerInstance, build_instance
 from mlsm.oracle import enumerate_matchings
 from mlsm.reductions import gen_random
+from mlsm.verify import _pair_cost, all_queries
 
 
 def test_matching_partner_lookup(m1):
@@ -174,42 +175,30 @@ def _cuts(n):
     return [(x, y) for x in range(n) for y in range(x + 1, n)]
 
 
-def test_approving_scan_matches_definition():
-    for inst, m, want in _scan_cases():
-        rows = list(_approving(inst, m, "super"))
-        assert len({(a, b) for a, b, _ in rows}) == len(rows)  # each pair once
-        assert {(a, b): key for a, b, key in rows} == want
-        # a scan cut at a least pair still yields every pair below it
-        for least in _cuts(inst.n):
-            below = {
-                (a, b): key
-                for a, b, key in _approving(inst, m, "super", list(least))
-                if (a, b) < least
-            }
-            assert below == {pair: key for pair, key in want.items() if pair < least}
-
-
 def _can_violate(base, key, ell):
-    """Does a pair with this key block in some layer or, under weak, break
-    alpha-individual stability for some alpha (iff for alpha = ell)?"""
+    """Does a pair with this key block in some layer or, under weak or
+    super, break alpha-individual stability for some alpha (iff for
+    alpha = ell)?"""
     full = (1 << ell) - 1
     if block_mask(base, *key, full):
         return True
     sa, sb, ha, hb = key
-    return base == "weak" and max(
+    return base != "strong" and max(
         support_mask(base, sa, ha, full).bit_count(),
         support_mask(base, sb, hb, full).bit_count(),
     ) < ell
 
 
-@pytest.mark.parametrize("base", ["weak", "strong"])
-def test_strict_rows_scan_yields_every_violating_pair(base):
+def _assert_scan_yields_every_violating_pair(base):
+    """Each pair ``_approving`` yields appears once, with its exact key, and
+    approves somewhere; every pair that can block or violate is yielded;
+    and a scan cut at a least pair still yields every such pair below it."""
     for inst, m, want in _scan_cases():
         needed = {pair for pair, key in want.items() if _can_violate(base, key, inst.ell)}
         rows = list(_approving(inst, m, base))
         assert len({(a, b) for a, b, _ in rows}) == len(rows)  # each pair once
         got = {(a, b): key for a, b, key in rows}
-        assert all(want[pair] == key for pair, key in got.items())
+        assert all(pair in want and want[pair] == key for pair, key in got.items())
         assert needed <= got.keys()
         for least in _cuts(inst.n):
             below = {
@@ -217,8 +206,19 @@ def test_strict_rows_scan_yields_every_violating_pair(base):
                 for a, b, key in _approving(inst, m, base, list(least))
                 if (a, b) < least
             }
-            assert all(want[pair] == key for pair, key in below.items())
+            assert all(pair in want and want[pair] == key for pair, key in below.items())
             assert {pair for pair in needed if pair < least} <= below.keys()
+
+
+def test_approving_scan_matches_definition():
+    # super skips only pairs with an agent happy everywhere that does not
+    # approve the other (test_happy_everywhere_lemma_exhaustive)
+    _assert_scan_yields_every_violating_pair("super")
+
+
+@pytest.mark.parametrize("base", ["weak", "strong"])
+def test_strict_rows_scan_yields_every_violating_pair(base):
+    _assert_scan_yields_every_violating_pair(base)
 
 
 class _RowRead(Exception):
@@ -272,6 +272,19 @@ def test_strict_rows_lemma_exhaustive():
             )
             if max(supports) < ell:
                 assert strict_a and strict_b and sa and sb
+
+
+def test_happy_everywhere_lemma_exhaustive():
+    # an agent happy in every layer that does not approve the other is at
+    # least indifferent nowhere and has full super support: the pair costs
+    # nothing under any query
+    for ell in range(1, 4):
+        full = (1 << ell) - 1
+        costs = [_pair_cost(q, ell) for q in all_queries(ell)]
+        for sb, hb in itertools.product(range(full + 1), repeat=2):
+            for cost in costs:
+                assert cost(0, sb, full, hb) == 0
+                assert cost(sb, 0, hb, full) == 0
 
 
 def test_is_happy(ex1, m1):

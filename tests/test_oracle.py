@@ -228,7 +228,8 @@ def test_layer_superstable_empty_layers():
     assert oracle_layer_superstable(four, 0) == []
 
 
-def test_layer_superstable_at_most_three():
+def test_layer_superstable_at_most_one():
+    # a layer's one candidate: its mutual pairs plus at most one kernel pair
     rng = random.Random(0)
     for _ in range(40):
         inst = gen_random(
@@ -239,7 +240,7 @@ def test_layer_superstable_at_most_three():
             seed=rng.getrandbits(30),
         )
         for i in range(inst.ell):
-            assert len(oracle_layer_superstable(inst, i)) <= 3
+            assert len(oracle_layer_superstable(inst, i)) <= 1
 
 
 def test_weak_alllayers_equals_per_layer_maximality_when_symmetric():

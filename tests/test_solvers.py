@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from corpus import (
     exists_by_oracle,
+    layer_candidates_reference,
     lowtau_instance,
     oracle_layer_superstable,
+    super_global_reference,
     super_threshold_reference,
     symmetric_lowbeta_instance,
 )
@@ -35,7 +37,7 @@ from mlsm.errors import (
 from mlsm.model import agent_types, build_instance, changing_agents
 from mlsm.oracle import OracleBudget, _iter_partner_arrays, existence_table
 from mlsm.reductions import gen_random, reduce_is_to_global_strong
-from mlsm.blocking import Matching
+from mlsm.blocking import Matching, stable_in_layer
 from mlsm.graphalg import SimpleGraph, has_perfect_matching, saturating_matching
 from mlsm.solvers import (
     BETA_DISPATCH_MAX,
@@ -321,6 +323,48 @@ def test_super_global_fixtures(ex1, ex2):
     assert r.witness_layers == frozenset({0, 1})
     assert solve_super_global(ex1, 1).exists
     assert not solve_super_global(ex1, 2).exists
+
+
+def _super_global_case(rng: random.Random, planted: bool):
+    """n <= 14, ell <= 5, approval density 0-0.4, symmetric or not.  A
+    planted case pairs the agents at random, mutually in every layer (one
+    left over when n is odd), and adds sparse one-way noise, so that some
+    layers keep the planted pairs as their only mutual ones."""
+    n, ell = rng.randint(0, 14), rng.randint(1, 5)
+    if not planted:
+        return gen_random(n, ell, rng.choice([0.05, 0.15, 0.4]), symmetric=rng.random() < 0.5,
+                          seed=rng.getrandbits(30))
+    agents = list(range(n))
+    rng.shuffle(agents)
+    p = rng.choice([0.0, 0.03, 0.1])
+    layers = [[set() for _ in range(n)] for _ in range(ell)]
+    for lay in layers:
+        for a, b in zip(agents[0::2], agents[1::2]):
+            lay[a].add(b)
+            lay[b].add(a)
+        for a in range(n):
+            lay[a].update(b for b in range(n) if b != a and rng.random() < p)
+    return build_instance(n, ell, layers)
+
+
+def test_super_global_matches_the_per_layer_reference():
+    # the one-pass, early-exit candidates against each layer's mutual pairs
+    # and kernel built apart; every result field, verdict included
+    rng = random.Random(37)
+    calls = exists = 0
+    for k in range(400):
+        inst = _super_global_case(rng, planted=k % 2 == 0)
+        for layer, pairs in enumerate(layer_candidates_reference(inst)):
+            want = [] if pairs is None else [Matching(pairs)]
+            want = [m for m in want if stable_in_layer(inst, m, layer, "super")]
+            assert layer_superstable_set(inst, layer) == want
+            calls += 1
+        for alpha in range(1, inst.ell + 1):
+            r = solve_super_global(inst, alpha)
+            assert r == super_global_reference(inst, alpha)
+            calls += 1
+            exists += r.exists
+    assert exists > calls // 4
 
 
 def _listed_candidates(inst):
