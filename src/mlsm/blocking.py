@@ -16,14 +16,17 @@ block, and a weak individual violation, needs an agent that strictly
 prefers the other, i.e. approves it in a layer where it is unhappy, so
 under weak and strong the rows of agents with no such approval are skipped
 (see ``_approving``), and a matching under which every agent is happy in
-every layer is checked in O(n).  An agent happy in every layer is at least
-indifferent only to the agents it approves and has full super support, so
-under strong and super a pair in which it does not approve the other is
-skipped: it never blocks or violates.  A pair or individual check reads no
-row that cannot hold a pair below the least violation found so far.  Silent
-pairs, which approve nowhere, never weakly or strongly block; under super
-they are counted per layer, or searched for by grouping agents by happy
-mask, and never visited one by one.
+every layer is checked in O(n).  Whatever the base, a pair is yielded only
+while both agents are at least indifferent to each other in enough of the
+layers that can still matter (``verify._pair_cost``'s reach bound): in more
+than ell - alpha layers under a pair or individual query, and in some layer
+not yet blocked while ``stable_layers`` and ``stable_in_layer`` scan.  So a
+pair in which an agent happy in every layer does not approve the other is
+never yielded.  A pair or individual check reads no row that cannot hold a
+pair below the least violation found so far.  Silent pairs, which approve
+nowhere, never weakly or strongly block; under super they are counted per
+layer, or searched for by grouping agents by happy mask, and never visited
+one by one.
 """
 
 from __future__ import annotations
@@ -177,10 +180,17 @@ def _happy_masks(inst: MultilayerInstance, m: Matching) -> list[int]:
     return happy
 
 
-def _approving(inst: MultilayerInstance, m: Matching, base: str, least: list[int] | None = None):
+def _approving(
+    inst: MultilayerInstance,
+    m: Matching,
+    base: str,
+    least: list[int] | None = None,
+    reach: list[int] | None = None,
+):
     """Yield ``(a, b, key)``, ``key = (sa, sb, ha, hb)`` (ell-bit masks as in
     ``block_mask``), once for each unmatched pair a < b that can block or
-    violate under ``base``: row by row, not in lexicographic order.
+    violate under ``base`` within ``reach``: row by row, not in
+    lexicographic order.
 
     An agent is strict if it approves someone in a layer where it is
     unhappy, i.e. its row has a mask outside its happy mask.  By
@@ -190,18 +200,28 @@ def _approving(inst: MultilayerInstance, m: Matching, base: str, least: list[int
     so each strictly prefers, hence approves, the other somewhere.  So:
 
     - super: every pair that approves somewhere, from a's row, or from b's
-      if only b approves, except a pair in which one agent is happy in
-      every layer and does not approve the other: by ``block_mask`` that
-      agent is at least indifferent nowhere, and by ``support_mask`` its
-      super support is ell, so the pair never blocks or violates;
+      if only b approves;
     - strong: every pair in which a strict agent approves the other, from
-      a's row if a is strict and approves b, else from b's, with the same
-      exception;
+      a's row if a is strict and approves b, else from b's;
     - weak: every mutually approving pair with a strict, from a's row.
 
     The row of an agent that is not strict is skipped: in O(1) when it is
     happy in every layer, else after one pass over its masks that stops at
     the first strict one.
+
+    ``reach`` is the caller's ``[open, cut]``, ``[full, 0]`` if not given,
+    and the caller may narrow ``open`` between yields; a row takes the
+    current value once it is known to be read.  A pair is yielded only if each agent's ``geq`` mask (the
+    layers where it approves the other or is unhappy) meets more than
+    ``cut`` layers of ``open``; by ``verify._pair_cost``'s reach bound, no
+    other pair blocks in ``open``, nor, with ``open`` full and ``cut = ell -
+    alpha``, violates an alpha-pair or alpha-individual query.  At the
+    default this drops exactly the pairs in which one agent is happy in
+    every layer and does not approve the other.  The row agent's side is
+    tested per entry, except in a row where it cannot fail: the agent is
+    unhappy in more than ``cut`` open layers, or ``cut`` is 0 with every
+    layer open (every entry approves).  The other side is tested before the
+    pair is yielded.
 
     ``least``, if given, is the caller's least pair so far, ``[fa, fb]``,
     which it may lower between yields.  A row a > fa can only yield a lesser
@@ -215,9 +235,12 @@ def _approving(inst: MultilayerInstance, m: Matching, base: str, least: list[int
     partner = m._partner
     happy = _happy_masks(inst, m)
     full = (1 << inst.ell) - 1
+    if reach is None:
+        reach = [full, 0]
     weak = base == "weak"
     strict_rows = base != "super"
     skipped = [False] * inst.n  # agents found not strict
+    open_ = None
     for a, row in enumerate(masks):
         ha = happy[a]
         if least is not None and a > least[0]:
@@ -240,44 +263,57 @@ def _approving(inst: MultilayerInstance, m: Matching, base: str, least: list[int
                     skipped[a] = True
                     continue
             items = row.items()
+        if reach[0] is not open_:  # narrowed by the caller
+            open_, cut = reach
+            every = not cut and open_ == full  # any approval passes a side
         pa = partner.get(a)
-        if weak:
+        # a's side of the reach test runs per entry unless it cannot fail
+        tested = not every and ((not_ha := ~ha) & open_).bit_count() <= cut
+        if weak:  # few entries are mutual: test a's side on those alone
             for b, s in items:
-                if b > a and b != pa:
-                    sb = masks[b].get(a)
-                    if sb:
-                        yield a, b, (s, sb, ha, happy[b])
+                if b > a and b != pa and (sb := masks[b].get(a)):
+                    hb = happy[b]
+                    if every or (
+                        (not tested or ((s | not_ha) & open_).bit_count() > cut)
+                        and ((sb | ~hb) & open_).bit_count() > cut
+                    ):
+                        yield a, b, (s, sb, ha, hb)
             continue
-        for b, s in items:
-            if b == pa:
+        for b, s in items:  # b == pa is tested after the tests most entries fail
+            if tested and ((s | not_ha) & open_).bit_count() <= cut:
                 continue
             hb = happy[b]
             if a < b:
                 sb = masks[b].get(a, 0)
-                if sb or hb != full:
+                if (sb or hb != full) and b != pa and (every or ((sb | ~hb) & open_).bit_count() > cut):
                     yield a, b, (s, sb, ha, hb)
             elif a not in masks[b]:
-                if hb != full:
+                if hb != full and b != pa and (every or (~hb & open_).bit_count() > cut):
                     yield b, a, (0, s, hb, ha)
-            elif skipped[b]:
-                yield b, a, (masks[b][a], s, hb, ha)
+            elif skipped[b] and b != pa:
+                sb = masks[b][a]
+                if every or ((sb | ~hb) & open_).bit_count() > cut:
+                    yield b, a, (sb, s, hb, ha)
 
 
 def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int:
     """The layers of ``want`` in which some unmatched pair blocks (other bits
     may be set too).  ``block_mask`` runs once per distinct mask tuple of
-    the pairs that ``_approving`` yields under ``base``, and the scan stops
-    once all of ``want`` is blocked."""
+    the pairs that ``_approving`` yields under ``base`` with reach
+    ``[open, 0]``, where ``open`` is the part of ``want`` not yet blocked,
+    and the scan stops once all of ``want`` is blocked."""
     full = (1 << inst.ell) - 1
     blocked = 0
+    reach = [want, 0]
     seen = set()  # mask tuples already evaluated
-    for _, _, key in _approving(inst, m, base):
+    for _, _, key in _approving(inst, m, base, reach=reach):
         if key in seen:
             continue
         seen.add(key)
         blocked |= block_mask(base, *key, full)
         if blocked & want == want:
             return blocked
+        reach[0] = want & ~blocked
     open_layers = want & ~blocked
     if base != "super" or not open_layers:
         return blocked
@@ -362,13 +398,14 @@ def _least_silent(inst: MultilayerInstance, m: Matching, cost, stop):
     return None
 
 
-def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost):
+def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost, reach: list[int]):
     """The lexicographically least unmatched pair, as
     ``(a, b, sa, sb, ha, hb)``, with a nonzero ``cost(sa, sb, ha, hb)``, or
     None: under a pair or individual query's pair cost
     (``verify._pair_cost``), its least violating pair.
 
-    One pass over the pairs that ``_approving`` yields under ``base``
+    One pass over the pairs that ``_approving`` yields under ``base`` and
+    ``reach`` (``[full, ell - alpha]``, which keeps every violating pair)
     keeps the least violation so far, skips every pair above it and reads
     no row that cannot hold a lesser one; ``cost`` runs once per distinct
     mask tuple that complies.  Silent pairs (``sa == sb == 0``)
@@ -380,7 +417,7 @@ def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost):
     fa = fb = inst.n  # the least violating pair so far; none yet
     least = [fa, fb]  # the same, shared with the scan
     complying = set()  # mask tuples already seen not to violate
-    for a, b, key in _approving(inst, m, base, least):
+    for a, b, key in _approving(inst, m, base, least, reach):
         if a > fa or a == fa and b >= fb:
             continue
         if key in complying:

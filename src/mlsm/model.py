@@ -29,7 +29,6 @@ __all__ = [
     "ChangingSet",
     "build_instance",
     "is_symmetric",
-    "mutual_pairs",
     "agent_types",
     "changing_agents",
     "same_type",
@@ -127,7 +126,10 @@ class MultilayerInstance(_Value):
     def mutual_edges(self, layer: int) -> list[tuple[int, int]]:
         """Unordered mutually-approving pairs of one layer, lexicographic."""
         require_ids(self, (), layer)
-        return mutual_pairs(self, 1 << layer)[layer]
+        masks, bit = self.approval_masks, 1 << layer
+        return sorted(
+            (a, b) for a, row in enumerate(masks) for b, s in row.items() if a < b and s & masks[b].get(a, 0) & bit
+        )
 
     @cached_property
     def symmetric(self) -> bool:
@@ -154,7 +156,10 @@ class MultilayerInstance(_Value):
         row fingerprints; the dispatcher's agent-types gate rejects on that
         count without computing this.  Each agent is compared only with the
         earlier classes whose order-free fingerprint of those rows and
-        columns it shares.  Blocks come in order of their least member, members
+        columns it shares.  Agents with an empty row and column form one
+        block with no fingerprint: their twins are exactly the agents with an
+        empty row and column, since twins that approve each other have
+        non-empty rows.  Blocks come in order of their least member, members
         ascending.  Expected time O(n + sum of row lengths); only agents whose
         fingerprints collide without being twins cost extra comparisons.
         """
@@ -167,7 +172,13 @@ class MultilayerInstance(_Value):
         # class representatives, by the fingerprint their twins share
         apart: dict[tuple, list[int]] = {}
         adjacent: dict[tuple, list[int]] = {}
+        alone = None  # the first agent with an empty row and column
         for a, (row, col) in enumerate(zip(masks, cols)):
+            if not row and not col:
+                if alone is None:
+                    alone = a
+                label[a] = alone
+                continue
             reps = apart.setdefault((_fingerprint(row, 0), _fingerprint(col, 0)), [])
             twin = next((b for b in reps if row == masks[b] and col == cols[b]), None)
             if twin is None:
@@ -287,24 +298,6 @@ def _refuse_self_approvals(masks: list[dict[int, int]], layer: int, names: Seque
     for a, row in enumerate(masks):
         if a in row:
             raise SelfApproval(a, layer, None if names is None else names[a])
-
-
-def mutual_pairs(inst: MultilayerInstance, sel: int) -> list[list[tuple[int, int]]]:
-    """Per layer, the unordered pairs that approve each other there,
-    lexicographic, for every layer of the bit mask ``sel`` (the other
-    layers' lists stay empty); one pass over the masks for all of them."""
-    masks = inst.approval_masks
-    out: list[list[tuple[int, int]]] = [[] for _ in range(inst.ell)]
-    for a, row in enumerate(masks):
-        for b, mask in row.items():
-            if a < b and (both := mask & masks[b].get(a, 0) & sel):
-                while both:
-                    low = both & -both
-                    out[low.bit_length() - 1].append((a, b))
-                    both ^= low
-    for pairs in out:
-        pairs.sort()
-    return out
 
 
 def is_symmetric(inst: MultilayerInstance) -> bool:

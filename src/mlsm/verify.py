@@ -101,7 +101,16 @@ def _pair_cost(q: StabilityQuery, ell: int):
     pair's blocked layers, under pair and individual every layer if the
     pair violates q, else 0.  A matching satisfies q exactly when the OR of
     its unmatched pairs' costs spans at most ell - alpha layers.  No cost
-    falls with one more approval bit or one fewer happy bit."""
+    falls with one more approval bit or one fewer happy bit.
+
+    The reach bound: let ``geq_x = (s_x | ~h_x) & full``, the layers where
+    x is at least indifferent to the other (approves it or is unhappy).
+    Under every base the blocked layers lie in ``geq_a & geq_b``.  So a
+    pair that violates an alpha-pair or alpha-individual query has both
+    geq masks wider than ell - alpha layers: for pair by its blocked
+    layers, for individual because each agent's support is at least
+    ``ell - |geq|`` (weak: ``ell - |s & ~h|``; super: exactly that).
+    ``blocking._approving`` yields only the pairs within such a reach."""
     alpha, full, base = q.effective_alpha(ell), (1 << ell) - 1, q.base
     if q.agg == "pair":
 
@@ -131,7 +140,7 @@ def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
     require_ids(inst, m._partner)
     full = (1 << inst.ell) - 1
     base = q.base
-    found = _least_violation(inst, m, base, _pair_cost(q, inst.ell))
+    found = _least_violation(inst, m, base, _pair_cost(q, inst.ell), [full, inst.ell - alpha])
     if found is None:
         return Verdict(True, q)
     a, b, sa, sb, ha, hb = found

@@ -18,7 +18,7 @@ from collections import Counter
 from mlsm.blocking import Matching, is_happy, stable_in_layer
 from mlsm.errors import NotSymmetric
 from mlsm.graphalg import SimpleGraph
-from mlsm.model import MultilayerInstance, build_instance, is_symmetric, mutual_pairs
+from mlsm.model import MultilayerInstance, build_instance, is_symmetric
 from mlsm.oracle import _iter_partner_arrays, enumerate_matchings, oracle_solve
 from mlsm.reductions import (
     CnfFormula,
@@ -157,6 +157,24 @@ def super_threshold_reference(inst: MultilayerInstance, q: StabilityQuery, most:
         if check(inst, m, q).stable:
             return m
     return None
+
+
+def mutual_pairs(inst: MultilayerInstance, sel: int) -> list[list[tuple[int, int]]]:
+    """Per layer, the unordered pairs that approve each other there,
+    lexicographic, for every layer of the bit mask ``sel`` (the other
+    layers' lists stay empty)."""
+    masks = inst.approval_masks
+    out: list[list[tuple[int, int]]] = [[] for _ in range(inst.ell)]
+    for a, row in enumerate(masks):
+        for b, mask in row.items():
+            if a < b and (both := mask & masks[b].get(a, 0) & sel):
+                while both:
+                    low = both & -both
+                    out[low.bit_length() - 1].append((a, b))
+                    both ^= low
+    for pairs in out:
+        pairs.sort()
+    return out
 
 
 def layer_candidates_reference(inst: MultilayerInstance) -> list[tuple[tuple[int, int], ...] | None]:

@@ -189,10 +189,33 @@ def _can_violate(base, key, ell):
     ) < ell
 
 
+def _within(key, reach):
+    """Does each agent's geq mask meet more than ``cut`` layers of ``open``?"""
+    sa, sb, ha, hb = key
+    open_, cut = reach
+    return ((sa | ~ha) & open_).bit_count() > cut and ((sb | ~hb) & open_).bit_count() > cut
+
+
+def _reach_cases(base, ell):
+    """``(reach, violates)``: ``[full, ell - alpha]`` with the pair cost of
+    each pair or individual query of ``base``, as ``check`` passes it, and
+    ``[open, 0]`` with blocking in an open layer for each ``open``, as
+    ``stable_layers`` narrows it."""
+    full = (1 << ell) - 1
+    for q in all_queries(ell):
+        if q.base == base and q.agg in ("pair", "individual"):
+            yield [full, ell - q.alpha], _pair_cost(q, ell)
+    for open_ in range(1, full + 1):
+        yield [open_, 0], lambda *key, open_=open_: block_mask(base, *key, full) & open_
+
+
 def _assert_scan_yields_every_violating_pair(base):
     """Each pair ``_approving`` yields appears once, with its exact key, and
     approves somewhere; every pair that can block or violate is yielded;
-    and a scan cut at a least pair still yields every such pair below it."""
+    and a scan cut at a least pair still yields every such pair below it.
+    Under a reach, only pairs within it are yielded, and still every pair
+    that violates the query or blocks in an open layer, with or without a
+    least pair."""
     for inst, m, want in _scan_cases():
         needed = {pair for pair, key in want.items() if _can_violate(base, key, inst.ell)}
         rows = list(_approving(inst, m, base))
@@ -208,6 +231,15 @@ def _assert_scan_yields_every_violating_pair(base):
             }
             assert all(pair in want and want[pair] == key for pair, key in below.items())
             assert {pair for pair in needed if pair < least} <= below.keys()
+        for reach, violates in _reach_cases(base, inst.ell):
+            needed = {pair for pair, key in want.items() if violates(*key)}
+            for least in [None] + _cuts(inst.n):
+                got = {
+                    (a, b): key
+                    for a, b, key in _approving(inst, m, base, least and list(least), list(reach))
+                }
+                assert all(want[pair] == key and _within(key, reach) for pair, key in got.items())
+                assert {pair for pair in needed if least is None or pair < least} <= got.keys()
 
 
 def test_approving_scan_matches_definition():
@@ -285,6 +317,38 @@ def test_happy_everywhere_lemma_exhaustive():
             for cost in costs:
                 assert cost(0, sb, full, hb) == 0
                 assert cost(sb, 0, hb, full) == 0
+
+
+def test_reach_lemma_exhaustive():
+    # geq_x = (s_x | ~h_x) & full: blocks lie in geq_a & geq_b under every
+    # base, so a pair or individual violation needs both geq masks wider
+    # than ell - alpha (weak support is at least ell - |geq|); and the super
+    # scan's cut is that bound, exactly, on a pair with those masks
+    for ell in range(1, 4):
+        full = (1 << ell) - 1
+        queries = [(q, _pair_cost(q, ell)) for q in all_queries(ell)]
+        reaches = [[full, cut] for cut in range(ell)] + [[o, 0] for o in range(1, full + 1)]
+        for key in itertools.product(range(full + 1), repeat=4):
+            sa, sb, ha, hb = key
+            geq_a, geq_b = (sa | ~ha) & full, (sb | ~hb) & full
+            for q, cost in queries:
+                if q.agg in ("all", "global"):
+                    assert not cost(*key) & ~(geq_a & geq_b)
+                elif cost(*key):
+                    assert min(geq_a.bit_count(), geq_b.bit_count()) > ell - q.alpha
+            if not sa and not sb:
+                continue  # silent pairs are never scanned
+            # a = 0, b = 1, matched to 2 and 3
+            approvals = [[set() for _ in range(4)] for _ in range(ell)]
+            for x, y, mask in ((0, 1, sa), (1, 0, sb), (0, 2, ha), (1, 3, hb)):
+                for i in range(ell):
+                    if mask >> i & 1:
+                        approvals[i][x].add(y)
+            inst = build_instance(4, ell, approvals)
+            m = Matching(((0, 2), (1, 3)))
+            for reach in reaches:
+                got = [k for a, b, k in _approving(inst, m, "super", None, list(reach)) if (a, b) == (0, 1)]
+                assert got == ([key] if _within(key, reach) else [])
 
 
 def test_is_happy(ex1, m1):
