@@ -18,15 +18,16 @@ under weak and strong the rows of agents with no such approval are skipped
 (see ``_approving``), and a matching under which every agent is happy in
 every layer is checked in O(n).  Whatever the base, a pair is yielded only
 while both agents are at least indifferent to each other in enough of the
-layers that can still matter (``verify._pair_cost``'s reach bound): in more
-than ell - alpha layers under a pair or individual query, and in some layer
-not yet blocked while ``stable_layers`` and ``stable_in_layer`` scan.  So a
-pair in which an agent happy in every layer does not approve the other is
-never yielded.  A pair or individual check reads no row that cannot hold a
-pair below the least violation found so far.  Silent pairs, which approve
-nowhere, never weakly or strongly block; under super they are counted per
-layer, or searched for by grouping agents by happy mask, and never visited
-one by one.
+layers that can still matter (``verify._pair_cost``'s reach bound), and
+under weak strictly prefers the other there: in more than ell - alpha
+layers under a pair or individual query, and in some layer not yet blocked
+while ``stable_layers`` and ``stable_in_layer`` scan.  So a pair in which an
+agent happy in every layer does not approve the other is never yielded.
+The happy masks are computed once per scan.  A pair or individual check
+reads no row that cannot hold a pair below the least violation found so
+far.  Silent pairs, which approve nowhere, never weakly or strongly block;
+under super they are counted per layer, or searched for by grouping agents
+by happy mask, and never visited one by one.
 """
 
 from __future__ import annotations
@@ -74,8 +75,7 @@ class Matching(_Value):
 
     @classmethod
     def from_pairs(cls, pairs) -> "Matching":
-        canon = sorted((min(a, b), max(a, b)) for a, b in pairs)
-        return cls(tuple(canon))
+        return cls(tuple(sorted([(a, b) if a < b else (b, a) for a, b in pairs])))
 
     @classmethod
     def from_partners(cls, partner) -> "Matching":
@@ -186,6 +186,7 @@ def _approving(
     base: str,
     least: list[int] | None = None,
     reach: list[int] | None = None,
+    happy: list[int] | None = None,
 ):
     """Yield ``(a, b, key)``, ``key = (sa, sb, ha, hb)`` (ell-bit masks as in
     ``block_mask``), once for each unmatched pair a < b that can block or
@@ -211,29 +212,36 @@ def _approving(
 
     ``reach`` is the caller's ``[open, cut]``, ``[full, 0]`` if not given,
     and the caller may narrow ``open`` between yields; a row takes the
-    current value once it is known to be read.  A pair is yielded only if each agent's ``geq`` mask (the
-    layers where it approves the other or is unhappy) meets more than
-    ``cut`` layers of ``open``; by ``verify._pair_cost``'s reach bound, no
-    other pair blocks in ``open``, nor, with ``open`` full and ``cut = ell -
-    alpha``, violates an alpha-pair or alpha-individual query.  At the
-    default this drops exactly the pairs in which one agent is happy in
-    every layer and does not approve the other.  The row agent's side is
-    tested per entry, except in a row where it cannot fail: the agent is
-    unhappy in more than ``cut`` open layers, or ``cut`` is 0 with every
-    layer open (every entry approves).  The other side is tested before the
-    pair is yielded.
+    current value once it is known to be read.  A pair is yielded only if
+    each agent's reach mask meets more than ``cut`` layers of ``open``: its
+    ``geq`` mask (the layers where it approves the other or is unhappy)
+    under strong and super, its strict mask (``s & ~h``) under weak.  By
+    ``verify._pair_cost``'s reach bound, no other pair blocks in ``open``,
+    nor, with ``open`` full and ``cut = ell - alpha``, violates an
+    alpha-pair or alpha-individual query.  At the default this drops
+    exactly the pairs in which one agent is happy in every layer and does
+    not approve the other, and under weak also those in which an agent is
+    not strict towards the other.  Under weak both sides are tested on
+    mutual entries alone.  Otherwise the row agent's side is tested per
+    entry, except in a row where it cannot fail: the agent is unhappy in
+    more than ``cut`` open layers, or ``cut`` is 0 with every layer open
+    (every entry approves); the other side is tested before the pair is
+    yielded.  ``happy`` is ``_happy_masks(inst, m)``, computed if not
+    given.
 
     ``least``, if given, is the caller's least pair so far, ``[fa, fb]``,
     which it may lower between yields.  A row a > fa can only yield a lesser
     pair as (b, a), with b < fa, or b = fa while a < fb: such a row is
-    probed for those keys alone, with no strictness test, and once fa = 0
-    and a >= fb no later row is read.  Under weak no row past fa is read.
+    probed for those keys alone, with no strictness test, and dropped
+    before any other work when it holds none; once fa = 0 and a >= fb no
+    later row is read.  Under weak no row past fa is read.
     Pairs not below ``least``, and from probed rows pairs that cannot
     block, may still be yielded.
     """
     masks = inst.approval_masks
     partner = m._partner
-    happy = _happy_masks(inst, m)
+    if happy is None:
+        happy = _happy_masks(inst, m)
     full = (1 << inst.ell) - 1
     if reach is None:
         reach = [full, 0]
@@ -252,6 +260,8 @@ def _approving(
                 items = [(b, row[b]) for b in range(keys) if b in row]
             else:
                 items = [(b, s) for b, s in row.items() if b < keys]
+            if not items:
+                continue
         else:
             if strict_rows:
                 # skip a unless it approves someone outside its happy mask;
@@ -267,18 +277,16 @@ def _approving(
             open_, cut = reach
             every = not cut and open_ == full  # any approval passes a side
         pa = partner.get(a)
-        # a's side of the reach test runs per entry unless it cannot fail
-        tested = not every and ((not_ha := ~ha) & open_).bit_count() <= cut
-        if weak:  # few entries are mutual: test a's side on those alone
+        not_ha = ~ha
+        if weak:  # few entries are mutual: test both strict sides on those alone
             for b, s in items:
                 if b > a and b != pa and (sb := masks[b].get(a)):
                     hb = happy[b]
-                    if every or (
-                        (not tested or ((s | not_ha) & open_).bit_count() > cut)
-                        and ((sb | ~hb) & open_).bit_count() > cut
-                    ):
+                    if (s & not_ha & open_).bit_count() > cut and (sb & ~hb & open_).bit_count() > cut:
                         yield a, b, (s, sb, ha, hb)
             continue
+        # a's side of the reach test runs per entry unless it cannot fail
+        tested = not every and (not_ha & open_).bit_count() <= cut
         for b, s in items:  # b == pa is tested after the tests most entries fail
             if tested and ((s | not_ha) & open_).bit_count() <= cut:
                 continue
@@ -305,8 +313,9 @@ def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int
     full = (1 << inst.ell) - 1
     blocked = 0
     reach = [want, 0]
+    happy = _happy_masks(inst, m)
     seen = set()  # mask tuples already evaluated
-    for _, _, key in _approving(inst, m, base, reach=reach):
+    for _, _, key in _approving(inst, m, base, None, reach, happy):
         if key in seen:
             continue
         seen.add(key)
@@ -322,7 +331,6 @@ def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int
     # unmatched approving pair with both agents unhappy in a layer blocks it,
     # so in an open layer every pair of agents unhappy there is silent and
     # unmatched unless it is matched: count instead of visiting.
-    happy = _happy_masks(inst, m)
     agents = Counter(happy)
     matched = Counter(happy[a] | happy[b] for a, b in m.pairs)
     for i in range(inst.ell):
@@ -334,21 +342,20 @@ def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int
     return blocked
 
 
-def _happy_groups(inst: MultilayerInstance, m: Matching):
-    """The happy masks (``_happy_masks``) and, per mask, its agents in
-    ascending order."""
-    happy = _happy_masks(inst, m)
+def _happy_groups(happy: list[int]) -> dict[int, list[int]]:
+    """Per happy mask (``_happy_masks``), its agents in ascending order."""
     groups: dict[int, list[int]] = {}
     for x, h in enumerate(happy):
         groups.setdefault(h, []).append(x)
-    return happy, groups
+    return groups
 
 
-def _least_silent(inst: MultilayerInstance, m: Matching, cost, stop):
+def _least_silent(inst: MultilayerInstance, m: Matching, cost, stop, happy: list[int]):
     """The lexicographically least unmatched silent pair before the pair
     ``stop`` (``(a, b, ...)``, or None for no bound) with a nonzero
     ``cost(0, 0, ha, hb)`` (as in ``_least_violation``), as
-    ``(a, b, 0, 0, ha, hb)``, or None.
+    ``(a, b, 0, 0, ha, hb)``, or None.  ``happy`` is ``_happy_masks(inst,
+    m)``.
 
     Agents are grouped by happy mask; a row keeps the groups that violate
     with it and takes the least member of each above it that is neither its
@@ -360,10 +367,10 @@ def _least_silent(inst: MultilayerInstance, m: Matching, cost, stop):
     last, bound = (stop[0], stop[1]) if stop is not None else (n - 1, n)
     masks = inst.approval_masks
     partner = m._partner
-    happy = groups = None  # built first with no bound, else on first need
+    groups = None  # built first with no bound, else on first need
     fits: dict[int, list[list[int]]] = {}  # happy mask of a -> violating groups
     if stop is None:
-        happy, groups = _happy_groups(inst, m)
+        groups = _happy_groups(happy)
         if not any(cost(0, 0, h, g) for h in groups for g in groups if h != g or len(groups[h]) > 1):
             return None
     for a in range(last + 1):
@@ -378,11 +385,11 @@ def _least_silent(inst: MultilayerInstance, m: Matching, cost, stop):
                 break
         else:
             continue
-        ha = row.get(pa, 0)
+        ha = happy[a]
         lists = fits.get(ha)
         if lists is None:
             if groups is None:
-                happy, groups = _happy_groups(inst, m)
+                groups = _happy_groups(happy)
             lists = fits[ha] = [g for h, g in groups.items() if cost(0, 0, ha, h)]
         best = limit
         for g in lists:
@@ -416,8 +423,9 @@ def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost, rea
     first = None
     fa = fb = inst.n  # the least violating pair so far; none yet
     least = [fa, fb]  # the same, shared with the scan
+    happy = _happy_masks(inst, m)
     complying = set()  # mask tuples already seen not to violate
-    for a, b, key in _approving(inst, m, base, least, reach):
+    for a, b, key in _approving(inst, m, base, least, reach, happy):
         if a > fa or a == fa and b >= fb:
             continue
         if key in complying:
@@ -429,7 +437,7 @@ def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost, rea
             complying.add(key)
     if base != "super" or (fa, fb) == (0, 1):
         return first  # no pair precedes (0, 1)
-    return _least_silent(inst, m, cost, first) or first
+    return _least_silent(inst, m, cost, first, happy) or first
 
 
 @lru_cache(maxsize=4096)

@@ -82,20 +82,24 @@ def instance_from_doc(doc: dict) -> MultilayerInstance:
     index = {name: a for a, name in enumerate(names)}
     masks: list[dict[int, int]] = [{} for _ in names]
     # names map straight to mask rows: the index holds only valid ids
-    for i, layer in enumerate(layers):
-        _expect(layer, dict, f"layer {i + 1}")
-        bit = 1 << i
-        for name, approved in layer.items():
-            if not isinstance(approved, list):
-                raise MalformedDocument(f"approvals in layer {i + 1} must be arrays")
-            try:
-                row = masks[index[name]]
-                for other in approved:
-                    b = index[other]
-                    row[b] = row.get(b, 0) | bit
-            except (KeyError, TypeError) as exc:  # TypeError: unhashable name
-                raise MalformedDocument(f"unknown agent in layer {i + 1}: {exc}") from None
-        _refuse_self_approvals(masks, i, names)
+    try:
+        for i, layer in enumerate(layers):
+            _expect(layer, dict, f"layer {i + 1}")
+            bit = 1 << i
+            for name, approved in layer.items():
+                if not isinstance(approved, list):
+                    raise MalformedDocument(f"approvals in layer {i + 1} must be arrays")
+                try:
+                    row = masks[index[name]]
+                    for other in approved:
+                        b = index[other]
+                        row[b] = row.get(b, 0) | bit
+                except (KeyError, TypeError) as exc:  # TypeError: unhashable name
+                    raise MalformedDocument(f"unknown agent in layer {i + 1}: {exc}") from None
+    except Exception:  # stopped in layer i: the layers below it are tested first
+        _refuse_self_approvals(masks, names, i)
+        raise
+    _refuse_self_approvals(masks, names)
     return MultilayerInstance(len(names), ell, tuple(masks), names)
 
 

@@ -6,7 +6,8 @@ all the checker reads, is one approval mask per ordered pair that approves
 somewhere: bit ``i`` of ``approval_masks[a][b]`` says a approves b in layer
 ``i``.  ``build_instance`` (from ids) and ``cli.instance_from_doc`` (from
 names) OR each approval's layer bit into its row in one pass, under the shape
-and self-approval rules defined here.  The per-layer sets (``approvals``) are
+and self-approval rules defined here; the self-approval rule runs once per
+build, on the finished rows.  The per-layer sets (``approvals``) are
 a view built on first use, for I/O and the readable specifications.
 Instances are immutable and compare by value, so they can be shared freely
 and used as cache keys.
@@ -241,17 +242,23 @@ def build_instance(
     if frozen_names is not None:
         _check_names(frozen_names, IdOutOfRange)
     masks: list[dict[int, int]] = [{} for _ in range(n)]
-    for i, layer in enumerate(approvals):
-        if len(layer) > n:
-            raise IdOutOfRange(f"layer {i} lists {len(layer)} agents, n={n}")
-        bit = 1 << i
-        for a, ids in enumerate(layer):
-            row = masks[a]
-            for b in ids:
-                if type(b) is not int or not 0 <= b < n:  # bool is no agent id
-                    raise IdOutOfRange(f"approval {b!r} of agent {a} in layer {i}")
-                row[b] = row.get(b, 0) | bit
-        _refuse_self_approvals(masks, i, names)
+    done = 0  # layers read in full
+    try:
+        for i, layer in enumerate(approvals):
+            if len(layer) > n:
+                raise IdOutOfRange(f"layer {i} lists {len(layer)} agents, n={n}")
+            bit = 1 << i
+            for a, ids in enumerate(layer):
+                row = masks[a]
+                for b in ids:
+                    if type(b) is not int or not 0 <= b < n:  # bool is no agent id
+                        raise IdOutOfRange(f"approval {b!r} of agent {a} in layer {i}")
+                    row[b] = row.get(b, 0) | bit
+            done = i + 1
+    except Exception:  # the layers read in full are tested first
+        _refuse_self_approvals(masks, names, done)
+        raise
+    _refuse_self_approvals(masks, names)
     return MultilayerInstance(n, ell, tuple(masks), frozen_names)
 
 
@@ -292,12 +299,22 @@ def _check_names(names: Sequence, error: type[Exception]) -> None:
         raise error("agent names must be unique")
 
 
-def _refuse_self_approvals(masks: list[dict[int, int]], layer: int, names: Sequence[str] | None) -> None:
-    """The self-approval rule, tested once per agent after layer ``layer``
-    is ORed into the mask rows."""
-    for a, row in enumerate(masks):
-        if a in row:
-            raise SelfApproval(a, layer, None if names is None else names[a])
+def _refuse_self_approvals(
+    masks: list[dict[int, int]], names: Sequence[str] | None, below: int | None = None
+) -> None:
+    """The self-approval rule, tested once per build on the finished mask
+    rows (one membership test per agent): raise ``SelfApproval`` for the
+    first layer in which some agent approves itself, naming the lowest such
+    agent there, which is the error that testing after each layer meets
+    first.  With ``below``, only the layers below it count: a builder
+    stopped by an error in layer ``below`` tests the layers it read in full
+    before it re-raises, so a self-approval in an earlier layer still wins."""
+    keep = -1 if below is None else (1 << below) - 1
+    # (a's lowest self-approving layer, a) per agent that approves itself
+    hits = [((s & -s).bit_length() - 1, a) for a, row in enumerate(masks) if a in row and (s := row[a] & keep)]
+    if hits:
+        layer, a = min(hits)
+        raise SelfApproval(a, layer, None if names is None else names[a])
 
 
 def is_symmetric(inst: MultilayerInstance) -> bool:

@@ -110,6 +110,8 @@ def _pair_cost(q: StabilityQuery, ell: int):
     geq masks wider than ell - alpha layers: for pair by its blocked
     layers, for individual because each agent's support is at least
     ``ell - |geq|`` (weak: ``ell - |s & ~h|``; super: exactly that).
+    Under weak the same holds of the narrower strict masks ``s & ~h``,
+    since weak blocks lie in ``strict_a & strict_b``.
     ``blocking._approving`` yields only the pairs within such a reach."""
     alpha, full, base = q.effective_alpha(ell), (1 << ell) - 1, q.base
     if q.agg == "pair":

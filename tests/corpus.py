@@ -5,8 +5,9 @@ Random instance and matching generators, the oracle's reading of an
 super-stability, the symmetric per-layer characterizations, the super
 threshold routes' enumerate-and-check completion, SAT and degree
 partition), and the source-against-target equivalence checks of the three
-reductions, and super-global built one layer at a time.  None of
-it ships in ``mlsm``: the package's own routes are tested against these.
+reductions, super-global built one layer at a time, and the two instance
+builders testing self-approvals after each layer.  None of it ships in
+``mlsm``: the package's own routes are tested against these.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import random
 from collections import Counter
 
 from mlsm.blocking import Matching, is_happy, stable_in_layer
-from mlsm.errors import NotSymmetric
+from mlsm.cli import _expect
+from mlsm.errors import IdOutOfRange, MalformedDocument, NotSymmetric, SelfApproval
 from mlsm.graphalg import SimpleGraph
-from mlsm.model import MultilayerInstance, build_instance, is_symmetric
+from mlsm.model import MultilayerInstance, _check_names, _check_shape, build_instance, is_symmetric
 from mlsm.oracle import _iter_partner_arrays, enumerate_matchings, oracle_solve
 from mlsm.reductions import (
     CnfFormula,
@@ -436,3 +438,62 @@ def degpart_equivalent(g: SimpleGraph, ell: int, alpha: int) -> bool:
         if back_first != partition[0]:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# instance builders as first written
+
+
+def _refuse_after_layer(masks: list[dict[int, int]], layer: int, names) -> None:
+    for a, row in enumerate(masks):
+        if a in row:
+            raise SelfApproval(a, layer, None if names is None else names[a])
+
+
+def build_instance_reference(n, ell, approvals, names=None) -> MultilayerInstance:
+    """``build_instance`` testing for self-approvals after each layer, so
+    the first layer with a self-approval or another error decides."""
+    frozen_names = _check_shape(n, ell, len(approvals), names)
+    if frozen_names is not None:
+        _check_names(frozen_names, IdOutOfRange)
+    masks: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, layer in enumerate(approvals):
+        if len(layer) > n:
+            raise IdOutOfRange(f"layer {i} lists {len(layer)} agents, n={n}")
+        bit = 1 << i
+        for a, ids in enumerate(layer):
+            row = masks[a]
+            for b in ids:
+                if type(b) is not int or not 0 <= b < n:
+                    raise IdOutOfRange(f"approval {b!r} of agent {a} in layer {i}")
+                row[b] = row.get(b, 0) | bit
+        _refuse_after_layer(masks, i, names)
+    return MultilayerInstance(n, ell, tuple(masks), frozen_names)
+
+
+def instance_from_doc_reference(doc) -> MultilayerInstance:
+    """``cli.instance_from_doc`` testing for self-approvals after each
+    layer, as ``build_instance_reference`` does."""
+    _expect(doc, dict, "an instance document")
+    names = _expect(doc.get("agents"), list, '"agents"')
+    _check_names(names, MalformedDocument)
+    layers = _expect(doc.get("layers"), list, '"layers"')
+    ell = len(layers)
+    names = _check_shape(len(names), ell, ell, names)
+    index = {name: a for a, name in enumerate(names)}
+    masks: list[dict[int, int]] = [{} for _ in names]
+    for i, layer in enumerate(layers):
+        _expect(layer, dict, f"layer {i + 1}")
+        bit = 1 << i
+        for name, approved in layer.items():
+            if not isinstance(approved, list):
+                raise MalformedDocument(f"approvals in layer {i + 1} must be arrays")
+            try:
+                row = masks[index[name]]
+                for other in approved:
+                    b = index[other]
+                    row[b] = row.get(b, 0) | bit
+            except (KeyError, TypeError) as exc:
+                raise MalformedDocument(f"unknown agent in layer {i + 1}: {exc}") from None
+        _refuse_after_layer(masks, i, names)
+    return MultilayerInstance(len(names), ell, tuple(masks), names)

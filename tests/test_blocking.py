@@ -50,6 +50,22 @@ def test_matching_rejects_reuse():
     assert str(loop.value) == "pair (2, 2) has identical endpoints"
 
 
+def _matching_outcome(make):
+    try:
+        return make().pairs
+    except InvalidMatching as exc:
+        return str(exc), exc.pair, exc.reused
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_from_pairs_matches_the_min_max_form(pairs):
+    # reversed, equal and reused agents alike
+    want = _matching_outcome(lambda: Matching(tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))))
+    assert _matching_outcome(lambda: Matching.from_pairs(pairs)) == want
+    assert _matching_outcome(lambda: Matching.from_pairs(iter(pairs))) == want
+
+
 @pytest.mark.parametrize(
     "pair, layer", [((0, 7), 0), ((-1, 1), 0), ((0, 1), -1), ((0, 1), 3)]
 )
@@ -189,10 +205,14 @@ def _can_violate(base, key, ell):
     ) < ell
 
 
-def _within(key, reach):
-    """Does each agent's geq mask meet more than ``cut`` layers of ``open``?"""
+def _within(base, key, reach):
+    """Does each agent's reach mask meet more than ``cut`` layers of
+    ``open``?  It is the strict mask ``s & ~h`` under weak, else the geq
+    mask ``s | ~h``."""
     sa, sb, ha, hb = key
     open_, cut = reach
+    if base == "weak":
+        return (sa & ~ha & open_).bit_count() > cut and (sb & ~hb & open_).bit_count() > cut
     return ((sa | ~ha) & open_).bit_count() > cut and ((sb | ~hb) & open_).bit_count() > cut
 
 
@@ -238,7 +258,7 @@ def _assert_scan_yields_every_violating_pair(base):
                     (a, b): key
                     for a, b, key in _approving(inst, m, base, least and list(least), list(reach))
                 }
-                assert all(want[pair] == key and _within(key, reach) for pair, key in got.items())
+                assert all(want[pair] == key and _within(base, key, reach) for pair, key in got.items())
                 assert {pair for pair in needed if least is None or pair < least} <= got.keys()
 
 
@@ -291,9 +311,13 @@ def test_strict_rows_scan_skips_happy_agents_in_constant_time():
 def test_strict_rows_lemma_exhaustive():
     # weak blocks lie in strict_a & strict_b, strong ones in
     # strict_a | strict_b, and a weak individual violation needs both agents
-    # strict and approving
+    # strict and approving; so a weak pair or individual violation needs
+    # both strict masks wider than ell - alpha (the weak scan's reach)
     for ell in range(1, 4):
         full = (1 << ell) - 1
+        weak = [
+            (q, _pair_cost(q, ell)) for q in all_queries(ell) if q.base == "weak" and q.agg in ("pair", "individual")
+        ]
         for sa, sb, ha, hb in itertools.product(range(full + 1), repeat=4):
             strict_a, strict_b = sa & ~ha, sb & ~hb
             assert not block_mask("weak", sa, sb, ha, hb, full) & ~(strict_a & strict_b)
@@ -304,6 +328,9 @@ def test_strict_rows_lemma_exhaustive():
             )
             if max(supports) < ell:
                 assert strict_a and strict_b and sa and sb
+            for q, cost in weak:
+                if cost(sa, sb, ha, hb):
+                    assert min(strict_a.bit_count(), strict_b.bit_count()) > ell - q.alpha
 
 
 def test_happy_everywhere_lemma_exhaustive():
@@ -348,7 +375,7 @@ def test_reach_lemma_exhaustive():
             m = Matching(((0, 2), (1, 3)))
             for reach in reaches:
                 got = [k for a, b, k in _approving(inst, m, "super", None, list(reach)) if (a, b) == (0, 1)]
-                assert got == ([key] if _within(key, reach) else [])
+                assert got == ([key] if _within("super", key, reach) else [])
 
 
 def test_is_happy(ex1, m1):

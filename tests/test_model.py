@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mlsm
+from corpus import build_instance_reference, instance_from_doc_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,76 @@ def test_build_rejects_bad_shapes(n, ell, approvals, names, message):
     # a bool count was stored as the count and a str one raised TypeError
     with pytest.raises(IdOutOfRange, match=message):
         build_instance(n, ell, approvals, names)
+
+
+def _random_build_args(rng):
+    """``build_instance`` arguments, most valid, some with a self-approval,
+    a long layer, an id out of range, a bool or float id, ids that are no
+    iterable or a layer that is no sequence, in any layer."""
+    n, ell = rng.randint(0, 5), rng.randint(1, 4)
+    approvals = []
+    for _ in range(ell):
+        layer = [rng.sample(range(n), rng.randint(0, n)) for _ in range(n)]
+        for a, ids in enumerate(layer):
+            if rng.random() < 0.04:
+                ids.insert(rng.randint(0, len(ids)), a)
+            if rng.random() < 0.02:
+                ids.insert(rng.randint(0, len(ids)), rng.choice([n, -1, True, 1.0]))
+            if rng.random() < 0.01:
+                layer[a] = 5
+        if rng.random() < 0.03:
+            layer.append([])
+        approvals.append(7 if rng.random() < 0.02 else layer)
+    names = [f"a{x}" for x in range(n)] if rng.random() < 0.5 else None
+    return n, ell, approvals, names
+
+
+def _random_doc(rng):
+    """Instance documents, most valid, some with a self-approval, an
+    unknown or unhashable name, approvals that are no array or a layer
+    that is no object, in any layer."""
+    names = [f"a{x}" for x in range(rng.randint(0, 5))]
+    layers = []
+    for _ in range(rng.randint(1, 4)):
+        layer = {}
+        for name in names:
+            if rng.random() < 0.4:
+                continue
+            approved = rng.sample(names, rng.randint(0, len(names)))
+            if name in approved and rng.random() < 0.7:
+                approved.remove(name)
+            if rng.random() < 0.03:
+                approved.insert(rng.randint(0, len(approved)), rng.choice(["zz", ["a0"]]))
+            layer[name] = "a0" if rng.random() < 0.02 else approved
+        if rng.random() < 0.03:
+            layer["zz"] = []
+        layers.append(rng.choice([[], "a0", None]) if rng.random() < 0.03 else layer)
+    return {"agents": names, "layers": layers}
+
+
+def _outcome(build, *args):
+    try:
+        inst = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "agent", None), getattr(exc, "layer", None)
+    return type(inst), inst
+
+
+def test_builders_match_the_per_layer_reference():
+    # each builder tests self-approvals once, on the finished rows; the
+    # reference tests after every layer, so the first broken layer decides
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(20000):
+        args = _random_build_args(rng)
+        want = _outcome(build_instance_reference, *args)
+        assert _outcome(build_instance, *args) == want
+        seen.add(want[0].__name__)
+        doc = _random_doc(rng)
+        want = _outcome(instance_from_doc_reference, doc)
+        assert _outcome(instance_from_doc, doc) == want
+        seen.add(want[0].__name__)
+    assert {"SelfApproval", "IdOutOfRange", "TypeError", "MalformedDocument", "MultilayerInstance"} <= seen
 
 
 def test_build_rejects_bool_ids():
