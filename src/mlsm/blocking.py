@@ -25,9 +25,13 @@ while ``stable_layers`` and ``stable_in_layer`` scan.  So a pair in which an
 agent happy in every layer does not approve the other is never yielded.
 The happy masks are computed once per scan.  A pair or individual check
 reads no row that cannot hold a pair below the least violation found so
-far.  Silent pairs, which approve nowhere, never weakly or strongly block;
-under super they are counted per layer, or searched for by grouping agents
-by happy mask, and never visited one by one.
+far.  A check whose caller reads only whether the matching is stable
+(``check`` with ``explain`` off) ranks nothing: a pair or individual one
+returns at the first violation, and a global or all-layers one once more
+than ell - alpha layers block.  Silent pairs, which approve nowhere, never
+weakly or strongly block; under super they are counted per layer, or
+searched for by grouping agents by happy mask, and never visited one by
+one.
 """
 
 from __future__ import annotations
@@ -304,13 +308,20 @@ def _approving(
                     yield b, a, (sb, s, hb, ha)
 
 
-def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int:
+def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int, cap: int | None = None) -> int:
     """The layers of ``want`` in which some unmatched pair blocks (other bits
     may be set too).  ``block_mask`` runs once per distinct mask tuple of
     the pairs that ``_approving`` yields under ``base`` with reach
     ``[open, 0]``, where ``open`` is the part of ``want`` not yet blocked,
-    and the scan stops once all of ``want`` is blocked."""
+    and the scan stops once all of ``want`` is blocked.
+
+    With a ``cap``, the scan also stops once more than ``cap`` layers of
+    ``want`` are blocked, and then returns only some of them: a caller that
+    asks whether at most ``cap`` block reads the answer from the count.
+    Whenever at most ``cap`` block, the result is the one without a cap."""
     full = (1 << inst.ell) - 1
+    if cap is None or cap >= want.bit_count():
+        cap = want.bit_count() - 1  # stop once all of want is blocked
     blocked = 0
     reach = [want, 0]
     happy = _happy_masks(inst, m)
@@ -320,7 +331,7 @@ def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int
             continue
         seen.add(key)
         blocked |= block_mask(base, *key, full)
-        if blocked & want == want:
+        if (blocked & want).bit_count() > cap:
             return blocked
         reach[0] = want & ~blocked
     open_layers = want & ~blocked
@@ -339,6 +350,8 @@ def _blocked(inst: MultilayerInstance, m: Matching, base: str, want: int) -> int
             k = sum(c for h, c in agents.items() if not h & bit)
             if k * (k - 1) // 2 > sum(c for h, c in matched.items() if not h & bit):
                 blocked |= bit
+                if (blocked & want).bit_count() > cap:
+                    return blocked
     return blocked
 
 
@@ -405,11 +418,12 @@ def _least_silent(inst: MultilayerInstance, m: Matching, cost, stop, happy: list
     return None
 
 
-def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost, reach: list[int]):
+def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost, reach: list[int], rank: bool = True):
     """The lexicographically least unmatched pair, as
     ``(a, b, sa, sb, ha, hb)``, with a nonzero ``cost(sa, sb, ha, hb)``, or
     None: under a pair or individual query's pair cost
-    (``verify._pair_cost``), its least violating pair.
+    (``verify._pair_cost``), its least violating pair.  With ``rank`` off,
+    the first such pair found instead, or None exactly when there is none.
 
     One pass over the pairs that ``_approving`` yields under ``base`` and
     ``reach`` (``[full, ell - alpha]``, which keeps every violating pair)
@@ -419,12 +433,23 @@ def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost, rea
     never weakly or strongly block and have weak support ell, so they are
     searched for only under super, and only before the least approving
     violation.
+
+    With ``rank`` off the scan probes no row and returns the first violating
+    pair it yields; only a scan that yields none goes on to the silent
+    pairs, searched under super with no bound.
     """
+    happy = _happy_masks(inst, m)
+    complying = set()  # mask tuples already seen not to violate
+    if not rank:
+        for a, b, key in _approving(inst, m, base, None, reach, happy):
+            if key not in complying:
+                if cost(*key):
+                    return (a, b) + key
+                complying.add(key)
+        return _least_silent(inst, m, cost, None, happy) if base == "super" else None
     first = None
     fa = fb = inst.n  # the least violating pair so far; none yet
     least = [fa, fb]  # the same, shared with the scan
-    happy = _happy_masks(inst, m)
-    complying = set()  # mask tuples already seen not to violate
     for a, b, key in _approving(inst, m, base, least, reach, happy):
         if a > fa or a == fa and b >= fb:
             continue

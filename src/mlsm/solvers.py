@@ -76,9 +76,11 @@ def _first_stable(tag: str, inst: MultilayerInstance, q: StabilityQuery, candida
     """The first of ``candidates`` that passes ``check`` against q, as an
     exists carrying that verdict, else not-exists.  Candidates are pulled
     one at a time, so a lazy family builds only those up to the witness,
-    and each is checked once."""
+    and each is checked once.  Only ``.stable`` is read, so the checks run
+    with ``explain`` off: a rejected candidate costs its first violation,
+    and the accepted verdict is the one ``check`` gives by default."""
     for m in candidates:
-        verdict = check(inst, m, q)
+        verdict = check(inst, m, q, explain=False)
         if verdict.stable:
             return SolveResult("exists", tag, m, verdict.witness_layers, verdict=verdict)
     return SolveResult.found(tag, None)
@@ -94,7 +96,9 @@ def threshold_graph(inst: MultilayerInstance, k: int) -> SimpleGraph:
     and b approves a in at least ``k`` layers.
 
     On symmetric instances this is the graph of pairs that approve each
-    other in at least ``k`` layers.
+    other in at least ``k`` layers.  The edges come from mask keys, so they
+    are canonical (a < b), in range and loop-free, and the graph is built
+    without ``SimpleGraph.from_edges``'s validation.
     """
     if type(k) is not int or k < 1:  # bool is no int
         raise BadParameters(f"threshold k={k!r} must be an int of at least 1")
@@ -105,7 +109,7 @@ def threshold_graph(inst: MultilayerInstance, k: int) -> SimpleGraph:
         for b, ab in ma.items()
         if a < b and ab.bit_count() >= k and masks[b].get(a, 0).bit_count() >= k
     ]
-    return SimpleGraph.from_edges(inst.n, edges)
+    return SimpleGraph(inst.n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +158,11 @@ def _strong_matching(inst: MultilayerInstance, sel: int, busy: list[int]) -> Mat
     ascending order, leaving the first single when their number is odd,
     which with a perfect matching of the rest means n is odd.  The graph
     has at most one edge per approving pair, none between silent agents.
+
+    The scan tests the row agent's own selected busy layers first, which
+    reject almost every entry, then a < b, then b's side and b's index.  Its
+    edges are canonical (``index`` keeps the order of ``rest``), in range
+    and loop-free, so the graph is built without ``from_edges``.
     """
     masks = inst.approval_masks
     silent = [a for a in range(inst.n) if not busy[a] & sel]
@@ -161,13 +170,14 @@ def _strong_matching(inst: MultilayerInstance, sel: int, busy: list[int]) -> Mat
     index = {a: i for i, a in enumerate(rest)}
     # approvals are symmetric, so a's mask towards b is the pair's mutual
     # mask; a selected layer without it needs both a and b to approve nobody
-    edges = [
-        (index[a], index[b])
-        for a in rest
-        for b, ab in masks[a].items()
-        if a < b and b in index and not sel & ~ab & (busy[a] | busy[b])
-    ]
-    m = has_perfect_matching(SimpleGraph.from_edges(len(rest), edges))
+    edges = []
+    for a in rest:
+        need = sel & busy[a]
+        i = index[a]
+        for b, ab in masks[a].items():
+            if ab & need == need and a < b and not sel & ~ab & busy[b] and b in index:
+                edges.append((i, index[b]))
+    m = has_perfect_matching(SimpleGraph(len(rest), frozenset(edges)))
     if m is None:
         return None
     odd = len(silent) % 2
@@ -303,11 +313,13 @@ def _solve_super_threshold(inst: MultilayerInstance, alpha: int, agg: str, tag: 
     ``most`` rules one out.  One pruned search (``oracle._search``) with the
     forced pairs fixed returns the first completion, in canonical order over
     the isolated agents, on which no pair with an isolated agent breaks the
-    query.  It never evaluates a pair of two forced agents; ``_first_stable``
-    checks that one candidate, if any, and that covers them.  A failure
-    there means no completion passes: such a pair has the same happy masks,
-    so the same pair or individual verdict, in every completion.  The
-    isolated agents count against ``budget.max_agents``.
+    query; with no isolated agent that is the forced matching itself, which
+    is then the one candidate, and ``_search`` does not run.  The search
+    never evaluates a pair of two forced agents; ``_first_stable`` checks
+    that one candidate, if any, and that covers them.  A failure there
+    means no completion passes: such a pair has the same happy masks, so
+    the same pair or individual verdict, in every completion.  The isolated
+    agents count against ``budget.max_agents``.
     """
     _require_symmetric(inst, "solve_" + tag.replace("-", "_"))
     _require_alpha(alpha, inst.ell)
@@ -317,9 +329,10 @@ def _solve_super_threshold(inst: MultilayerInstance, alpha: int, agg: str, tag: 
         raise AlphaTooLow(f"alpha={alpha} is not above {bound}={p * inst.ell / d}")
     q = StabilityQuery("super", agg, alpha)
     forced = threshold_graph(inst, inst.ell - alpha + 1).sorted_edges()
-    if _kernel(inst.n, forced, most) is None:
+    kernel = _kernel(inst.n, forced, most)
+    if kernel is None:
         return SolveResult.found(tag, None)
-    m = _search(inst, q, budget, forced)
+    m = _search(inst, q, budget, forced) if kernel else Matching(tuple(forced))
     return _first_stable(tag, inst, q, () if m is None else (m,))
 
 
@@ -502,10 +515,12 @@ def solve_by_types(inst: MultilayerInstance, q: StabilityQuery) -> SolveResult:
     The witnesses of the accepted patterns, in ``_types_tables`` order, are
     the candidates of ``_first_stable``, so the walk stops at the first
     stable one and only the entries up to it are built; a later query on
-    the same instance reuses them.
+    the same instance reuses them.  The reduced checks only decide, so they
+    run with ``explain`` off.
     """
     q.effective_alpha(inst.ell)
-    accepted = (witness for j_inst, j_match, witness in _types_tables(inst) if check(j_inst, j_match, q).stable)
+    accepted = (witness for j_inst, j_match, witness in _types_tables(inst)
+                if check(j_inst, j_match, q, explain=False).stable)
     return _first_stable("agent-types", inst, q, accepted)
 
 

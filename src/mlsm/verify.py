@@ -10,6 +10,7 @@ from __future__ import annotations
 from .blocking import (
     BASES,
     Matching,
+    _blocked,
     _least_violation,
     block_mask,
     layer_set,
@@ -133,18 +134,33 @@ def _pair_cost(q: StabilityQuery, ell: int):
     return cost
 
 
-def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery) -> Verdict:
-    """Decide whether the matching satisfies the queried stability notion."""
+def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery, *, explain: bool = True) -> Verdict:
+    """Decide whether the matching satisfies the queried stability notion.
+
+    With ``explain`` off the caller reads ``.stable`` alone: a stable
+    verdict is the one given with it on, witness layers included, and an
+    unstable one is the bare ``Verdict(False, q)``.  A pair or individual
+    check then stops at the first violating pair it finds instead of
+    ranking them, and a global or all-layers one once more than
+    ell - alpha layers block."""
     alpha = q.effective_alpha(inst.ell)
-    if q.agg in ("all", "global"):
-        layers = stable_layers(inst, m, q.base)  # validates the ids
-        return Verdict(len(layers) >= alpha, q, witness_layers=layers)
-    require_ids(inst, m._partner)
     full = (1 << inst.ell) - 1
     base = q.base
-    found = _least_violation(inst, m, base, _pair_cost(q, inst.ell), [full, inst.ell - alpha])
+    if q.agg in ("all", "global"):
+        if explain:
+            layers = stable_layers(inst, m, base)  # validates the ids
+            return Verdict(len(layers) >= alpha, q, witness_layers=layers)
+        require_ids(inst, m._partner)
+        blocked = _blocked(inst, m, base, full, inst.ell - alpha)
+        if blocked.bit_count() > inst.ell - alpha:
+            return Verdict(False, q)
+        return Verdict(True, q, witness_layers=layer_set(full & ~blocked))
+    require_ids(inst, m._partner)
+    found = _least_violation(inst, m, base, _pair_cost(q, inst.ell), [full, inst.ell - alpha], explain)
     if found is None:
         return Verdict(True, q)
+    if not explain:
+        return Verdict(False, q)
     a, b, sa, sb, ha, hb = found
     blocked = layer_set(block_mask(base, sa, sb, ha, hb, full))
     if q.agg == "pair":

@@ -179,6 +179,23 @@ def mutual_pairs(inst: MultilayerInstance, sel: int) -> list[list[tuple[int, int
     return out
 
 
+def strong_graph_reference(inst: MultilayerInstance, sel: int, busy: list[int]) -> SimpleGraph:
+    """The graph that ``solvers._strong_matching`` matches perfectly, built
+    by the comprehension it was first written with: an edge between the
+    indices, among the agents busy in a layer of ``sel``, of each pair that
+    in every selected layer approves each other or both approve nobody."""
+    masks = inst.approval_masks
+    rest = [a for a in range(inst.n) if busy[a] & sel]
+    index = {a: i for i, a in enumerate(rest)}
+    edges = [
+        (index[a], index[b])
+        for a in rest
+        for b, ab in masks[a].items()
+        if a < b and b in index and not sel & ~ab & (busy[a] | busy[b])
+    ]
+    return SimpleGraph.from_edges(len(rest), edges)
+
+
 def layer_candidates_reference(inst: MultilayerInstance) -> list[tuple[tuple[int, int], ...] | None]:
     """Per layer, the one matching that can be super stable there, as
     sorted pairs, or None, built one layer at a time: the layer's mutual

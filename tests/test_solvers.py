@@ -16,11 +16,13 @@ from corpus import (
     layer_candidates_reference,
     lowtau_instance,
     oracle_layer_superstable,
+    strong_graph_reference,
     super_global_reference,
     super_threshold_reference,
     symmetric_lowbeta_instance,
 )
 import mlsm.model as model
+import mlsm.oracle as oracle
 import mlsm.solvers as solvers
 from mlsm.errors import (
     AlphaOutOfRange,
@@ -391,9 +393,9 @@ def test_super_global_checks_each_listed_candidate_once(monkeypatch):
     calls = []
     real_check = solvers.check
 
-    def counting_check(inst, m, q):
+    def counting_check(inst, m, q, **kwargs):
         calls.append((m.pairs, q))
-        return real_check(inst, m, q)
+        return real_check(inst, m, q, **kwargs)
 
     monkeypatch.setattr(solvers, "check", counting_check)
     rng = random.Random(29)
@@ -431,9 +433,9 @@ def test_super_alllayers_reuses_the_global_verdict(monkeypatch):
     calls = []
     real_check = solvers.check
 
-    def counting_check(inst, m, q):
+    def counting_check(inst, m, q, **kwargs):
         calls.append((m.pairs, q))
-        return real_check(inst, m, q)
+        return real_check(inst, m, q, **kwargs)
 
     monkeypatch.setattr(solvers, "check", counting_check)
     rng = random.Random(31)
@@ -477,6 +479,59 @@ def test_super_threshold_forced_matching():
     ):
         r = solver(inst, alpha)
         assert r.exists and r.matching.pairs == ((0, 1), (2, 3))
+
+
+def test_strong_matching_graph_matches_reference(monkeypatch):
+    # the edge scan tests the row agent's side first and builds the graph
+    # unvalidated; the graph it hands to has_perfect_matching is the one of
+    # the first-written comprehension, for every layer selection
+    graphs = []
+
+    def recording(g):
+        graphs.append(g)
+        return has_perfect_matching(g)
+
+    monkeypatch.setattr(solvers, "has_perfect_matching", recording)
+    rng = random.Random(34)
+    edged = silent = 0  # selections whose graph has an edge; with a silent agent
+    for k in range(300):
+        if k % 2:
+            inst = _symmetric_with_silent_agents(rng)
+        else:
+            inst = gen_random(rng.randint(2, 16), rng.randint(1, 4), rng.choice([0.1, 0.25, 0.5]), symmetric=True,
+                              seed=rng.getrandbits(30))
+        busy = _busy(inst)
+        for sel in range(1, 1 << inst.ell):
+            graphs.clear()
+            _strong_matching(inst, sel, busy)
+            want = strong_graph_reference(inst, sel, busy)
+            assert graphs == [want], (inst, sel)
+            edged += bool(want.edges)
+            silent += bool(want.edges) and any(not b & sel for b in busy)
+    assert edged > 300 and silent > 100
+
+
+def test_super_threshold_empty_kernel_skips_the_search(monkeypatch):
+    # the forced pairs cover every agent: they are the one candidate, and the
+    # search, which would return them, never runs
+    def no_search(*args):
+        raise AssertionError("_search ran with no free agent")
+
+    monkeypatch.setattr(solvers, "_search", no_search)
+
+    pairs4 = build_instance(4, 4, [[{1}, {0}, {3}, {2}]] * 4)
+    # a-b and c-d forced in layers 1-3, a-c approving in layer 1 only: both
+    # unhappy in layer 4, so (a, c) blocks in layers 1 and 4
+    obstructed = build_instance(4, 4, [[{1, 2}, {0}, {3, 0}, {2}]] + [[{1}, {0}, {3}, {2}]] * 2 + [[set()] * 4])
+    forced = ((0, 1), (2, 3))
+    for inst, stable in ((pairs4, True), (obstructed, False)):
+        for solver in (solve_super_individual_highalpha, solve_super_pair_veryhighalpha, solve_super_pair_fpt):
+            q = StabilityQuery("super", "individual" if solver is solve_super_individual_highalpha else "pair", 3)
+            assert oracle._search(inst, q, OracleBudget(), list(forced)) == Matching(forced)
+            r = solver(inst, 3)
+            assert r.status == ("exists" if stable else "not-exists")
+            assert r.matching == (Matching(forced) if stable else None)
+            assert check(inst, Matching(forced), q).stable == stable
 
 
 def test_super_threshold_degree_two_vertex():
@@ -568,9 +623,9 @@ def test_super_pair_fpt_empty_kernel_is_one_search(monkeypatch):
     # pruned search rules them out with at most one check
     calls = []
 
-    def counting_check(*args):
+    def counting_check(*args, **kwargs):
         calls.append(args)
-        return check(*args)
+        return check(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "check", counting_check)
     empty = build_instance(12, 5, [[set()] * 12] * 5)
@@ -1060,15 +1115,21 @@ def test_dispatch_certifies_each_witness_once(name, monkeypatch, request):
     if isinstance(inst, str):
         inst = request.getfixturevalue(inst)
     calls = []
+    keywords = []  # per call, its keyword arguments
 
-    def counting_check(i, m, query):
+    def counting_check(i, m, query, **kwargs):
         calls.append((i, m, query))
-        return check(i, m, query)
+        keywords.append(kwargs)
+        return check(i, m, query, **kwargs)
 
     monkeypatch.setattr(solvers, "check", counting_check)
     r = dispatch(inst, q)
     assert r.algorithm == name and r.exists
     assert sum(1 for i, m, query in calls if i is inst and m == r.matching and query == q) == 1
+    # the route's own check only decides; dispatch reuses its verdict
+    assert [kw for (i, m, query), kw in zip(calls, keywords) if i is inst and m == r.matching and query == q] == [
+        {"explain": False}
+    ]
     assert r.verdict == check(inst, r.matching, q) and r.verdict.stable
 
 

@@ -17,7 +17,7 @@ from mlsm.errors import AlphaOutOfRange, IdOutOfRange, InvalidQuery
 from mlsm.model import build_instance
 from mlsm.oracle import enumerate_matchings
 from mlsm.reductions import gen_random
-from mlsm.verify import StabilityQuery, _pair_cost, all_queries, check
+from mlsm.verify import StabilityQuery, Verdict, _pair_cost, all_queries, check
 
 
 def test_query_validation():
@@ -423,3 +423,43 @@ def test_matched_pairs_never_violate_pair_aggregation():
     m = Matching.from_pairs([(0, 1)])
     assert check(inst, m, StabilityQuery("super", "pair", 2)).stable
     assert check(inst, m, StabilityQuery("super", "individual", 2)).stable
+
+
+def _greedy_matching(inst):
+    """Each agent in turn takes the least later agent, free and approving it
+    back in some layer, that it approves: many agents end up happy."""
+    masks = inst.approval_masks
+    pairs, used = [], set()
+    for a, row in enumerate(masks):
+        if a not in used:
+            b = min((b for b in row if b > a and b not in used and a in masks[b]), default=None)
+            if b is not None:
+                pairs.append((a, b))
+                used |= {a, b}
+    return Matching.from_pairs(pairs)
+
+
+def test_check_without_explain_only_decides():
+    # explain=False stops at the first violation (pair, individual) or once
+    # more than ell - alpha layers block (global): the same .stable, the same
+    # stable verdict, witness layers included, and a bare unstable one
+    rng = random.Random(34)
+    triples = 0
+    unstable = stable = 0
+    while triples < 50_000:
+        n, ell = rng.randint(0, 24), rng.randint(1, 5)
+        p = rng.choice([0.03, 0.08, 0.15, 0.3, 0.6])
+        inst = gen_random(n, ell, p, symmetric=rng.random() < 0.5, seed=rng.getrandbits(30))
+        for m in (Matching(()), random_matching(rng, n), _greedy_matching(inst)):
+            for q in all_queries(ell):
+                full = check(inst, m, q)
+                fast = check(inst, m, q, explain=False)
+                assert fast.stable == full.stable, (inst, m, q)
+                if full.stable:
+                    assert fast == full, (inst, m, q)
+                    stable += 1
+                else:
+                    assert fast == Verdict(False, q), (inst, m, q)
+                    unstable += 1
+                triples += 1
+    assert stable > 5_000 and unstable > 5_000
