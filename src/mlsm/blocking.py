@@ -21,8 +21,9 @@ while both agents are at least indifferent to each other in enough of the
 layers that can still matter (``verify._pair_cost``'s reach bound), and
 under weak strictly prefers the other there: in more than ell - alpha
 layers under a pair or individual query, and in some layer not yet blocked
-while ``stable_layers`` and ``stable_in_layer`` scan.  So a pair in which an
-agent happy in every layer does not approve the other is never yielded.
+while ``_blocked`` scans for ``stable_layers``, ``stable_in_layer`` or a
+global or all-layers check.  So a pair in which an agent happy in every
+layer does not approve the other is never yielded.
 The happy masks are computed once per scan.  A pair or individual check
 reads no row that cannot hold a pair below the least violation found so
 far.  A check whose caller reads only whether the matching is stable
@@ -434,22 +435,16 @@ def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost, rea
     searched for only under super, and only before the least approving
     violation.
 
-    With ``rank`` off the scan probes no row and returns the first violating
-    pair it yields; only a scan that yields none goes on to the silent
-    pairs, searched under super with no bound.
+    With ``rank`` off the scan returns the first violating pair it yields.
+    Until then ``least`` is ``[n, n]``, so no row is probed, and a scan that
+    yields none goes on to the silent pairs, searched under super with no
+    bound.
     """
-    happy = _happy_masks(inst, m)
-    complying = set()  # mask tuples already seen not to violate
-    if not rank:
-        for a, b, key in _approving(inst, m, base, None, reach, happy):
-            if key not in complying:
-                if cost(*key):
-                    return (a, b) + key
-                complying.add(key)
-        return _least_silent(inst, m, cost, None, happy) if base == "super" else None
     first = None
     fa = fb = inst.n  # the least violating pair so far; none yet
     least = [fa, fb]  # the same, shared with the scan
+    happy = _happy_masks(inst, m)
+    complying = set()  # mask tuples already seen not to violate
     for a, b, key in _approving(inst, m, base, least, reach, happy):
         if a > fa or a == fa and b >= fb:
             continue
@@ -457,6 +452,8 @@ def _least_violation(inst: MultilayerInstance, m: Matching, base: str, cost, rea
             continue
         if cost(*key):
             first = (a, b) + key
+            if not rank:
+                return first
             fa, fb = least[:] = a, b
         else:
             complying.add(key)

@@ -15,7 +15,6 @@ from .blocking import (
     block_mask,
     layer_set,
     require_ids,
-    stable_layers,
     support_mask,
 )
 from .errors import AlphaOutOfRange, InvalidQuery
@@ -144,18 +143,15 @@ def check(inst: MultilayerInstance, m: Matching, q: StabilityQuery, *, explain: 
     ranking them, and a global or all-layers one once more than
     ell - alpha layers block."""
     alpha = q.effective_alpha(inst.ell)
+    require_ids(inst, m._partner)
     full = (1 << inst.ell) - 1
     base = q.base
     if q.agg in ("all", "global"):
-        if explain:
-            layers = stable_layers(inst, m, base)  # validates the ids
-            return Verdict(len(layers) >= alpha, q, witness_layers=layers)
-        require_ids(inst, m._partner)
-        blocked = _blocked(inst, m, base, full, inst.ell - alpha)
-        if blocked.bit_count() > inst.ell - alpha:
+        # past its cap, _blocked stops early and may leave out blocking layers
+        layers = layer_set(full & ~_blocked(inst, m, base, full, None if explain else inst.ell - alpha))
+        if len(layers) < alpha and not explain:
             return Verdict(False, q)
-        return Verdict(True, q, witness_layers=layer_set(full & ~blocked))
-    require_ids(inst, m._partner)
+        return Verdict(len(layers) >= alpha, q, witness_layers=layers)
     found = _least_violation(inst, m, base, _pair_cost(q, inst.ell), [full, inst.ell - alpha], explain)
     if found is None:
         return Verdict(True, q)
