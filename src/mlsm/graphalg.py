@@ -53,12 +53,14 @@ class SimpleGraph(_Value):
 
     @cached_property
     def _adj(self) -> tuple[tuple[int, ...], ...]:
-        """The neighbours of each vertex, ascending."""
+        """The neighbours of each vertex, ascending.  The edges (u, v),
+        u < v, are read in lexicographic order, so a vertex gets its smaller
+        neighbours, ascending, before its larger ones, ascending."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in self.sorted_edges():
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        return tuple(map(tuple, adj))
 
 
 def _greedy(adj, mate: list[int]) -> None:
@@ -162,12 +164,18 @@ def _search(adj, mate: list[int], root: int, cover: Container[int] | None = None
 
 
 def maximal_matching(g: SimpleGraph) -> Matching:
-    """The greedy matching over the edges in lexicographic order.
+    """The greedy matching over the edges in lexicographic order: each edge
+    whose endpoints are both still unmatched joins it.  One sort of the
+    edges, with no adjacency built; ``_greedy`` from an empty ``mate``
+    gives the same matching.
 
     The result is maximal: no remaining edge has both endpoints unmatched.
     """
     mate = [-1] * g.n
-    _greedy(g._adj, mate)
+    for u, v in g.sorted_edges():
+        if mate[u] < 0 and mate[v] < 0:
+            mate[u] = v
+            mate[v] = u
     return Matching.from_partners(mate)
 
 

@@ -5,11 +5,14 @@ and decides arbitrary queries.
 
 ``oracle_solve`` is the pruned search: a branch and bound over partial
 matchings that returns the first stable matching of the canonical order,
-with a per-search memo of pair costs.  One loop charges a newly decided
-agent's pairs, those with an undecided agent at their least cost; at an odd
-count of free agents, the same loop tests each free agent as the one left
-single (the parity bound).  The super threshold routes run it
-(``_search``) over their isolated agents, with the forced pairs fixed.
+with a per-search memo of pair costs that is filled on first read: an
+agent's row is made when the agent is first charged, and each entry of it
+when that entry is first read, so a search builds only what it reads, not
+an n x n table.  One loop charges a newly decided agent's pairs, those
+with an undecided agent at their least cost; at an odd count of free
+agents, the same loop tests each free agent as the one left single (the
+parity bound).  The super threshold routes run it (``_search``) over
+their isolated agents, with the forced pairs fixed.
 ``enumerate_matchings``, ``oracle_all`` and ``existence_table`` visit every
 matching and stay plain, so that they are obviously correct: ``oracle_all``
 with ``check`` is the specification the tests hold ``oracle_solve`` to.
@@ -157,11 +160,13 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
     whose number ``budget.max_agents`` bounds, are searched.  A pair of two
     fixed agents is never evaluated, so the caller certifies the result.
     A pair cost (``_pair_cost``) is computed once per mask tuple, and
-    ``settle`` is the one loop that reads them.  A node is a partial
-    matching whose decided pairs, and whose decided agents' least costs,
-    pass: an agent's least costs are charged as it is decided, in its
-    parent, and the parity bound's tests are never carried into the
-    charges."""
+    ``settle`` is the one loop that reads them.  It fills the memo rows on
+    first read: x's row is made at x's first ``settle``, and its entry for
+    y is bound to the memo of the pair's approval masks the first time
+    that entry is read.  A node is a partial matching whose decided pairs,
+    and whose decided agents' least costs, pass: an agent's least costs
+    are charged as it is decided, in its parent, and the parity bound's
+    tests are never carried into the charges."""
     n, ell = inst.n, inst.ell
     cost = _pair_cost(q, ell)
     _check_budget(n - 2 * len(fixed), budget)
@@ -179,10 +184,10 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
         free[a] = free[b] = False
         decided += (a, b)
     # the memo: per (sa, sb), the costs by (ha, hb), each packed ha << ell | hb;
-    # per searched agent x, the memo row of its pair with each agent
+    # per searched agent x, its row: entry y is the memo of the pair x-y,
+    # bound when first read
     memo: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    rows = {x: [memo[masks[x].get(y, 0) << ell | row.get(x, 0)] for y, row in enumerate(masks)]
-            for x in range(n) if free[x]}
+    rows: list[list[dict[int, int] | None] | None] = [None] * n
     nodes = 0
 
     def settle(x: int, hx: int, blocked: int) -> int | None:
@@ -190,14 +195,20 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
         partner, each at its happy mask: ``full``, its least cost, while it
         is undecided; with look off an undecided one costs 0 and is
         skipped.  None past the slack."""
-        rx, sx, hk, px = rows[x], masks[x], hx << ell, partner[x]
+        rx = rows[x]
+        if rx is None:
+            rx = rows[x] = [None] * n
+        sx, hk, px = masks[x], hx << ell, partner[x]
         for y in range(n) if look else decided:
             if y == x or y == px:
                 continue
             hy = happy[y]
-            c = rx[y].get(hk | hy)
+            row = rx[y]
+            if row is None:
+                row = rx[y] = memo[sx.get(y, 0) << ell | masks[y].get(x, 0)]
+            c = row.get(hk | hy)
             if c is None:
-                c = rx[y][hk | hy] = cost(sx.get(y, 0), masks[y].get(x, 0), hx, hy)
+                c = row[hk | hy] = cost(sx.get(y, 0), masks[y].get(x, 0), hx, hy)
             if c & ~blocked:
                 blocked |= c
                 if blocked.bit_count() > slack:
@@ -218,10 +229,12 @@ def _search(inst: MultilayerInstance, q: StabilityQuery, budget: OracleBudget,
             raise BudgetExceeded(
                 f"searched more than max_matchings={budget.max_matchings} partial matchings"
             )
-        if (n - len(decided)) & 1 and all(
-            settle(z, 0, blocked) is None for z in range(a, n) if free[z]
-        ):
-            return None
+        if (n - len(decided)) & 1:
+            for z in range(a, n):
+                if free[z] and settle(z, 0, blocked) is not None:
+                    break
+            else:
+                return None
         free[a] = False
         depth = len(decided)
         found = None

@@ -4,7 +4,8 @@ Random instance and matching generators, the oracle's reading of an
 ``existence_table``, brute-force references (maximum matching, layer
 super-stability, the symmetric per-layer characterizations, the super
 threshold routes' enumerate-and-check completion, SAT and degree
-partition), and the source-against-target equivalence checks of the three
+partition), the first-written sorted adjacency and greedy maximal
+matching of a graph, and the source-against-target equivalence checks of the three
 reductions, super-global built one layer at a time, and the two instance
 builders testing self-approvals after each layer.  None of it ships in
 ``mlsm``: the package's own routes are tested against these.
@@ -239,6 +240,31 @@ def brute_force_max_matching(g: SimpleGraph) -> int:
         return result
 
     return best(0, set())
+
+
+def sorted_adjacency(g: SimpleGraph) -> tuple[tuple[int, ...], ...]:
+    """``SimpleGraph._adj`` as first written: each vertex's neighbours,
+    gathered in set order and sorted per vertex."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+
+def greedy_matching(g: SimpleGraph) -> Matching:
+    """``maximal_matching`` as first written, over ``sorted_adjacency``:
+    each exposed vertex, in ascending order, takes its smallest exposed
+    neighbour."""
+    mate = [-1] * g.n
+    for u, nbrs in enumerate(sorted_adjacency(g)):
+        if mate[u] < 0:
+            for v in nbrs:
+                if mate[v] < 0:
+                    mate[u] = v
+                    mate[v] = u
+                    break
+    return Matching.from_partners(mate)
 
 
 def oracle_layer_superstable(inst: MultilayerInstance, layer: int) -> list[Matching]:

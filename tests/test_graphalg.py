@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import brute_force_max_matching
+from corpus import brute_force_max_matching, greedy_matching, sorted_adjacency
 from mlsm.errors import IdOutOfRange
 from mlsm.graphalg import (
     SimpleGraph,
@@ -14,6 +14,8 @@ from mlsm.graphalg import (
     maximum_matching,
     saturating_matching,
 )
+from mlsm.reductions import gen_random
+from mlsm.solvers import threshold_graph
 
 
 def _brute_saturates(g: SimpleGraph, cover: set[int]) -> bool:
@@ -61,6 +63,24 @@ def test_maximal_admits_no_extra_edge():
         m = maximal_matching(g)
         for u, v in g.edges:
             assert m.covers(u) or m.covers(v)
+
+
+def test_adjacency_and_maximal_matching_equal_the_references():
+    # _adj and maximal_matching each read one sort of the edges; the
+    # references sort per vertex and walk the adjacency
+    rng = random.Random(35)
+    graphs = [SimpleGraph.from_edges(n, []) for n in (0, 1, 5)]
+    for _ in range(150):
+        n = rng.randint(2, 30)
+        p = rng.choice([0.05, 0.2, 0.5, 0.9])
+        graphs.append(SimpleGraph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    for seed in range(20):
+        inst = gen_random(rng.randint(2, 12), rng.randint(1, 4), rng.choice([0.15, 0.5, 0.8]), True, seed=seed)
+        graphs += [threshold_graph(inst, k) for k in range(1, inst.ell + 1)]
+    assert any(not g._adj[v] for g in graphs[3:] for v in range(g.n))  # isolated vertices
+    for g in graphs:
+        assert g._adj == sorted_adjacency(g)
+        assert maximal_matching(g) == greedy_matching(g)
 
 
 def test_maximum_odd_cycle():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from mlsm.oracle import (
     oracle_solve,
 )
 from mlsm.reductions import gen_random
+from mlsm.solvers import _kernel, threshold_graph
 from mlsm.verify import StabilityQuery, _pair_cost, all_queries, check
 
 
@@ -175,6 +177,73 @@ def test_search_with_fixed_pairs_is_first_stable_completion():
                     assert found == first, (n, fixed, q)
                 else:
                     assert first is None, (n, fixed, q)
+
+
+def _least_budget(run) -> int:
+    """The least ``max_matchings`` at which ``run(budget)`` returns: the
+    search's node count, found by doubling and bisection."""
+    hi = 1
+    while True:
+        try:
+            run(OracleBudget(max_matchings=hi))
+            break
+        except BudgetExceeded:
+            hi *= 2
+    lo = hi // 2  # raises at lo, or lo is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            run(OracleBudget(max_matchings=mid))
+            hi = mid
+        except BudgetExceeded:
+            lo = mid
+    return hi
+
+
+def _planted_threshold_instance(rng: random.Random, n: int, ell: int, p: float):
+    """Symmetric approvals in which forced pairs approve each other in
+    every layer and the 2-6 other agents, the kernel, are left isolated:
+    any other pair approves mutually in one random layer, with
+    probability ``p``."""
+    agents = rng.sample(range(n), n)
+    kernel = rng.choice([k for k in range(2, 7) if (n - k) % 2 == 0])
+    layers = [[set() for _ in range(n)] for _ in range(ell)]
+    for j in range(0, n - kernel, 2):
+        a, b = agents[j], agents[j + 1]
+        for layer in layers:
+            layer[a].add(b)
+            layer[b].add(a)
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            layer = rng.choice(layers)
+            layer[a].add(b)
+            layer[b].add(a)
+    return build_instance(n, ell, layers)
+
+
+def test_search_node_counts_are_pinned():
+    # the pruning as it stands, pinned: every query on seeded dense
+    # asymmetric instances, and the super threshold routes' searches with
+    # the forced pairs fixed.  A change to the search's bookkeeping that
+    # keeps its cuts keeps every count; a lost or a new cut moves one
+    counts = []
+    for seed in range(60):
+        n, ell, p = 7 + seed % 4, 1 + seed % 3, (0.5, 0.8)[seed // 3 % 2]
+        inst = gen_random(n, ell, p, seed=seed)
+        for q in all_queries(ell):
+            counts.append(_least_budget(lambda budget: _search(inst, q, budget, [])))
+    rng = random.Random(35)
+    for _ in range(40):
+        n, ell = rng.randint(7, 10), rng.choice([3, 4])
+        inst = _planted_threshold_instance(rng, n, ell, rng.choice([0.5, 0.8]))
+        for agg in ("pair", "individual"):
+            for alpha in range(ell // 2 + 1, ell + 1):
+                forced = threshold_graph(inst, ell - alpha + 1).sorted_edges()
+                if _kernel(n, forced, 2 ** (ell + 1)):
+                    q = StabilityQuery("super", agg, alpha)
+                    counts.append(_least_budget(lambda budget: _search(inst, q, budget, forced)))
+    digest = hashlib.sha256(repr(counts).encode()).hexdigest()
+    assert digest == "d8f2a3602ad2b8691982f67a16b479de9cef442269b85f9369624d74b430b041", (len(counts), sum(counts), digest)
 
 
 @given(
